@@ -260,6 +260,10 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
 def p_range(p_max: int, parity: str | None = None, multiple_of: int | None = None,
             ) -> tuple[int, ...]:
     """P values 1..p_max with optional parity and divisibility filters."""
+    if parity not in (None, "odd", "even"):
+        raise ValueError(f"parity must be 'odd', 'even' or None, got {parity!r}")
+    if multiple_of is not None and multiple_of < 1:
+        raise ValueError(f"multiple_of must be >= 1, got {multiple_of}")
     out = []
     for p in range(1, p_max + 1):
         if parity == "odd" and p % 2 == 0:
@@ -694,7 +698,14 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
     """All four shift congruences over a signed (m, n, r) grid.
 
     Covers P <= p_max, 0 < |m|, |n| <= idx_max, |r| <= idx_max, plus spot
-    checks at |n| = large_n computed purely modularly.
+    checks at |n| = large_n.
+
+    The grid checks read exact values streamed by `sequences.seq_range`:
+    one span |k| <= idx_max per P for the m and r terms, and one window
+    2mn +- idx_max per (m, n).  So about 2*(2*idx_max + 1) exact terms are
+    held at a time, not the whole span |k| <= 2*idx_max**2 + idx_max.  The
+    spot checks pass no values and run on modular doubling, which keeps the
+    recurrence and doubling paths cross-checked against each other.
     """
     failures: list[CheckOutcome] = []
     total = 0
@@ -704,11 +715,16 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
               identities.check_shift_u_mod_v, identities.check_shift_v_mod_v)
     for p in range(1, p_max + 1):
         params = SequenceParams(p, 1)
+        small = {pair.n: pair
+                 for pair in sequences.seq_range(params, -idx_max, idx_max)}
         for m in signed:
             for n in signed:
-                for r in rs:
-                    for fn in checks:
-                        total = _collect((fn(params, m, n, r),), failures, total)
+                centre = 2 * m * n
+                values = dict(small)
+                values.update((pair.n, pair) for pair in sequences.seq_range(
+                    params, centre - idx_max, centre + idx_max))
+                total = _collect([fn(params, m, n, r, values=values)
+                                  for r in rs for fn in checks], failures, total)
     if large_n:
         for p in (1, 2, 5, 25):
             if p > p_max:

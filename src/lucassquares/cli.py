@@ -23,6 +23,8 @@ import io
 import json
 import re
 import sys
+from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from . import classifier, diophantine, sequences
@@ -58,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
-    table_lines: list[str]
+    table_lines: Iterable[str]
     csv_header: list[str]
     csv_rows: list[list]
     json_payload: dict
@@ -207,6 +209,24 @@ def _render(result: _Result, fmt: str) -> str:
     return buffer.getvalue()
 
 
+@contextmanager
+def _exact_int_text():
+    """Lift Python's cap on int-to-str digits (4300 by default) for the block.
+
+    Exact values of any size are the point of the output, but the cap stays
+    in force everywhere else, input parsing included.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 before 3.10.7
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -219,6 +239,16 @@ def _emit(text: str, out_path: str | None) -> None:
 # argument parsing
 
 _SPAN_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_index_span(text: str) -> tuple[int, int]:
@@ -239,8 +269,8 @@ def _add_p_selection(parser: argparse.ArgumentParser) -> None:
                         help="all P from 1 through N")
     parser.add_argument("--P-odd-max", type=int, dest="p_odd_max", metavar="N",
                         help="all odd P from 1 through N")
-    parser.add_argument("--multiple-of", type=int, dest="multiple_of", metavar="D",
-                        help="keep only P divisible by D")
+    parser.add_argument("--multiple-of", type=_positive_int, dest="multiple_of",
+                        metavar="D", help="keep only P divisible by D")
 
 
 def _resolve_p_values(args: argparse.Namespace, required: bool = True,
@@ -261,7 +291,7 @@ def _resolve_p_values(args: argparse.Namespace, required: bool = True,
         if required:
             raise CliError("select P values with --P, --P-max or --P-odd-max")
         return None
-    if args.multiple_of:
+    if args.multiple_of is not None:
         values = tuple(p for p in values if p % args.multiple_of == 0)
     if not values:
         raise CliError("the P selection is empty")
@@ -319,7 +349,7 @@ def _build_parser() -> _Parser:
                         help="divisor index lower bound (default 1)")
     search.add_argument("--parity", choices=("odd", "even"),
                         help="restrict searched n to one parity")
-    search.add_argument("--jobs", type=int, default=1,
+    search.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (default 1)")
 
     verify = sub.add_parser("verify", parents=[common],
@@ -334,7 +364,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--mmin", type=int, help="override the divisor lower bound")
     verify.add_argument("--parity", choices=("odd", "even"),
                         help="restrict searched n to one parity")
-    verify.add_argument("--jobs", type=int, default=1,
+    verify.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (default 1)")
 
     return parser
@@ -363,7 +393,8 @@ def _cmd_seq(args: argparse.Namespace) -> _Result:
         "modulus": args.mod,
         "rows": [{"n": n, "u": u, "v": v} for n, u, v in rows],
     }
-    table = [f"{n} {u} {v}" for n, u, v in rows]
+    # Lazy, so that the digits are written inside main's _exact_int_text().
+    table = (f"{n} {u} {v}" for n, u, v in rows)
     return _Result(table, ["n", "u", "v"], rows, payload)
 
 
@@ -577,7 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(_render(result, args.format), args.out)
+    with _exact_int_text():
+        text = _render(result, args.format)
+    _emit(text, args.out)
     return result.exit_code
 
 

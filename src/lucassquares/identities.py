@@ -8,7 +8,8 @@ complete, witnessed record.  Congruences are compared after reduction into
 The checks cover four groups:
 
 - shift congruences: U and V at index 2*m*n + r reduced mod U_m or V_m,
-  with the parity-derived sign;
+  with the parity-derived sign, from doubling or from exact values the
+  caller supplies (`values=`);
 - product identities: the doubling, tripling, and quintupling formulas and
   the discriminant identity V_n**2 - (P**2+4)*U_n**2 = 4*(-1)**n (Q = 1),
   plus the Q = -1 tripling companion and the factor law for V_{5n} when
@@ -28,10 +29,11 @@ transparently redirects every check.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import arith, sequences
-from .sequences import SequenceParams
+from .sequences import IndexedPair, SequenceParams
 
 __all__ = [
     "CheckOutcome",
@@ -112,12 +114,17 @@ def _shift_sign(exponent: int) -> int:
 
 
 def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
-                 mod_from_v: bool, value_is_v: bool) -> CheckOutcome:
+                 mod_from_v: bool, value_is_v: bool,
+                 values: Mapping[int, IndexedPair] | None = None) -> CheckOutcome:
     """Common body of the four shift-congruence checks.
 
     Verifies X_{2mn+r} = sign * X_r (mod |Y_m|) where X is U or V
     (`value_is_v`), Y is U or V (`mod_from_v`), and sign is (-1)**(m*n)
     for a U-modulus and (-1)**((m+1)*n) for a V-modulus.
+
+    Without `values`, Y_m and X_r are evaluated exactly and X_{2mn+r} by
+    modular doubling.  With `values` (index -> IndexedPair, covering m, r
+    and 2mn+r), the three exact values are read from it and reduced.
     """
     _require_q1(params, "shift congruences")
     if n == 0:
@@ -125,14 +132,21 @@ def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
     if not mod_from_v and m == 0:
         raise ValueError("shift congruence mod U_m requires a nonzero m (U_0 = 0)")
     inputs = (params.P, params.Q, m, n, r)
-    base = sequences.v(params, m) if mod_from_v else sequences.u(params, m)
+    if values is None:
+        base = sequences.v(params, m) if mod_from_v else sequences.u(params, m)
+    else:
+        base = values[m].v if mod_from_v else values[m].u
     modulus = abs(base)
     if modulus == 1:
         which = "V" if mod_from_v else "U"
         return _trivial_pass(check_id, inputs,
                              f"modulus |{which}_m| = 1; congruence is trivial")
     index = 2 * m * n + r
-    if value_is_v:
+    if values is not None:
+        at_index, at_r = values[index], values[r]
+        lhs = (at_index.v if value_is_v else at_index.u) % modulus
+        base_r = at_r.v if value_is_v else at_r.u
+    elif value_is_v:
         lhs = _v_mod_signed(params, index, modulus)
         base_r = sequences.v(params, r)
     else:
@@ -143,28 +157,36 @@ def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
     return _outcome(check_id, inputs, lhs, rhs)
 
 
-def check_shift_u_mod_u(params: SequenceParams, m: int, n: int, r: int) -> CheckOutcome:
+def check_shift_u_mod_u(params: SequenceParams, m: int, n: int, r: int, *,
+                        values: Mapping[int, IndexedPair] | None = None,
+                        ) -> CheckOutcome:
     """U_{2mn+r} = (-1)**(mn) * U_r (mod U_m), for Q = 1 and m, n nonzero."""
     return _check_shift("shift-u-mod-u", params, m, n, r,
-                        mod_from_v=False, value_is_v=False)
+                        mod_from_v=False, value_is_v=False, values=values)
 
 
-def check_shift_v_mod_u(params: SequenceParams, m: int, n: int, r: int) -> CheckOutcome:
+def check_shift_v_mod_u(params: SequenceParams, m: int, n: int, r: int, *,
+                        values: Mapping[int, IndexedPair] | None = None,
+                        ) -> CheckOutcome:
     """V_{2mn+r} = (-1)**(mn) * V_r (mod U_m), for Q = 1 and m, n nonzero."""
     return _check_shift("shift-v-mod-u", params, m, n, r,
-                        mod_from_v=False, value_is_v=True)
+                        mod_from_v=False, value_is_v=True, values=values)
 
 
-def check_shift_u_mod_v(params: SequenceParams, m: int, n: int, r: int) -> CheckOutcome:
+def check_shift_u_mod_v(params: SequenceParams, m: int, n: int, r: int, *,
+                        values: Mapping[int, IndexedPair] | None = None,
+                        ) -> CheckOutcome:
     """U_{2mn+r} = (-1)**((m+1)n) * U_r (mod V_m), for Q = 1 and n nonzero."""
     return _check_shift("shift-u-mod-v", params, m, n, r,
-                        mod_from_v=True, value_is_v=False)
+                        mod_from_v=True, value_is_v=False, values=values)
 
 
-def check_shift_v_mod_v(params: SequenceParams, m: int, n: int, r: int) -> CheckOutcome:
+def check_shift_v_mod_v(params: SequenceParams, m: int, n: int, r: int, *,
+                        values: Mapping[int, IndexedPair] | None = None,
+                        ) -> CheckOutcome:
     """V_{2mn+r} = (-1)**((m+1)n) * V_r (mod V_m), for Q = 1 and n nonzero."""
     return _check_shift("shift-v-mod-v", params, m, n, r,
-                        mod_from_v=True, value_is_v=True)
+                        mod_from_v=True, value_is_v=True, values=values)
 
 
 def check_product_identities(params: SequenceParams, n: int) -> list[CheckOutcome]:

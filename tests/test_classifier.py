@@ -19,6 +19,7 @@ from lucassquares import (
     verify_theorem,
 )
 from lucassquares import classifier
+from lucassquares.sequences import IndexedPair
 
 from _oracles import naive_search_one_term, naive_search_two_term
 
@@ -136,6 +137,12 @@ class TestSearch:
         assert p_range(10, parity="even") == (2, 4, 6, 8, 10)
         assert p_range(20, multiple_of=5) == (5, 10, 15, 20)
         assert p_range(20, parity="odd", multiple_of=5) == (5, 15)
+
+    def test_p_range_rejects_bad_filters(self):
+        with pytest.raises(ValueError, match="parity"):
+            p_range(10, parity="od")
+        with pytest.raises(ValueError, match="multiple_of"):
+            p_range(10, multiple_of=0)
 
 
 class TestPredictedSets:
@@ -331,3 +338,33 @@ class TestHarness:
         report = classifier.sweep_product_identities(p_max=5, idx_max=10)
         assert report.verdict == "counterexample"
         assert any(not outcome.passed for outcome in report.found)
+
+
+class TestShiftSweepPaths:
+    def test_grid_reads_seq_range(self, monkeypatch):
+        import lucassquares.sequences as seqmod
+        real = seqmod.seq_range
+
+        def bumped(params, n_lo, n_hi):
+            for pair in real(params, n_lo, n_hi):
+                if params.P == 3 and pair.n == 17:
+                    pair = IndexedPair(pair.n, pair.u + 1, pair.v)
+                yield pair
+
+        monkeypatch.setattr(seqmod, "seq_range", bumped)
+        report = classifier.sweep_shift_congruences(p_max=3, idx_max=4, large_n=None)
+        assert report.verdict == "counterexample"
+        assert {outcome.inputs[0] for outcome in report.found} == {3}
+
+    def test_spot_checks_use_modular_doubling(self, monkeypatch):
+        import lucassquares.sequences as seqmod
+        real = seqmod.u_mod
+
+        def bumped(params, n, modulus):
+            value = real(params, n, modulus)
+            return (value + 1) % modulus if n >= 10**6 else value
+
+        monkeypatch.setattr(seqmod, "u_mod", bumped)
+        report = classifier.sweep_shift_congruences(p_max=2, idx_max=2, large_n=10**6)
+        assert report.verdict == "counterexample"
+        assert {abs(outcome.inputs[3]) for outcome in report.found} == {10**6}

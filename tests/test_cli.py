@@ -1,6 +1,7 @@
 """CLI behavior: golden outputs, formats, exit codes, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -8,14 +9,31 @@ import sys
 
 import pytest
 
-from lucassquares import classifier, verify_theorem, default_query
+from lucassquares import SequenceParams, classifier, default_query, u, v, verify_theorem
 from lucassquares.cli import main, report_from_dict, report_to_dict
+
+# `lucassq verify all --profile quick --format json`: any change to a
+# report's findings, notes or layout moves this digest.
+QUICK_JSON_SHA256 = "ee5641dd5769eb6d887397cdda08f527641610aca4b1bb337bf35cbb032fd8ee"
+QUICK_JSON_BYTES = 30415
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _decimal_digits(x: int) -> int:
+    """Digit count of x >= 1 without str(), which refuses over 4300 digits."""
+    k = x.bit_length() * 301 // 1000  # a lower bound: 0.301 < log10(2)
+    while 10 ** k <= x:
+        k += 1
+    return k
+
+
+def _int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 class TestSeq:
@@ -58,6 +76,24 @@ class TestSeq:
         code, _, err = run_cli(capsys, "seq", "-P", "1", "-n=-3", "--mod", "7")
         assert code == 1
         assert "nonnegative" in err
+
+    def test_exact_values_beyond_the_str_digit_limit(self, capsys):
+        params = SequenceParams(99, 1)
+        want = (u(params, 3000), v(params, 3000))
+        limit = _int_str_limit()
+        code, out, err = run_cli(capsys, "seq", "-P", "99", "-Q", "1", "-n", "3000")
+        assert (code, err) == (0, "")
+        n_text, *table_texts = out.split()
+        assert n_text == "3000"
+        code, out, _ = run_cli(capsys, "seq", "-P", "99", "-Q", "1", "-n", "3000",
+                               "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        for texts in (table_texts, [row["u"], row["v"]]):
+            for text, value in zip(texts, want, strict=True):
+                assert len(text) == _decimal_digits(value) > 4300
+                assert text[-18:] == f"{value % 10**18:018d}"
+        assert _int_str_limit() == limit
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 1
@@ -145,6 +181,18 @@ class TestSearch:
         assert out == "V 5 1 - 5 1\nV 45 1 - 5 3\n"
 
 
+    def test_multiple_of_zero_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "search", "V", "5", "--P-max", "9",
+                               "--multiple-of", "0", "--nmax", "30")
+        assert code == 1 and "--multiple-of" in err
+
+    def test_jobs_must_be_positive(self, capsys):
+        for argv in (("search", "V", "5", "--P", "5", "--nmax", "30", "--jobs", "0"),
+                     ("verify", "v-5square", "--jobs", "-3")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1 and "--jobs" in err
+
+
 class TestVerify:
     def test_out_of_scope_exit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "u-5square", "--P", "10")
@@ -197,6 +245,15 @@ class TestVerify:
                    if r["theorem_id"] == "u-wsquare"][0]
         assert wsquare["query"]["p_values"][0] == "1"
         assert wsquare["found"][0]["x"] == "1"
+
+    def test_all_quick_json_golden_digest(self, capsys, tmp_path):
+        path = tmp_path / "quick.json"
+        code, _, _ = run_cli(capsys, "verify", "all", "--profile", "quick",
+                             "--format", "json", "--out", str(path))
+        data = path.read_bytes()
+        assert code == 0
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            QUICK_JSON_SHA256, QUICK_JSON_BYTES)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "v-2square", "--format", "csv")

@@ -20,6 +20,7 @@ from lucassquares import (
     check_v5n_factor,
     check_v_mod8_class,
 )
+from lucassquares.sequences import IndexedPair
 
 from _oracles import naive_u, naive_v
 
@@ -73,6 +74,24 @@ class TestShiftCongruences:
                         exact = (naive_v(p, 1, index) if value_is_v
                                  else naive_u(p, 1, index))
                         assert outcome.lhs == exact % modulus
+
+    @pytest.mark.parametrize("key", sorted(SHIFT_CHECKS))
+    def test_supplied_values_match_doubling(self, key):
+        fn, mod_from_v, _ = SHIFT_CHECKS[key]
+        trivial = 0
+        for p in (1, 2, 3, 5):
+            params = SequenceParams(p, 1)
+            values = {k: IndexedPair(k, naive_u(p, 1, k), naive_v(p, 1, k))
+                      for k in range(-28, 29)}
+            for m in range(-4, 5):
+                if m == 0 and not mod_from_v:
+                    continue
+                for n in (-3, -1, 1, 2):
+                    for r in range(-4, 5):
+                        outcome = fn(params, m, n, r, values=values)
+                        assert outcome == fn(params, m, n, r), (p, m, n, r)
+                        trivial += "trivial" in outcome.note
+        assert trivial
 
     def test_large_index_spot(self):
         big = 10**6
