@@ -30,10 +30,17 @@ no-pruning search backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
+
+Each report is one registry record: `_CLASSIFICATIONS` holds a
+classification's family, covered w, summary, per-P scope rule,
+predicted-set generator and default box, and `_SWEEPS` a sweep's function,
+`Profile` fields and summary.  The functions below read the records and
+never branch on a report id.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -233,10 +240,6 @@ def _search_cell(family: str, w: int, P: int, n_max: int,
     return out
 
 
-def _search_cell_args(args: tuple) -> list[SquareClassFinding]:
-    return _search_cell(*args)
-
-
 def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """Complete list of findings in the box, sorted by (P, n, m).
 
@@ -248,7 +251,7 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
              for P in query.p_values]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            per_cell = list(pool.map(_search_cell_args, cells))
+            per_cell = list(pool.map(_search_cell, *zip(*cells)))
     else:
         per_cell = [_search_cell(*cell) for cell in cells]
     findings: list[SquareClassFinding] = []
@@ -264,73 +267,75 @@ def p_range(p_max: int, parity: str | None = None, multiple_of: int | None = Non
         raise ValueError(f"parity must be 'odd', 'even' or None, got {parity!r}")
     if multiple_of is not None and multiple_of < 1:
         raise ValueError(f"multiple_of must be >= 1, got {multiple_of}")
-    out = []
-    for p in range(1, p_max + 1):
-        if parity == "odd" and p % 2 == 0:
-            continue
-        if parity == "even" and p % 2 == 1:
-            continue
-        if multiple_of is not None and p % multiple_of != 0:
-            continue
-        out.append(p)
-    return tuple(out)
+    return tuple(p for p in range(1, p_max + 1)
+                 if _parity_ok(p, parity) and (multiple_of is None or p % multiple_of == 0))
 
 
 # --------------------------------------------------------------------------
-# predicted solution sets
+# the report registry
 
-REPORT_SUMMARIES = {
-    "u-wsquare": "U_n = w*x**2 for w in {1,2,3,6}: n <= 2 boundary, the "
-                 "P**2+1 = 2x**2 family at n = 3, and seven sporadic solutions",
-    "fib-lucas-squares": "Fibonacci and Lucas square classes: F_n = x**2, 2x**2, "
-                         "5x**2, 10x**2 and L_n = x**2, 2x**2 (positive n)",
-    "v-square": "V_n = x**2 (odd P): n = 1 iff P is a square, plus (P,n) = (1,3), (3,3)",
-    "v-2square": "V_n = 2*x**2 (odd P): exactly (P,n) = (1,6) and (5,6)",
-    "v-vm-square": "V_n = V_m*x**2 (odd P): no solutions with n != m",
-    "v-2vm-square": "V_n = 2*V_m*x**2 (odd P): no solutions",
-    "u-2um-square": "U_n = 2*U_m*x**2 (odd P, m >= 2): only (P,n,m) = (5,12,6) "
-                    "plus the P = 1 pair (1,12,3) and (1,12,6)",
-    "v-5square": "V_n = 5*x**2: n = 1 iff P = 5*square (odd P; impossible unless 5 | P)",
-    "v-5vm-square": "V_n = 5*V_m*x**2: no solutions for any P",
-    "u-5square": "U_n = 5*x**2: n = 2 iff P = 5*square (odd P, 5 | P); only "
-                 "(P,n) = (1,5) when P**2 = 1 (mod 5); none when P**2 = -1 (odd P)",
-    "u-5um-square": "U_n = 5*U_m*x**2: no solutions in the covered P classes",
-    "shift-congruences": "U and V at index 2mn + r modulo U_m and V_m",
-    "product-identities": "doubling, discriminant, tripling and quintupling identities",
-    "divisibility-laws": "U_m | U_n, V_m | V_n and gcd(U_n, V_n) laws",
-    "residue-classes": "V mod 8, mod P**2 laws, 5- and 3-divisibility, L_{2**k} mod 4, "
-                       "the -square residue obstruction and the Jacobi symbol of P**2+3",
-    "pell-form-families": "parametric vs enumerated solutions of u**2-5v**2 = +-1, "
-                          "x**2-4xy-y**2 in {-5,-1} and b**2-3c**2 = 1",
-    "quartic-equations": "x**4+3x**2+1, x**4-3x**2+1, x**4+5x**2+5 against 5*y**2",
-}
+# The scope of one covered P value under a classification.
+ANY_N = "any-n"          # covered for every n
+ODD_N = "odd-n"          # covered for odd n only
+UNCOUNTED = "uncounted"  # searched; findings there are recorded, not counted
 
-CLASSIFICATION_IDS = (
-    "u-wsquare",
-    "fib-lucas-squares",
-    "v-square",
-    "v-2square",
-    "v-vm-square",
-    "v-2vm-square",
-    "u-2um-square",
-    "v-5square",
-    "v-5vm-square",
-    "u-5square",
-    "u-5um-square",
-)
 
-SWEEP_IDS = (
-    "shift-congruences",
-    "product-identities",
-    "divisibility-laws",
-    "residue-classes",
-    "pell-form-families",
-    "quartic-equations",
-)
+def _all_p(theorem_id: str, p: int) -> str:
+    return ANY_N
 
-REPORT_IDS = CLASSIFICATION_IDS + SWEEP_IDS
 
-_U_WSQUARE_WS = (1, 2, 3, 6)
+def _odd_p(theorem_id: str, p: int) -> str:
+    if p % 2 == 0:
+        raise OutOfScopeError(f"{theorem_id} is stated for odd P; query includes P = {p}")
+    return ANY_N
+
+
+def _fib_lucas_p(theorem_id: str, p: int) -> str:
+    if p != 1:
+        raise OutOfScopeError(
+            "fib-lucas-squares is about Fibonacci and Lucas numbers; P must be exactly (1,)")
+    return ANY_N
+
+
+def _v_5square_p(theorem_id: str, p: int) -> str:
+    # When 5 does not divide P, 5 never divides V_n: no solutions, any parity.
+    if p % 10 == 0:
+        raise OutOfScopeError(
+            f"v-5square does not cover even P divisible by 5 (query includes P = {p})")
+    return ANY_N
+
+
+def _u_5square_p(theorem_id: str, p: int) -> str:
+    if p % 2:
+        return ANY_N
+    if p % 5 == 0:
+        raise OutOfScopeError(
+            f"u-5square does not cover even P divisible by 5 (query includes P = {p})")
+    if p * p % 5 == 4:
+        raise OutOfScopeError(
+            "u-5square does not cover even P with P**2 = -1 (mod 5): "
+            f"solutions exist there (e.g. P = 2); query includes P = {p}")
+    return UNCOUNTED
+
+
+def _u_5um_square_p(theorem_id: str, p: int) -> str:
+    if p % 2 or p * p % 5 == 1:
+        return ANY_N
+    if p % 5 == 0:
+        raise OutOfScopeError(
+            f"u-5um-square does not cover even P divisible by 5 (P = {p})")
+    if p % 4:
+        raise OutOfScopeError(
+            f"u-5um-square does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = {p})")
+    return ODD_N
+
+
+# Predicted-set generators: (P values, (family, w) pairs) -> raw
+# (family, P, n, m, w, x) tuples, clipped to the query box afterwards.
+
+def _no_solutions(p_values: tuple[int, ...], combos) -> list[tuple]:
+    return []
+
 
 # (P, n, w, x) solutions of U_n = w*x**2 with n >= 3, other than the
 # P**2 + 1 = 2*x**2 family at n = 3 (which is generated in closed form).
@@ -344,6 +349,27 @@ _U_WSQUARE_SPORADIC = (
     (24, 4, 3, 68),
 )
 
+
+def _pred_u_wsquare(p_values: tuple[int, ...], combos) -> list[tuple]:
+    ws = [w for _, w in combos]
+    raw = []
+    for p in p_values:
+        for w in ws:
+            if w == 1:
+                raw.append(("U", p, 1, None, 1, 1))
+            x = arith.square_witness(p, w)
+            if x:
+                raw.append(("U", p, 2, None, w, x))
+            if w == 2:
+                x = arith.square_witness(p * p + 1, 2)
+                if x:
+                    raw.append(("U", p, 3, None, 2, x))
+    for p, n, w, x in _U_WSQUARE_SPORADIC:
+        if w in ws:
+            raw.append(("U", p, n, None, w, x))
+    return raw
+
+
 # (family, w) -> ((n, x), ...) for P = 1 (Fibonacci F = U, Lucas L = V).
 _FIB_LUCAS_TABLE = {
     ("U", 1): ((1, 1), (2, 1), (12, 12)),
@@ -354,40 +380,180 @@ _FIB_LUCAS_TABLE = {
     ("V", 2): ((6, 3),),
 }
 
-_V_SQUARE_SPORADIC = ((1, 3, 2), (3, 3, 6))         # (P, n, x)
-_V_2SQUARE_SOLUTIONS = ((1, 6, 3), (5, 6, 99))      # (P, n, x)
-_U_2UM_SOLUTIONS = ((1, 12, 3, 6), (1, 12, 6, 3), (5, 12, 6, 99))  # (P, n, m, x)
 
-_THEOREM_FAMILY = {
-    "u-wsquare": ("U", _U_WSQUARE_WS),
-    "fib-lucas-squares": ("U", (1, 2, 5, 10)),
-    "v-square": ("V", (1,)),
-    "v-2square": ("V", (2,)),
-    "v-vm-square": ("VV", (1,)),
-    "v-2vm-square": ("VV", (2,)),
-    "u-2um-square": ("UU", (2,)),
-    "v-5square": ("V", (5,)),
-    "v-5vm-square": ("VV", (5,)),
-    "u-5square": ("U", (5,)),
-    "u-5um-square": ("UU", (5,)),
+def _pred_fib_lucas(p_values: tuple[int, ...], combos) -> list[tuple]:
+    return [(family, 1, n, None, w, x)
+            for family, w in combos for n, x in _FIB_LUCAS_TABLE[(family, w)]]
+
+
+def _pred_5square(family: str, n: int, extra: tuple = ()):
+    """X_n = 5*x**2 at P = 5*square, plus the `extra` raw solutions."""
+    def predict(p_values: tuple[int, ...], combos) -> list[tuple]:
+        return [(family, p, n, None, 5, x) for p in p_values
+                if p % 5 == 0 and (x := arith.square_witness(p, 5))] + list(extra)
+    return predict
+
+
+@dataclass(frozen=True)
+class _Classification:
+    """Everything one classification report states, in one place.
+
+    `scope(theorem_id, P)` returns ANY_N, ODD_N or UNCOUNTED for a covered
+    P and raises OutOfScopeError for any other.
+    """
+
+    family: str
+    ws: tuple[int, ...]            # the covered w
+    summary: str
+    scope: Callable[[str, int], str]
+    predict: Callable[[tuple[int, ...], tuple], list[tuple]] = _no_solutions
+    # A multiplexed report searches these (family, w) pairs whatever the
+    # query's own family and w, and says so in `notes`.
+    searched: tuple[tuple[str, int], ...] = ()
+    notes: str = ""
+    # The ODD_N class as named in out-of-scope messages and in notes.
+    odd_n: tuple[str, str] = ("", "")
+    uncounted: str = ""            # the notes label for findings at UNCOUNTED P
+    # The default box: the P in p_range(p_max, default_parity) that the
+    # scope covers, n <= max(n_max, min_n_max), m_min <= m for two-term.
+    default_parity: str | None = None
+    min_n_max: int = 0
+    m_min: int = 1
+
+
+_CLASSIFICATIONS = {
+    "u-wsquare": _Classification(
+        "U", (1, 2, 3, 6),
+        "U_n = w*x**2 for w in {1,2,3,6}: n <= 2 boundary, the "
+        "P**2+1 = 2x**2 family at n = 3, and seven sporadic solutions",
+        _all_p, _pred_u_wsquare,
+        searched=(("U", 1), ("U", 2), ("U", 3), ("U", 6)),
+        notes="w in {1, 2, 3, 6} searched (the query's own w is not restrictive here)"),
+    "fib-lucas-squares": _Classification(
+        "U", (1, 2, 5, 10),
+        "Fibonacci and Lucas square classes: F_n = x**2, 2x**2, "
+        "5x**2, 10x**2 and L_n = x**2, 2x**2 (positive n)",
+        _fib_lucas_p, _pred_fib_lucas,
+        searched=tuple(_FIB_LUCAS_TABLE),
+        notes="searched F_n = w*x**2 for w in {1, 2, 5, 10} and L_n = w*x**2 for w in {1, 2}",
+        min_n_max=1000),
+    "v-square": _Classification(
+        "V", (1,),
+        "V_n = x**2 (odd P): n = 1 iff P is a square, plus (P,n) = (1,3), (3,3)",
+        _odd_p,
+        lambda p_values, _: [("V", p, 1, None, 1, arith.isqrt(p))
+                             for p in p_values if arith.is_square(p)]
+        + [("V", 1, 3, None, 1, 2), ("V", 3, 3, None, 1, 6)]),
+    "v-2square": _Classification(
+        "V", (2,), "V_n = 2*x**2 (odd P): exactly (P,n) = (1,6) and (5,6)",
+        _odd_p, lambda p_values, _: [("V", 1, 6, None, 2, 3), ("V", 5, 6, None, 2, 99)]),
+    "v-vm-square": _Classification(
+        "VV", (1,), "V_n = V_m*x**2 (odd P): no solutions with n != m", _odd_p),
+    "v-2vm-square": _Classification(
+        "VV", (2,), "V_n = 2*V_m*x**2 (odd P): no solutions", _odd_p),
+    "u-2um-square": _Classification(
+        "UU", (2,),
+        "U_n = 2*U_m*x**2 (odd P, m >= 2): only (P,n,m) = (5,12,6) "
+        "plus the P = 1 pair (1,12,3) and (1,12,6)",
+        _odd_p,
+        lambda p_values, _: [("UU", 1, 12, 3, 2, 6), ("UU", 1, 12, 6, 2, 3),
+                             ("UU", 5, 12, 6, 2, 99)],
+        m_min=2),
+    # The scope also covers even P prime to 5, but the default box stays odd.
+    "v-5square": _Classification(
+        "V", (5,), "V_n = 5*x**2: n = 1 iff P = 5*square (odd P; impossible unless 5 | P)",
+        _v_5square_p, _pred_5square("V", 1), default_parity="odd"),
+    "v-5vm-square": _Classification(
+        "VV", (5,), "V_n = 5*V_m*x**2: no solutions for any P", _all_p),
+    "u-5square": _Classification(
+        "U", (5,),
+        "U_n = 5*x**2: n = 2 iff P = 5*square (odd P, 5 | P); only "
+        "(P,n) = (1,5) when P**2 = 1 (mod 5); none when P**2 = -1 (odd P)",
+        _u_5square_p, _pred_5square("U", 2, extra=(("U", 1, 5, None, 5, 1),)),
+        uncounted="findings at even P (case unproven there; recorded, not counted)"),
+    "u-5um-square": _Classification(
+        "UU", (5,), "U_n = 5*U_m*x**2: no solutions in the covered P classes",
+        _u_5um_square_p,
+        odd_n=("P = 0 (mod 4) with P**2 = -1 (mod 5)", "P = 0 mod 4, P**2 = -1 mod 5"),
+        m_min=2),
 }
 
 
-def _check_family_w(theorem_id: str, query: SquareClassQuery) -> None:
-    family, ws = _THEOREM_FAMILY[theorem_id]
-    if query.family != family:
-        raise OutOfScopeError(
-            f"{theorem_id} classifies the {family} family; query is for {query.family}")
-    if query.w not in ws:
-        raise OutOfScopeError(
-            f"{theorem_id} covers w in {set(ws)}; query has w = {query.w}")
+@dataclass(frozen=True)
+class _Sweep:
+    """One identity sweep: the function verify_report calls and its inputs."""
+
+    function: str                  # a module attribute, looked up at call time
+    fields: tuple[str, ...]        # the Profile fields passed, in order
+    summary: str
 
 
-def _require_odd_p(theorem_id: str, query: SquareClassQuery) -> None:
-    for p in query.p_values:
-        if p % 2 == 0:
+_SWEEPS = {
+    "shift-congruences": _Sweep(
+        "sweep_shift_congruences", ("sweep_p_max", "sweep_idx", "large_n"),
+        "U and V at index 2mn + r modulo U_m and V_m"),
+    "product-identities": _Sweep(
+        "sweep_product_identities", ("sweep_p_max", "sweep_idx"),
+        "doubling, discriminant, tripling and quintupling identities"),
+    "divisibility-laws": _Sweep(
+        "sweep_divisibility_laws", ("sweep_p_max", "sweep_idx"),
+        "U_m | U_n, V_m | V_n and gcd(U_n, V_n) laws"),
+    "residue-classes": _Sweep(
+        "sweep_residue_classes",
+        ("sweep_p_max", "sweep_idx", "obstruction_max", "pow2_max"),
+        "V mod 8, mod P**2 laws, 5- and 3-divisibility, L_{2**k} mod 4, "
+        "the -square residue obstruction and the Jacobi symbol of P**2+3"),
+    "pell-form-families": _Sweep(
+        "sweep_pell_form_families",
+        ("pell_z_max", "pell_v_bound", "form_y_bound", "pell3_c_bound"),
+        "parametric vs enumerated solutions of u**2-5v**2 = +-1, "
+        "x**2-4xy-y**2 in {-5,-1} and b**2-3c**2 = 1"),
+    "quartic-equations": _Sweep(
+        "sweep_quartic_equations", ("quartic_x_bound",),
+        "x**4+3x**2+1, x**4-3x**2+1, x**4+5x**2+5 against 5*y**2"),
+}
+
+CLASSIFICATION_IDS = tuple(_CLASSIFICATIONS)
+SWEEP_IDS = tuple(_SWEEPS)
+REPORT_IDS = CLASSIFICATION_IDS + SWEEP_IDS
+REPORT_SUMMARIES = {report_id: record.summary for report_id, record
+                    in (*_CLASSIFICATIONS.items(), *_SWEEPS.items())}
+
+
+def _classification(theorem_id: str) -> _Classification:
+    if theorem_id not in CLASSIFICATION_IDS:
+        raise ValueError(f"unknown classification id {theorem_id!r}; "
+                         f"valid: {', '.join(CLASSIFICATION_IDS)}")
+    return _CLASSIFICATIONS[theorem_id]
+
+
+def _scopes(theorem_id: str, entry: _Classification, query: SquareClassQuery,
+            verifying: bool) -> dict[int, str]:
+    """The scope of each queried P; raises OutOfScopeError if the query is uncovered.
+
+    A predicted set must hold for every queried n, so there an ODD_N P needs
+    n_parity='odd'.  A verification searches such a P for odd n only unless
+    the query asks for even n, and a multiplexed one takes any family and w.
+    """
+    if not (verifying and entry.searched):
+        if query.family != entry.family:
+            raise OutOfScopeError(f"{theorem_id} classifies the {entry.family} family; "
+                                  f"query is for {query.family}")
+        if query.w not in entry.ws:
             raise OutOfScopeError(
-                f"{theorem_id} is stated for odd P; query includes P = {p}")
+                f"{theorem_id} covers w in {set(entry.ws)}; query has w = {query.w}")
+    scopes = {}
+    for p in query.p_values:
+        scopes[p] = scope = entry.scope(theorem_id, p)
+        if scope == ODD_N and query.n_parity != "odd":
+            if not verifying:
+                raise OutOfScopeError(
+                    f"{theorem_id} covers {entry.odd_n[0]} only for odd n; "
+                    f"restrict the query with n_parity='odd' (P = {p})")
+            if query.n_parity == "even":
+                raise OutOfScopeError(
+                    f"{theorem_id} covers {entry.odd_n[0]} only for odd n (P = {p})")
+    return scopes
 
 
 def _clip(query: SquareClassQuery, raw) -> list[SquareClassFinding]:
@@ -404,36 +570,6 @@ def _clip(query: SquareClassQuery, raw) -> list[SquareClassFinding]:
     return out
 
 
-def _pred_u_wsquare(query: SquareClassQuery, ws) -> list[SquareClassFinding]:
-    raw = []
-    for p in query.p_values:
-        for w in ws:
-            if w == 1:
-                raw.append(("U", p, 1, None, 1, 1))
-            x = arith.square_witness(p, w)
-            if x:
-                raw.append(("U", p, 2, None, w, x))
-            if w == 2:
-                x = arith.square_witness(p * p + 1, 2)
-                if x:
-                    raw.append(("U", p, 3, None, 2, x))
-    for p, n, w, x in _U_WSQUARE_SPORADIC:
-        if w in ws:
-            raw.append(("U", p, n, None, w, x))
-    return _clip(query, raw)
-
-
-def _pred_fib_lucas(query: SquareClassQuery, keys) -> list[SquareClassFinding]:
-    if query.p_values != (1,):
-        raise OutOfScopeError(
-            "fib-lucas-squares is about Fibonacci and Lucas numbers; P must be exactly (1,)")
-    raw = []
-    for family, w in keys:
-        for n, x in _FIB_LUCAS_TABLE[(family, w)]:
-            raw.append((family, 1, n, None, w, x))
-    return _clip(query, raw)
-
-
 def predicted_set(theorem_id: str, query: SquareClassQuery) -> list[SquareClassFinding]:
     """The classification's solution set restricted to the query box.
 
@@ -441,99 +577,9 @@ def predicted_set(theorem_id: str, query: SquareClassQuery) -> list[SquareClassF
     the classification is known (wrong family or w, excluded P classes, or
     an index parity the classification does not cover).
     """
-    if theorem_id not in CLASSIFICATION_IDS:
-        raise ValueError(f"unknown classification id {theorem_id!r}; "
-                         f"valid: {', '.join(CLASSIFICATION_IDS)}")
-    _check_family_w(theorem_id, query)
-
-    if theorem_id == "u-wsquare":
-        return _pred_u_wsquare(query, (query.w,))
-
-    if theorem_id == "fib-lucas-squares":
-        return _pred_fib_lucas(query, ((query.family, query.w),))
-
-    if theorem_id == "v-square":
-        _require_odd_p(theorem_id, query)
-        raw = [("V", p, 1, None, 1, arith.isqrt(p))
-               for p in query.p_values if arith.is_square(p)]
-        raw += [("V", p, n, None, 1, x) for p, n, x in _V_SQUARE_SPORADIC]
-        return _clip(query, raw)
-
-    if theorem_id == "v-2square":
-        _require_odd_p(theorem_id, query)
-        return _clip(query, [("V", p, n, None, 2, x) for p, n, x in _V_2SQUARE_SOLUTIONS])
-
-    if theorem_id in ("v-vm-square", "v-2vm-square"):
-        _require_odd_p(theorem_id, query)
-        return []
-
-    if theorem_id == "u-2um-square":
-        _require_odd_p(theorem_id, query)
-        return _clip(query, [("UU", p, n, m, 2, x) for p, n, m, x in _U_2UM_SOLUTIONS])
-
-    if theorem_id == "v-5square":
-        raw = []
-        for p in query.p_values:
-            if p % 5 == 0:
-                if p % 2 == 0:
-                    raise OutOfScopeError(
-                        "v-5square does not cover even P divisible by 5 "
-                        f"(query includes P = {p})")
-                x = arith.square_witness(p, 5)
-                if x:
-                    raw.append(("V", p, 1, None, 5, x))
-            # 5 does not divide P: 5 never divides V_n, so no solutions.
-        return _clip(query, raw)
-
-    if theorem_id == "v-5vm-square":
-        return []
-
-    if theorem_id == "u-5square":
-        raw = []
-        for p in query.p_values:
-            if p % 5 == 0:
-                if p % 2 == 0:
-                    raise OutOfScopeError(
-                        "u-5square does not cover even P divisible by 5 "
-                        f"(query includes P = {p})")
-                x = arith.square_witness(p, 5)
-                if x:
-                    raw.append(("U", p, 2, None, 5, x))
-            elif p * p % 5 == 1:
-                if p == 1:
-                    raw.append(("U", 1, 5, None, 5, 1))
-            else:
-                if p % 2 == 0:
-                    raise OutOfScopeError(
-                        "u-5square does not cover even P with P**2 = -1 (mod 5): "
-                        f"solutions exist there (e.g. P = 2); query includes P = {p}")
-        return _clip(query, raw)
-
-    # u-5um-square
-    for p in query.p_values:
-        _classify_u5um_p(p, query.n_parity)
-    return []
-
-
-def _classify_u5um_p(p: int, n_parity: str | None) -> str:
-    """Return 'any' or 'odd-n' for covered P, raise OutOfScopeError otherwise."""
-    if p % 5 == 0:
-        if p % 2 == 0:
-            raise OutOfScopeError(
-                f"u-5um-square does not cover even P divisible by 5 (P = {p})")
-        return "any"
-    if p * p % 5 == 1:
-        return "any"
-    if p % 2 == 1:
-        return "any"
-    if p % 4 == 0:
-        if n_parity != "odd":
-            raise OutOfScopeError(
-                "u-5um-square covers P = 0 (mod 4) with P**2 = -1 (mod 5) only "
-                f"for odd n; restrict the query with n_parity='odd' (P = {p})")
-        return "odd-n"
-    raise OutOfScopeError(
-        f"u-5um-square does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = {p})")
+    entry = _classification(theorem_id)
+    _scopes(theorem_id, entry, query, verifying=False)
+    return _clip(query, entry.predict(query.p_values, ((query.family, query.w),)))
 
 
 # --------------------------------------------------------------------------
@@ -553,14 +599,13 @@ def _box_text(query: SquareClassQuery) -> str:
 def _diff_report(theorem_id: str, query: SquareClassQuery,
                  predicted: list[SquareClassFinding],
                  found: list[SquareClassFinding],
-                 extra_notes: str = "") -> TheoremReport:
+                 extra_notes: str, uncounted: set[int], uncounted_label: str,
+                 ) -> TheoremReport:
     pset, fset = set(predicted), set(found)
     missing = sorted(pset - fset, key=_finding_key)
     unexpected = sorted(fset - pset, key=_finding_key)
-    flagged: list[SquareClassFinding] = []
-    if theorem_id == "u-5square":
-        flagged = [f for f in unexpected if f.P % 2 == 0]
-        unexpected = [f for f in unexpected if f.P % 2 == 1]
+    flagged = [f for f in unexpected if f.P in uncounted]
+    unexpected = [f for f in unexpected if f.P not in uncounted]
     parts = [_box_text(query),
              f"found {len(found)}, predicted {len(predicted)}"]
     if extra_notes:
@@ -570,30 +615,10 @@ def _diff_report(theorem_id: str, query: SquareClassQuery,
     if unexpected:
         parts.append("unexpected findings: " + ", ".join(map(_render_finding, unexpected)))
     if flagged:
-        parts.append("findings at even P (case unproven there; recorded, not counted): "
-                     + ", ".join(map(_render_finding, flagged)))
+        parts.append(f"{uncounted_label}: " + ", ".join(map(_render_finding, flagged)))
     verdict = CONSISTENT if not missing and not unexpected else COUNTEREXAMPLE
     return TheoremReport(theorem_id, query, tuple(predicted), tuple(found),
                          verdict, "; ".join(parts))
-
-
-def _oos_report(theorem_id: str, query: SquareClassQuery, err: OutOfScopeError,
-                ) -> TheoremReport:
-    return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, str(err))
-
-
-def _verify_multiplexed(theorem_id: str, query: SquareClassQuery, jobs: int,
-                        combos, pred_fn, note: str) -> TheoremReport:
-    try:
-        predicted = pred_fn(query)
-    except OutOfScopeError as err:
-        return _oos_report(theorem_id, query, err)
-    found: list[SquareClassFinding] = []
-    for family, w in combos:
-        sub = replace(query, family=family, w=w)
-        found.extend(search(sub, jobs=jobs))
-    found.sort(key=_finding_key)
-    return _diff_report(theorem_id, query, predicted, found, note)
 
 
 def verify_theorem(theorem_id: str, query: SquareClassQuery,
@@ -604,93 +629,46 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
     verdict (the violated hypothesis is in the notes) rather than raising,
     so callers always get a report.
     """
-    if theorem_id not in CLASSIFICATION_IDS:
-        raise ValueError(f"unknown classification id {theorem_id!r}; "
-                         f"valid: {', '.join(CLASSIFICATION_IDS)}")
-
-    if theorem_id == "u-wsquare":
-        return _verify_multiplexed(
-            theorem_id, query, jobs,
-            [("U", w) for w in _U_WSQUARE_WS],
-            lambda q: _pred_u_wsquare(q, _U_WSQUARE_WS),
-            "w in {1, 2, 3, 6} searched (the query's own w is not restrictive here)")
-
-    if theorem_id == "fib-lucas-squares":
-        keys = tuple(_FIB_LUCAS_TABLE)
-        return _verify_multiplexed(
-            theorem_id, query, jobs, keys,
-            lambda q: _pred_fib_lucas(q, keys),
-            "searched F_n = w*x**2 for w in {1, 2, 5, 10} and L_n = w*x**2 for w in {1, 2}")
-
-    if theorem_id == "u-5um-square":
-        return _verify_u_5um(query, jobs)
-
+    entry = _classification(theorem_id)
+    combos = entry.searched or ((query.family, query.w),)
     try:
-        predicted = predicted_set(theorem_id, query)
+        scopes = _scopes(theorem_id, entry, query, verifying=True)
+        predicted = _clip(query, entry.predict(query.p_values, combos))
     except OutOfScopeError as err:
-        return _oos_report(theorem_id, query, err)
-    found = search(query, jobs=jobs)
-    return _diff_report(theorem_id, query, predicted, found)
-
-
-def _verify_u_5um(query: SquareClassQuery, jobs: int) -> TheoremReport:
-    theorem_id = "u-5um-square"
-    try:
-        _check_family_w(theorem_id, query)
-        any_n: list[int] = []
-        odd_only: list[int] = []
-        for p in query.p_values:
-            if p % 5 != 0 and p * p % 5 != 1 and p % 2 == 0:
-                if p % 4 != 0:
-                    raise OutOfScopeError(
-                        f"u-5um-square does not cover P = 2 (mod 4) with "
-                        f"P**2 = -1 (mod 5) (P = {p})")
-                if query.n_parity == "even":
-                    raise OutOfScopeError(
-                        "u-5um-square covers P = 0 (mod 4) with P**2 = -1 (mod 5) "
-                        f"only for odd n (P = {p})")
-                odd_only.append(p)
-            else:
-                _classify_u5um_p(p, "odd")  # raises for even P divisible by 5
-                any_n.append(p)
-    except OutOfScopeError as err:
-        return _oos_report(theorem_id, query, err)
-
-    found: list[SquareClassFinding] = []
-    notes = ""
-    if query.n_parity == "odd":
-        found.extend(search(replace(query, p_values=tuple(sorted(any_n + odd_only))),
-                            jobs=jobs))
-    else:
-        if any_n:
-            found.extend(search(replace(query, p_values=tuple(any_n)), jobs=jobs))
-        if odd_only:
-            found.extend(search(replace(query, p_values=tuple(odd_only),
-                                        n_parity="odd"), jobs=jobs))
-            notes = (f"P values {odd_only} (P = 0 mod 4, P**2 = -1 mod 5) "
-                     "searched for odd n only; even n is uncovered there")
+        return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, str(err))
+    boxes, notes = [query], entry.notes
+    odd_only = [p for p in query.p_values if scopes[p] == ODD_N]
+    if odd_only and query.n_parity is None:
+        rest = tuple(p for p in query.p_values if scopes[p] != ODD_N)
+        boxes = [replace(query, p_values=rest)] if rest else []
+        boxes.append(replace(query, p_values=tuple(odd_only), n_parity="odd"))
+        notes = (f"P values {odd_only} ({entry.odd_n[1]}) searched for odd n only; "
+                 "even n is uncovered there")
+    found = [finding for box in boxes for family, w in combos
+             for finding in search(replace(box, family=family, w=w), jobs=jobs)]
     found.sort(key=_finding_key)
-    return _diff_report(theorem_id, query, [], found, notes)
+    uncounted = {p for p, scope in scopes.items() if scope == UNCOUNTED}
+    return _diff_report(theorem_id, query, predicted, found, notes,
+                        uncounted, entry.uncounted)
 
 
 # --------------------------------------------------------------------------
 # identity sweeps
 
-def _sweep_report(theorem_id: str, failures: list[CheckOutcome], total: int,
+def _sweep_report(theorem_id: str, outcomes: Iterable[CheckOutcome],
                   grid_text: str) -> TheoremReport:
+    """Run the checks `outcomes` yields and report the ones that fail."""
+    failures: list[CheckOutcome] = []
+    total = 0
+    for outcome in outcomes:
+        total += 1
+        if not outcome.passed:
+            failures.append(outcome)
     verdict = CONSISTENT if not failures else COUNTEREXAMPLE
     notes = f"{grid_text}: {total} checks, {len(failures)} failed"
     if len(failures) > 50:
         notes += " (first 50 recorded)"
     return TheoremReport(theorem_id, None, (), tuple(failures[:50]), verdict, notes)
-
-
-def _collect(outcomes, failures: list[CheckOutcome], total: int) -> int:
-    for outcome in outcomes:
-        total += 1
-        if not outcome.passed:
-            failures.append(outcome)
-    return total
 
 
 def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
@@ -707,80 +685,77 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
     spot checks pass no values and run on modular doubling, which keeps the
     recurrence and doubling paths cross-checked against each other.
     """
-    failures: list[CheckOutcome] = []
-    total = 0
     signed = [i for i in range(-idx_max, idx_max + 1) if i != 0]
     rs = range(-idx_max, idx_max + 1)
     checks = (identities.check_shift_u_mod_u, identities.check_shift_v_mod_u,
               identities.check_shift_u_mod_v, identities.check_shift_v_mod_v)
-    for p in range(1, p_max + 1):
-        params = SequenceParams(p, 1)
-        small = {pair.n: pair
-                 for pair in sequences.seq_range(params, -idx_max, idx_max)}
-        for m in signed:
-            for n in signed:
-                centre = 2 * m * n
-                values = dict(small)
-                values.update((pair.n, pair) for pair in sequences.seq_range(
-                    params, centre - idx_max, centre + idx_max))
-                total = _collect([fn(params, m, n, r, values=values)
-                                  for r in rs for fn in checks], failures, total)
-    if large_n:
-        for p in (1, 2, 5, 25):
-            if p > p_max:
-                continue
+
+    def outcomes():
+        for p in range(1, p_max + 1):
             params = SequenceParams(p, 1)
-            for m in (1, -2, 5, 12):
-                for n in (large_n, -large_n):
-                    for r in (-3, 0, 7):
-                        for fn in checks:
-                            total = _collect((fn(params, m, n, r),), failures, total)
+            small = {pair.n: pair
+                     for pair in sequences.seq_range(params, -idx_max, idx_max)}
+            for m in signed:
+                for n in signed:
+                    centre = 2 * m * n
+                    values = dict(small)
+                    values.update((pair.n, pair) for pair in sequences.seq_range(
+                        params, centre - idx_max, centre + idx_max))
+                    yield from [fn(params, m, n, r, values=values)
+                                for r in rs for fn in checks]
+        if large_n:
+            for p in (1, 2, 5, 25):
+                if p > p_max:
+                    continue
+                params = SequenceParams(p, 1)
+                for m in (1, -2, 5, 12):
+                    for n in (large_n, -large_n):
+                        for r in (-3, 0, 7):
+                            for fn in checks:
+                                yield fn(params, m, n, r)
+
     grid = (f"P <= {p_max}, 0 < |m|,|n| <= {idx_max}, |r| <= {idx_max}"
             + (f", spot checks at |n| = {large_n}" if large_n else ""))
-    return _sweep_report("shift-congruences", failures, total, grid)
+    return _sweep_report("shift-congruences", outcomes(), grid)
 
 
 def sweep_product_identities(p_max: int = 25, idx_max: int = 6) -> TheoremReport:
     """Product identities for Q = 1, the Q = -1 tripling companion, and the
     V_{5n} factor law, over signed index grids."""
-    failures: list[CheckOutcome] = []
-    total = 0
     span = range(-idx_max, idx_max + 1)
-    for p in range(1, p_max + 1):
-        params = SequenceParams(p, 1)
-        for n in span:
-            total = _collect(identities.check_product_identities(params, n),
-                             failures, total)
-    for p in range(3, p_max + 1):
-        for n in span:
-            total = _collect((identities.check_q_minus_one_triple(p, n),),
-                             failures, total)
-    for p in range(5, p_max + 1, 5):
-        params = SequenceParams(p, 1)
-        for n in span:
-            if n % 2:
-                total = _collect((identities.check_v5n_factor(params, n),),
-                                 failures, total)
+
+    def outcomes():
+        for p in range(1, p_max + 1):
+            params = SequenceParams(p, 1)
+            for n in span:
+                yield from identities.check_product_identities(params, n)
+        for p in range(3, p_max + 1):
+            for n in span:
+                yield identities.check_q_minus_one_triple(p, n)
+        for p in range(5, p_max + 1, 5):
+            params = SequenceParams(p, 1)
+            for n in span:
+                if n % 2:
+                    yield identities.check_v5n_factor(params, n)
+
     grid = f"P <= {p_max}, |n| <= {idx_max}"
-    return _sweep_report("product-identities", failures, total, grid)
+    return _sweep_report("product-identities", outcomes(), grid)
 
 
 def sweep_divisibility_laws(p_max: int = 25, idx_max: int = 6) -> TheoremReport:
     """Divisibility biconditionals and the gcd law over positive index grids."""
-    failures: list[CheckOutcome] = []
-    total = 0
-    for p in range(1, p_max + 1):
-        params = SequenceParams(p, 1)
-        for m in range(1, idx_max + 1):
-            for n in range(1, idx_max + 1):
-                total = _collect(identities.check_divisibility_laws(params, m, n),
-                                 failures, total)
-        if p % 2:
-            for n in range(1, idx_max + 1):
-                total = _collect((identities.check_gcd_u_v(params, n),),
-                                 failures, total)
+    def outcomes():
+        for p in range(1, p_max + 1):
+            params = SequenceParams(p, 1)
+            for m in range(1, idx_max + 1):
+                for n in range(1, idx_max + 1):
+                    yield from identities.check_divisibility_laws(params, m, n)
+            if p % 2:
+                for n in range(1, idx_max + 1):
+                    yield identities.check_gcd_u_v(params, n)
+
     grid = f"P <= {p_max}, m, n <= {idx_max}"
-    return _sweep_report("divisibility-laws", failures, total, grid)
+    return _sweep_report("divisibility-laws", outcomes(), grid)
 
 
 def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
@@ -788,29 +763,25 @@ def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
                           pow2_max: int = 12) -> TheoremReport:
     """Residue-class lemmas: V mod 8, mod P**2, 5/3 divisibility, Lucas
     powers of two mod 4, the -square obstruction, and Jacobi symbols."""
-    failures: list[CheckOutcome] = []
-    total = 0
-    for p in range(1, p_max + 1):
-        params = SequenceParams(p, 1)
-        for n in range(1, idx_max + 1):
-            total = _collect(identities.check_mod_p2_laws(params, n), failures, total)
-            total = _collect((identities.check_divisibility_by_5_and_3(params, n),),
-                             failures, total)
-        if p % 2:
-            for r in range(1, idx_max + 1):
-                for m in range(1, idx_max + 1, 2):
-                    total = _collect((identities.check_v_mod8_class(p, r, m),),
-                                     failures, total)
-                total = _collect((identities.check_jacobi_p2plus3(p, r),),
-                                 failures, total)
-    for k in range(1, pow2_max + 1):
-        total = _collect((identities.check_lucas_pow2_mod4(k),), failures, total)
-    for m in range(3, obstruction_max + 1, 2):
-        total = _collect((identities.check_residue_minus_square_obstruction(m),),
-                         failures, total)
+    def outcomes():
+        for p in range(1, p_max + 1):
+            params = SequenceParams(p, 1)
+            for n in range(1, idx_max + 1):
+                yield from identities.check_mod_p2_laws(params, n)
+                yield identities.check_divisibility_by_5_and_3(params, n)
+            if p % 2:
+                for r in range(1, idx_max + 1):
+                    for m in range(1, idx_max + 1, 2):
+                        yield identities.check_v_mod8_class(p, r, m)
+                    yield identities.check_jacobi_p2plus3(p, r)
+        for k in range(1, pow2_max + 1):
+            yield identities.check_lucas_pow2_mod4(k)
+        for m in range(3, obstruction_max + 1, 2):
+            yield identities.check_residue_minus_square_obstruction(m)
+
     grid = (f"P <= {p_max}, indices <= {idx_max}, k <= {pow2_max}, "
             f"obstruction moduli <= {obstruction_max}")
-    return _sweep_report("residue-classes", failures, total, grid)
+    return _sweep_report("residue-classes", outcomes(), grid)
 
 
 def _family_oracle_outcome(check_id: str, inputs: tuple[int, ...],
@@ -835,41 +806,18 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
     bound (the next member lies beyond it), so a missing parametric solution
     inside the bound cannot hide.
     """
-    failures: list[CheckOutcome] = []
-    total = 0
-
-    for sign in (1, -1):
-        fam = diophantine.pell5_family(sign, max(2, z_max // 2 + 1))
-        while fam[-1].v <= v_bound:
-            fam = diophantine.pell5_family(sign, len(fam) + 1)
-        family_pairs = {(s.u, s.v) for s in fam if s.v <= v_bound}
-        oracle_pairs = {(s.u, s.v) for s in diophantine.pell5_enumerate(sign, v_bound)}
-        total = _collect((_family_oracle_outcome(
-            "pell5-family-oracle", (sign, v_bound), family_pairs, oracle_pairs),),
-            failures, total)
-
-    for c in (-5, -1):
-        fam = diophantine.form_family(c, max(2, z_max // 2 + 1))
-        while fam[-1].y <= y_bound:
-            fam = diophantine.form_family(c, len(fam) + 1)
-        family_pairs = {(s.x, s.y) for s in fam if s.y <= y_bound}
-        oracle_pairs = {(s.x, s.y) for s in diophantine.form_enumerate(c, y_bound)}
-        total = _collect((_family_oracle_outcome(
-            "form-family-oracle", (c, y_bound), family_pairs, oracle_pairs),),
-            failures, total)
-
-    fam3 = diophantine.pell3_family(max(2, z_max // 2 + 1))
-    while fam3[-1][1] <= c_bound:
-        fam3 = diophantine.pell3_family(len(fam3) + 1)
-    family_pairs = {bc for bc in fam3 if bc[1] <= c_bound}
-    oracle_pairs = set(diophantine.pell3_enumerate(c_bound))
-    total = _collect((_family_oracle_outcome(
-        "pell3-family-oracle", (c_bound,), family_pairs, oracle_pairs),),
-        failures, total)
-
+    outcomes = []
+    for equation, param, bound in (("pell5", 1, v_bound), ("pell5", -1, v_bound),
+                                   ("form", -5, y_bound), ("form", -1, y_bound),
+                                   ("pell3", None, c_bound)):
+        _, _, family_pairs, oracle_pairs = diophantine.family_cover(
+            equation, param, max(2, z_max // 2 + 1), bound)
+        inputs = (bound,) if param is None else (param, bound)
+        outcomes.append(_family_oracle_outcome(
+            f"{equation}-family-oracle", inputs, family_pairs, oracle_pairs))
     grid = (f"z ~ {z_max}, Pell v <= {v_bound}, form y <= {y_bound}, "
             f"Pell-3 c <= {c_bound}")
-    return _sweep_report("pell-form-families", failures, total, grid)
+    return _sweep_report("pell-form-families", outcomes, grid)
 
 
 def sweep_quartic_equations(x_bound: int = 2000) -> TheoremReport:
@@ -879,16 +827,14 @@ def sweep_quartic_equations(x_bound: int = 2000) -> TheoremReport:
         "minus3": {(2, 1)},
         "plus5": set(),
     }
-    failures: list[CheckOutcome] = []
-    total = 0
+    outcomes = []
     for variant in ("plus3", "minus3", "plus5"):
         found = {(s.x, s.y) for s in diophantine.quartic_solutions(variant, x_bound)}
         want = expected[variant]
         note = f"{diophantine.quartic_polynomial(variant)}: found {sorted(found)}"
-        total = _collect((CheckOutcome(
-            "quartic-solutions", (x_bound,), found == want,
-            len(found), len(want), note),), failures, total)
-    return _sweep_report("quartic-equations", failures, total, f"x <= {x_bound}")
+        outcomes.append(CheckOutcome("quartic-solutions", (x_bound,), found == want,
+                                     len(found), len(want), note))
+    return _sweep_report("quartic-equations", outcomes, f"x <= {x_bound}")
 
 
 # --------------------------------------------------------------------------
@@ -934,43 +880,25 @@ def _profile(profile: str | Profile) -> Profile:
         raise ValueError(f"unknown profile {profile!r}; valid: quick, full") from None
 
 
+def _covers(entry: _Classification, theorem_id: str, p: int) -> bool:
+    try:
+        entry.scope(theorem_id, p)
+    except OutOfScopeError:
+        return False
+    return True
+
+
 def default_query(theorem_id: str, profile: str | Profile = "quick",
                   ) -> SquareClassQuery:
     """The canonical in-scope box for one classification id and profile."""
     prof = _profile(profile)
-    if theorem_id not in CLASSIFICATION_IDS:
-        raise ValueError(f"unknown classification id {theorem_id!r}; "
-                         f"valid: {', '.join(CLASSIFICATION_IDS)}")
-    p_all = p_range(prof.p_max)
-    p_odd = p_range(prof.p_max, parity="odd")
-    if theorem_id == "u-wsquare":
-        return SquareClassQuery("U", 1, p_all, prof.n_max)
-    if theorem_id == "fib-lucas-squares":
-        return SquareClassQuery("U", 1, (1,), max(prof.n_max, 1000))
-    if theorem_id == "v-square":
-        return SquareClassQuery("V", 1, p_odd, prof.n_max)
-    if theorem_id == "v-2square":
-        return SquareClassQuery("V", 2, p_odd, prof.n_max)
-    if theorem_id == "v-vm-square":
-        return SquareClassQuery("VV", 1, p_odd, prof.n_max, m_max=prof.m_max)
-    if theorem_id == "v-2vm-square":
-        return SquareClassQuery("VV", 2, p_odd, prof.n_max, m_max=prof.m_max)
-    if theorem_id == "u-2um-square":
-        return SquareClassQuery("UU", 2, p_odd, prof.n_max, m_max=prof.m_max, m_min=2)
-    if theorem_id == "v-5square":
-        return SquareClassQuery("V", 5, p_odd, prof.n_max)
-    if theorem_id == "v-5vm-square":
-        return SquareClassQuery("VV", 5, p_all, prof.n_max, m_max=prof.m_max)
-    if theorem_id == "u-5square":
-        covered = tuple(p for p in p_all
-                        if p % 2 == 1 or p * p % 5 == 1)
-        return SquareClassQuery("U", 5, covered, prof.n_max)
-    # u-5um-square: odd P plus the P = 0 (mod 4), P**2 = +-1 (mod 5) evens
-    # (the runner restricts the P**2 = -1 evens to odd n automatically).
-    covered = tuple(p for p in p_range(prof.p_max)
-                    if p % 2 == 1 or p * p % 5 == 1 or p % 4 == 0)
-    covered = tuple(p for p in covered if not (p % 5 == 0 and p % 2 == 0))
-    return SquareClassQuery("UU", 5, covered, prof.n_max, m_max=prof.m_max, m_min=2)
+    entry = _classification(theorem_id)
+    p_values = tuple(p for p in p_range(prof.p_max, parity=entry.default_parity)
+                     if _covers(entry, theorem_id, p))
+    m_max = prof.m_max if entry.family in ("UU", "VV") else None
+    return SquareClassQuery(entry.family, entry.ws[0], p_values,
+                            max(prof.n_max, entry.min_n_max),
+                            m_max=m_max, m_min=entry.m_min)
 
 
 def verify_report(report_id: str, profile: str | Profile = "quick",
@@ -983,29 +911,16 @@ def verify_report(report_id: str, profile: str | Profile = "quick",
         if query is None:
             query = default_query(report_id, prof)
         return verify_theorem(report_id, query, jobs=jobs)
-    if report_id == "shift-congruences":
-        return sweep_shift_congruences(prof.sweep_p_max, prof.sweep_idx, prof.large_n)
-    if report_id == "product-identities":
-        return sweep_product_identities(prof.sweep_p_max, prof.sweep_idx)
-    if report_id == "divisibility-laws":
-        return sweep_divisibility_laws(prof.sweep_p_max, prof.sweep_idx)
-    if report_id == "residue-classes":
-        return sweep_residue_classes(prof.sweep_p_max, prof.sweep_idx,
-                                     prof.obstruction_max, prof.pow2_max)
-    if report_id == "pell-form-families":
-        return sweep_pell_form_families(prof.pell_z_max, prof.pell_v_bound,
-                                        prof.form_y_bound, prof.pell3_c_bound)
-    if report_id == "quartic-equations":
-        return sweep_quartic_equations(prof.quartic_x_bound)
-    raise ValueError(f"unknown report id {report_id!r}; "
-                     f"valid: {', '.join(REPORT_IDS)}")
+    if report_id not in SWEEP_IDS:
+        raise ValueError(f"unknown report id {report_id!r}; "
+                         f"valid: {', '.join(REPORT_IDS)}")
+    sweep = _SWEEPS[report_id]
+    # Through the module namespace, so a wrapper set on the attribute runs.
+    return globals()[sweep.function](*(getattr(prof, name) for name in sweep.fields))
 
 
 def verify_all(profile: str | Profile = "quick", jobs: int = 1,
                ) -> list[TheoremReport]:
     """Run every classification and every identity sweep: 17 reports."""
     prof = _profile(profile)
-    reports = [verify_theorem(tid, default_query(tid, prof), jobs=jobs)
-               for tid in CLASSIFICATION_IDS]
-    reports.extend(verify_report(sid, prof, jobs=jobs) for sid in SWEEP_IDS)
-    return reports
+    return [verify_report(report_id, prof, jobs=jobs) for report_id in REPORT_IDS]

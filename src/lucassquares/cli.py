@@ -25,7 +25,7 @@ import re
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import classifier, diophantine, sequences
 from .classifier import (
@@ -89,87 +89,47 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _query_dict(query: SquareClassQuery) -> dict:
-    return {
-        "family": query.family,
-        "w": query.w,
-        "p_values": list(query.p_values),
-        "n_max": query.n_max,
-        "m_max": query.m_max,
-        "m_min": query.m_min,
-        "n_parity": query.n_parity,
-    }
+def _optional_int(value) -> int | None:
+    return None if value is None else _as_int(value)
 
 
-def _query_from_dict(data: dict) -> SquareClassQuery:
-    return SquareClassQuery(
-        family=data["family"],
-        w=_as_int(data["w"]),
-        p_values=tuple(_as_int(p) for p in data["p_values"]),
-        n_max=_as_int(data["n_max"]),
-        m_max=None if data["m_max"] is None else _as_int(data["m_max"]),
-        m_min=_as_int(data["m_min"]),
-        n_parity=data["n_parity"],
-    )
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(_as_int(value) for value in values)
 
 
-def _finding_dict(finding: SquareClassFinding) -> dict:
-    return {
-        "family": finding.family,
-        "P": finding.P,
-        "n": finding.n,
-        "m": finding.m,
-        "w": finding.w,
-        "x": finding.x,
-    }
+def _same(value):
+    return value
 
 
-def _finding_from_dict(data: dict) -> SquareClassFinding:
-    return SquareClassFinding(
-        family=data["family"],
-        P=_as_int(data["P"]),
-        n=_as_int(data["n"]),
-        m=None if data["m"] is None else _as_int(data["m"]),
-        w=_as_int(data["w"]),
-        x=_as_int(data["x"]),
-    )
+# Field type, as annotated -> the decoder of its plain-data form.
+_DECODERS = {"str": _same, "str | None": _same, "bool": bool, "int": _as_int,
+             "int | None": _optional_int, "tuple[int, ...]": _int_tuple}
 
 
-def _outcome_dict(outcome: CheckOutcome) -> dict:
-    return {
-        "check_id": outcome.check_id,
-        "inputs": list(outcome.inputs),
-        "passed": outcome.passed,
-        "lhs": outcome.lhs,
-        "rhs": outcome.rhs,
-        "note": outcome.note,
-    }
+def _to_dict(obj) -> dict:
+    """A query, finding or check outcome as a dict of its fields (tuples as lists)."""
+    return {f.name: list(value) if isinstance(value, tuple) else value
+            for f in fields(obj) for value in (getattr(obj, f.name),)}
 
 
-def _outcome_from_dict(data: dict) -> CheckOutcome:
-    return CheckOutcome(
-        check_id=data["check_id"],
-        inputs=tuple(_as_int(i) for i in data["inputs"]),
-        passed=bool(data["passed"]),
-        lhs=_as_int(data["lhs"]),
-        rhs=_as_int(data["rhs"]),
-        note=data.get("note", ""),
-    )
+def _from_dict(cls, data: dict):
+    """Inverse of _to_dict.  Every field is required except free text that
+    defaults to "" (a check's `note`)."""
+    return cls(**{f.name: _DECODERS[f.type](data[f.name]) for f in fields(cls)
+                  if f.name in data or f.default != ""})
+
+
+_VERDICTS = (classifier.CONSISTENT, classifier.COUNTEREXAMPLE, classifier.OUT_OF_SCOPE)
 
 
 def report_to_dict(report: TheoremReport) -> dict:
     """Plain-data form of a report (native ints; stringified only in JSON)."""
-    def entry(item):
-        if isinstance(item, SquareClassFinding):
-            return _finding_dict(item)
-        return _outcome_dict(item)
-
     return {
         "theorem_id": report.theorem_id,
         "summary": REPORT_SUMMARIES[report.theorem_id],
-        "query": None if report.query is None else _query_dict(report.query),
-        "predicted": [entry(item) for item in report.predicted],
-        "found": [entry(item) for item in report.found],
+        "query": None if report.query is None else _to_dict(report.query),
+        "predicted": [_to_dict(item) for item in report.predicted],
+        "found": [_to_dict(item) for item in report.found],
         "verdict": report.verdict,
         "notes": report.notes,
     }
@@ -178,13 +138,15 @@ def report_to_dict(report: TheoremReport) -> dict:
 def report_from_dict(data: dict) -> TheoremReport:
     """Inverse of report_to_dict; accepts decimal-string or native ints."""
     def entry(item: dict):
-        if "check_id" in item:
-            return _outcome_from_dict(item)
-        return _finding_from_dict(item)
+        return _from_dict(CheckOutcome if "check_id" in item else SquareClassFinding, item)
 
+    if data["theorem_id"] not in REPORT_IDS:
+        raise ValueError(f"unknown report id {data['theorem_id']!r}")
+    if data["verdict"] not in _VERDICTS:
+        raise ValueError(f"unknown verdict {data['verdict']!r}; valid: {', '.join(_VERDICTS)}")
     return TheoremReport(
         theorem_id=data["theorem_id"],
-        query=None if data["query"] is None else _query_from_dict(data["query"]),
+        query=None if data["query"] is None else _from_dict(SquareClassQuery, data["query"]),
         predicted=tuple(entry(item) for item in data["predicted"]),
         found=tuple(entry(item) for item in data["found"]),
         verdict=data["verdict"],
@@ -290,6 +252,9 @@ def _resolve_p_values(args: argparse.Namespace, required: bool = True,
     else:
         if required:
             raise CliError("select P values with --P, --P-max or --P-odd-max")
+        if args.multiple_of is not None:
+            raise CliError("--multiple-of filters a P selection; "
+                           "give --P, --P-max or --P-odd-max with it")
         return None
     if args.multiple_of is not None:
         values = tuple(p for p in values if p % args.multiple_of == 0)
@@ -419,59 +384,20 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
     # The agreement check extends the family until it provably covers the
     # enumeration bound, so a --count smaller than the bound requires cannot
     # masquerade as a disagreement; only --count rows are displayed.
+    param = {"pell5": args.sign, "form": args.c, "pell3": None}[args.equation]
+    family, bound, family_pairs, oracle_pairs = diophantine.family_cover(
+        args.equation, param, args.count, args.enum_bound)
+    payload = {"command": "solve", "equation": args.equation}
     if args.equation == "pell5":
-        family = diophantine.pell5_family(args.sign, args.count)
-        bound = args.enum_bound if args.enum_bound is not None else family[-1].v
-        cover = family
-        while cover[-1].v <= bound:
-            cover = diophantine.pell5_family(args.sign, len(cover) + 1)
-        oracle = diophantine.pell5_enumerate(args.sign, bound)
-        family_pairs = {(s.u, s.v) for s in cover if s.v <= bound}
-        oracle_pairs = {(s.u, s.v) for s in oracle}
-        rows = [[s.z, s.u, s.v] for s in family]
-        header = ["z", "u", "v"]
-        table = [f"{s.u} {s.v}" for s in family]
-        payload = {
-            "command": "solve",
-            "equation": "pell5",
-            "sign": args.sign,
-            "solutions": [{"z": s.z, "u": s.u, "v": s.v} for s in family],
-        }
+        header, rows = ["z", "u", "v"], [[s.z, s.u, s.v] for s in family]
+        payload["sign"] = args.sign
     elif args.equation == "form":
-        family = diophantine.form_family(args.c, args.count)
-        bound = args.enum_bound if args.enum_bound is not None else family[-1].y
-        cover = family
-        while cover[-1].y <= bound:
-            cover = diophantine.form_family(args.c, len(cover) + 1)
-        oracle = diophantine.form_enumerate(args.c, bound)
-        family_pairs = {(s.x, s.y) for s in cover if s.y <= bound}
-        oracle_pairs = {(s.x, s.y) for s in oracle}
-        rows = [[s.z, s.x, s.y] for s in family]
-        header = ["z", "x", "y"]
-        table = [f"{s.x} {s.y}" for s in family]
-        payload = {
-            "command": "solve",
-            "equation": "form",
-            "c": args.c,
-            "solutions": [{"z": s.z, "x": s.x, "y": s.y} for s in family],
-        }
+        header, rows = ["z", "x", "y"], [[s.z, s.x, s.y] for s in family]
+        payload["c"] = args.c
     else:
-        family = diophantine.pell3_family(args.count)
-        bound = args.enum_bound if args.enum_bound is not None else family[-1][1]
-        cover = family
-        while cover[-1][1] <= bound:
-            cover = diophantine.pell3_family(len(cover) + 1)
-        oracle = diophantine.pell3_enumerate(bound)
-        family_pairs = {bc for bc in cover if bc[1] <= bound}
-        oracle_pairs = set(oracle)
-        rows = [[b, c] for b, c in family]
-        header = ["b", "c"]
-        table = [f"{b} {c}" for b, c in family]
-        payload = {
-            "command": "solve",
-            "equation": "pell3",
-            "solutions": [{"b": b, "c": c} for b, c in family],
-        }
+        header, rows = ["b", "c"], [list(bc) for bc in family]
+    payload["solutions"] = [dict(zip(header, row)) for row in rows]
+    table = [f"{row[-2]} {row[-1]}" for row in rows]
 
     agree = family_pairs == oracle_pairs
     payload["oracle_bound"] = bound
@@ -479,15 +405,6 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
     table.append(f"family=oracle: {'yes' if agree else 'no'}")
     exit_code = EXIT_OK if agree else EXIT_COUNTEREXAMPLE
     return _Result(table, header, rows, payload, exit_code)
-
-
-def _finding_row(finding: SquareClassFinding) -> list:
-    return [finding.family, finding.P, finding.n, finding.m, finding.w, finding.x]
-
-
-def _finding_line(finding: SquareClassFinding) -> str:
-    m_text = "-" if finding.m is None else str(finding.m)
-    return f"{finding.family} {finding.P} {finding.n} {m_text} {finding.w} {finding.x}"
 
 
 def _cmd_search(args: argparse.Namespace) -> _Result:
@@ -498,16 +415,12 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
                                  n_parity=args.parity)
     except ValueError as err:
         raise CliError(str(err)) from None
-    findings = classifier.search(query, jobs=args.jobs)
-    payload = {
-        "command": "search",
-        "query": _query_dict(query),
-        "findings": [_finding_dict(f) for f in findings],
-    }
-    return _Result([_finding_line(f) for f in findings],
-                   ["family", "P", "n", "m", "w", "x"],
-                   [_finding_row(f) for f in findings],
-                   payload)
+    findings = [_to_dict(f) for f in classifier.search(query, jobs=args.jobs)]
+    rows = [list(finding.values()) for finding in findings]
+    payload = {"command": "search", "query": _to_dict(query), "findings": findings}
+    # Columns family, P, n, m, w, x; "-" marks the one-term families' empty m.
+    table = [" ".join("-" if cell is None else str(cell) for cell in row) for row in rows]
+    return _Result(table, [f.name for f in fields(SquareClassFinding)], rows, payload)
 
 
 def _report_table_lines(report: TheoremReport) -> list[str]:
@@ -566,8 +479,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     for report in reports:
         table.extend(_report_table_lines(report))
     counts = {verdict: sum(1 for r in reports if r.verdict == verdict)
-              for verdict in (classifier.CONSISTENT, classifier.COUNTEREXAMPLE,
-                              classifier.OUT_OF_SCOPE)}
+              for verdict in _VERDICTS}
     table.append(f"reports={len(reports)} consistent={counts[classifier.CONSISTENT]} "
                  f"counterexample={counts[classifier.COUNTEREXAMPLE]} "
                  f"out_of_scope={counts[classifier.OUT_OF_SCOPE]}")

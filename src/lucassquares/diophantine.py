@@ -37,6 +37,7 @@ __all__ = [
     "form_enumerate",
     "pell3_family",
     "pell3_enumerate",
+    "family_cover",
     "quartic_solutions",
 ]
 
@@ -260,6 +261,43 @@ def pell3_enumerate(c_bound: int) -> list[tuple[int, int]]:
         if root * root == t:
             out.append((root, cc))
     return out
+
+
+# equation -> (family(param, count), enumerate(param, bound), the (a, b)
+# pair of a solution, whose b the bound limits).  The lambdas look the
+# functions up at call time, so wrappers set on this module are seen.
+_COVERS = {
+    "pell5": (lambda sign, k: pell5_family(sign, k),
+              lambda sign, bound: pell5_enumerate(sign, bound), lambda s: (s.u, s.v)),
+    "form": (lambda c, k: form_family(c, k),
+             lambda c, bound: form_enumerate(c, bound), lambda s: (s.x, s.y)),
+    "pell3": (lambda _, k: pell3_family(k),
+              lambda _, bound: pell3_enumerate(bound), tuple),
+}
+
+
+def family_cover(equation: str, param: int | None, count: int,
+                 bound: int | None = None) -> tuple[list, int, set, set]:
+    """Pair the parametric family of "pell5", "form" or "pell3" with its enumeration.
+
+    `param` is the sign for pell5, c for form and None for pell3.  Returns
+    the first `count` family members, the bound (by default the last
+    member's v, y or c), and the (a, b) pairs with b <= bound from the family
+    and from the enumeration.  The family is extended until a member lies
+    past the bound, so a `count` smaller than the bound needs cannot show up
+    as a disagreement.
+    """
+    family_fn, enumerate_fn, pair = _COVERS[equation]
+    members = family_fn(param, count)
+    if bound is None:
+        bound = pair(members[-1])[1]
+    cover, size = members, count
+    while pair(cover[-1])[1] <= bound:
+        size += 1  # not len(cover) + 1: a family short of members must not loop
+        cover = family_fn(param, size)
+    family_pairs = {pair(s) for s in cover if pair(s)[1] <= bound}
+    oracle_pairs = {pair(s) for s in enumerate_fn(param, bound)}
+    return members, bound, family_pairs, oracle_pairs
 
 
 def quartic_solutions(variant: str, x_bound: int) -> list[QuarticSolution]:

@@ -8,6 +8,7 @@ from lucassquares import (
     REPORT_SUMMARIES,
     SWEEP_IDS,
     OutOfScopeError,
+    Profile,
     SquareClassFinding,
     SquareClassQuery,
     default_query,
@@ -323,6 +324,25 @@ class TestHarness:
             verify_report("unknown-report", "quick")
         with pytest.raises(ValueError):
             verify_all("toothorough")
+
+    def test_verify_all_calls_through_module_attributes(self, monkeypatch):
+        # The bench tracer and the fault-injection tests wrap these names.
+        names = ("verify_theorem", "sweep_shift_congruences", "sweep_product_identities",
+                 "sweep_divisibility_laws", "sweep_residue_classes",
+                 "sweep_pell_form_families", "sweep_quartic_equations")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _real=getattr(classifier, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(classifier, name, counting)
+        tiny = Profile(p_max=3, n_max=12, m_max=6, sweep_p_max=2, sweep_idx=2,
+                       large_n=0, obstruction_max=9, pow2_max=3, pell_z_max=2,
+                       pell_v_bound=100, form_y_bound=100, pell3_c_bound=100,
+                       quartic_x_bound=10)
+        reports = verify_all(tiny)
+        assert [r.theorem_id for r in reports] == list(REPORT_IDS)
+        assert calls == {"verify_theorem": 11, **dict.fromkeys(names[1:], 1)}
 
     def test_fault_injection_trips_sweeps(self, monkeypatch):
         import lucassquares.sequences as seqmod

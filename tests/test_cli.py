@@ -8,14 +8,75 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lucassquares import SequenceParams, classifier, default_query, u, v, verify_theorem
+from lucassquares import (
+    CheckOutcome,
+    SequenceParams,
+    SquareClassFinding,
+    SquareClassQuery,
+    TheoremReport,
+    classifier,
+    cli,
+    default_query,
+    u,
+    v,
+    verify_theorem,
+)
 from lucassquares.cli import main, report_from_dict, report_to_dict
 
 # `lucassq verify all --profile quick --format json`: any change to a
 # report's findings, notes or layout moves this digest.
 QUICK_JSON_SHA256 = "ee5641dd5769eb6d887397cdda08f527641610aca4b1bb337bf35cbb032fd8ee"
 QUICK_JSON_BYTES = 30415
+
+
+# One `verify <id> ... --format json` per scope rule: covered, odd-n only,
+# recorded-but-uncounted and each out-of-scope message.  (argv, exit code,
+# SHA-256 of stdout.)
+SCOPE_GOLDENS = [
+    (("u-5um-square", "--P", "8"), 0,
+     "15ba81be6fc13ba2b54f47fdf68034f9f6e498d3cad6cf75585d9aa51c350237"),
+    (("u-5um-square", "--P", "8", "--parity", "even"), 3,
+     "92fec389361a849e3337922c294768f5e5258a1f00705a37aa46396d0f343b27"),
+    (("u-5um-square", "--P", "8", "--parity", "odd"), 0,
+     "10e1c25ecda5cf63f8467f6e79b9f8cb73caac3826dd43a6256b0bdcd13613a1"),
+    (("u-5um-square", "--P", "18"), 3,
+     "f519076b5ea1e90c6b3cfada06e6f8d444469f7d11f68b4c7f637055c72ebd81"),
+    (("u-5um-square", "--P", "10"), 3,
+     "7eaaed8bdc8f7b927d0f774e0e384bcfbc0a42dc244f6b6ac7326e8fb7cc1a41"),
+    (("u-5um-square", "--P", "2"), 3,
+     "3e22ca8f9462251b5d462678872a5b814126326b1677768493d630da81d45b4e"),
+    (("u-5um-square", "--P", "4", "--P", "8", "--P", "9"), 0,
+     "3ec4419ec3774c75512ecae5085e4a42d641ec3be075d0aba18547191117dbde"),
+    (("u-5square", "--P", "10"), 3,
+     "9faebf83c1970d7e310d4fa700ae91763187a53b60cc40563f935c5b9ffaa266"),
+    (("u-5square", "--P", "22"), 3,
+     "fe43ef5a3a309933753d2522843a797ba39a76a3a53fefcfdafff065051277de"),
+    (("u-5square", "--P", "4"), 0,
+     "24a8a1b65cd00639b697cbf806b07159a8bc7ebcf9d54fb0edc9a909aaccf35d"),
+    (("v-5square", "--P", "10"), 3,
+     "7bb3c3f4a1796f2dd033c111bf3bac30b6fa2072773776b9b874248cb5ba4902"),
+    (("v-5square", "--P-max", "30"), 3,
+     "b871b6df039767b4736e26009d7131befc8bc2d158722397d296a388cee1f836"),
+    (("v-square", "--P", "2"), 3,
+     "42e5e90a56dc7d3524dd5abaef3612854b89cc4762d765b838b1791a1ea57057"),
+    (("v-2square", "--P-max", "6"), 3,
+     "cfe7e6f3353d57e2a6651ebc047cae348c5ecb51fa87dfca6d1dff160f673207"),
+    (("v-vm-square", "--P", "4"), 3,
+     "473c985ec0b5a77d13a7578f04e66a2d9905ca59c7ef0f9743ba850ec2ed8ede"),
+    (("v-2vm-square", "--P", "4"), 3,
+     "b3cf876674c968c2fd3f2a2ed58dfda54c8124f5bbb3d85d5b1a3315ef7938f8"),
+    (("u-2um-square", "--P", "6"), 3,
+     "a67b8b62c6720ea7084e04405879f363da0baa99363941c1137e200c8d1798f6"),
+    (("v-5vm-square", "--P-max", "8"), 0,
+     "4f0e6ea4f16e70ee31b51d98ed92801c90d16223fa949eda3d966852af1c4651"),
+    (("fib-lucas-squares", "--P", "2"), 3,
+     "7c40383eec3f8b6e139b9ce78ea72d560caf4f3a0c559496e83bc34cf3aa64e5"),
+    (("u-wsquare", "--P", "3", "--parity", "odd"), 0,
+     "79e198b1842c0443f36e09c616038b740f278c634b0f40eb99b17ff6a6070754"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +279,11 @@ class TestVerify:
     def test_all_rejects_box_overrides(self, capsys):
         assert run_cli(capsys, "verify", "all", "--nmax", "50")[0] == 1
 
+    def test_multiple_of_needs_a_p_selection(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "v-5square", "--multiple-of", "7")
+        assert (code, out) == (1, "")
+        assert all(flag in err for flag in ("--multiple-of", "--P", "--P-max", "--P-odd-max"))
+
     def test_unknown_report(self, capsys):
         code, _, err = run_cli(capsys, "verify", "u-cubes")
         assert code == 1 and "unknown report" in err
@@ -254,6 +320,13 @@ class TestVerify:
         assert code == 0
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             QUICK_JSON_SHA256, QUICK_JSON_BYTES)
+
+    @pytest.mark.parametrize("argv, exit_code, sha256", SCOPE_GOLDENS,
+                             ids=[" ".join(argv) for argv, _, _ in SCOPE_GOLDENS])
+    def test_scope_rule_golden(self, capsys, argv, exit_code, sha256):
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert (code, err) == (exit_code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "v-2square", "--format", "csv")
@@ -301,3 +374,70 @@ class TestOutputPlumbing:
         report = classifier.sweep_quartic_equations(x_bound=50)
         restored = report_from_dict(report_to_dict(report))
         assert restored == report
+
+    def test_report_from_dict_rejects_unknown_id_and_verdict(self):
+        data = report_to_dict(classifier.sweep_quartic_equations(x_bound=50))
+        for key, value in (("theorem_id", "nope"), ("verdict", "whatever")):
+            with pytest.raises(ValueError, match=value):
+                report_from_dict({**data, key: value})
+
+    def test_report_from_dict_requires_every_key_but_note(self):
+        finding = SquareClassFinding("UU", 5, 12, 6, 2, 99)
+        outcome = CheckOutcome("quartic-solutions", (50,), False, 1, 0, "")
+        report = TheoremReport("u-2um-square", default_query("u-2um-square"),
+                               (finding,), (outcome,), "counterexample", "")
+        data = report_to_dict(report)
+        del data["found"][0]["note"]
+        assert report_from_dict(data) == report
+        parts = [data, data["query"], data["predicted"][0], data["found"][0]]
+        for part in parts:
+            for key in list(part):
+                if part is data and key in ("summary", "notes"):
+                    continue
+                value = part.pop(key)
+                with pytest.raises(KeyError):
+                    report_from_dict(data)
+                part[key] = value
+
+
+_BIG = st.integers(min_value=-10**40, max_value=10**40)
+_POSITIVE = st.integers(min_value=1, max_value=10**40)
+
+
+@st.composite
+def _queries(draw):
+    family = draw(st.sampled_from(classifier.FAMILIES))
+    w = draw(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 30)))
+    p_values = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5))))
+    n_max = draw(st.integers(1, 10**6))
+    two_term = family in ("UU", "VV")
+    m_max = draw(st.integers(1, n_max)) if two_term else None
+    m_min = draw(st.integers(1, m_max)) if two_term else 1
+    n_parity = draw(st.sampled_from((None, "odd", "even")))
+    return SquareClassQuery(family, w, p_values, n_max, m_max, m_min, n_parity)
+
+
+@st.composite
+def _findings(draw):
+    family = draw(st.sampled_from(classifier.FAMILIES))
+    m = draw(_POSITIVE) if family in ("UU", "VV") else None
+    return SquareClassFinding(family, draw(_POSITIVE), draw(_POSITIVE), m,
+                              draw(_POSITIVE), draw(_POSITIVE))
+
+
+_OUTCOMES = st.builds(CheckOutcome, st.text(min_size=1, max_size=20),
+                      st.lists(_BIG, max_size=5).map(tuple), st.booleans(),
+                      _BIG, _BIG, st.text(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=st.none() | _queries(),
+       predicted=st.lists(_findings(), max_size=4),
+       found=st.lists(_findings() | _OUTCOMES, max_size=4),
+       theorem_id=st.sampled_from(classifier.REPORT_IDS),
+       verdict=st.sampled_from(("consistent", "counterexample", "out_of_predicted_scope")),
+       notes=st.text(max_size=40))
+def test_report_json_round_trip(query, predicted, found, theorem_id, verdict, notes):
+    report = TheoremReport(theorem_id, query, tuple(predicted), tuple(found), verdict, notes)
+    text = json.dumps(cli._stringify(report_to_dict(report)), sort_keys=True)
+    assert report_from_dict(json.loads(text)) == report

@@ -15,6 +15,7 @@ from lucassquares import (
     quartic_polynomial,
     quartic_solutions,
 )
+from lucassquares import diophantine
 
 
 class TestPell5:
@@ -117,6 +118,32 @@ class TestPell3:
             pell3_family(0)
         with pytest.raises(ValueError):
             pell3_enumerate(-1)
+
+
+class TestFamilyCover:
+    def test_extends_the_family_past_an_explicit_bound(self):
+        members, bound, family_pairs, oracle_pairs = diophantine.family_cover(
+            "pell5", -1, 1, 1000)
+        assert [(s.u, s.v) for s in members] == [(2, 1)]
+        assert bound == 1000
+        assert family_pairs == oracle_pairs == {(2, 1), (38, 17), (682, 305)}
+
+    def test_default_bound_is_the_last_members_second_coordinate(self):
+        members, bound, family_pairs, oracle_pairs = diophantine.family_cover(
+            "pell3", None, 3)
+        assert members == [(2, 1), (7, 4), (26, 15)]
+        assert bound == 15
+        assert family_pairs == oracle_pairs == set(members)
+        _, bound, family_pairs, oracle_pairs = diophantine.family_cover("form", -1, 2)
+        assert bound == 17
+        assert family_pairs == oracle_pairs == {(4, 1), (72, 17)}
+
+    def test_a_missing_member_shows_as_a_disagreement(self, monkeypatch):
+        real = diophantine.pell5_family
+        monkeypatch.setattr(diophantine, "pell5_family", lambda sign, count: [
+            s for s in real(sign, count) if s.v != 17])
+        _, _, family_pairs, oracle_pairs = diophantine.family_cover("pell5", -1, 1, 1000)
+        assert oracle_pairs - family_pairs == {(38, 17)}
 
 
 class TestQuartics:
