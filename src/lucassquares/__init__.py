@@ -7,159 +7,18 @@ associated Pell and quartic equations, and runs bounded searches whose
 findings are diffed against the predicted solution sets.
 """
 
-from .arith import (
-    SQUAREFREE_COEFFS,
-    SquareClass,
-    is_square,
-    isqrt,
-    jacobi,
-    square_class,
-    square_witness,
-)
-from .classifier import (
-    CLASSIFICATION_IDS,
-    FAMILIES,
-    PROFILES,
-    REPORT_IDS,
-    REPORT_SUMMARIES,
-    SWEEP_IDS,
-    OutOfScopeError,
-    Profile,
-    SquareClassFinding,
-    SquareClassQuery,
-    TheoremReport,
-    default_query,
-    p_range,
-    predicted_set,
-    search,
-    sweep_divisibility_laws,
-    sweep_pell_form_families,
-    sweep_product_identities,
-    sweep_quartic_equations,
-    sweep_residue_classes,
-    sweep_shift_congruences,
-    verify_all,
-    verify_report,
-    verify_theorem,
-)
-from .diophantine import (
-    QUARTIC_VARIANTS,
-    FormSolution,
-    PellSolution,
-    QuarticSolution,
-    form_enumerate,
-    form_family,
-    pell3_enumerate,
-    pell3_family,
-    pell5_enumerate,
-    pell5_family,
-    quartic_polynomial,
-    quartic_solutions,
-)
-from .identities import (
-    CheckOutcome,
-    check_divisibility_by_5_and_3,
-    check_divisibility_laws,
-    check_gcd_u_v,
-    check_jacobi_p2plus3,
-    check_lucas_pow2_mod4,
-    check_mod_p2_laws,
-    check_product_identities,
-    check_q_minus_one_triple,
-    check_residue_minus_square_obstruction,
-    check_shift_u_mod_u,
-    check_shift_u_mod_v,
-    check_shift_v_mod_u,
-    check_shift_v_mod_v,
-    check_v5n_factor,
-    check_v_mod8_class,
-)
-from .sequences import (
-    INDEX_LIMIT,
-    IndexedPair,
-    ModularPair,
-    SequenceParams,
-    pair_at,
-    pair_mod,
-    seq_range,
-    u,
-    u_mod,
-    v,
-    v_mod,
-)
+from . import arith, classifier, diophantine, identities, sequences
+from .arith import *
+from .classifier import *
+from .diophantine import *
+from .identities import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SQUAREFREE_COEFFS",
-    "SquareClass",
-    "is_square",
-    "isqrt",
-    "jacobi",
-    "square_class",
-    "square_witness",
-    "CLASSIFICATION_IDS",
-    "FAMILIES",
-    "PROFILES",
-    "REPORT_IDS",
-    "REPORT_SUMMARIES",
-    "SWEEP_IDS",
-    "OutOfScopeError",
-    "Profile",
-    "SquareClassFinding",
-    "SquareClassQuery",
-    "TheoremReport",
-    "default_query",
-    "p_range",
-    "predicted_set",
-    "search",
-    "sweep_divisibility_laws",
-    "sweep_pell_form_families",
-    "sweep_product_identities",
-    "sweep_quartic_equations",
-    "sweep_residue_classes",
-    "sweep_shift_congruences",
-    "verify_all",
-    "verify_report",
-    "verify_theorem",
-    "QUARTIC_VARIANTS",
-    "FormSolution",
-    "PellSolution",
-    "QuarticSolution",
-    "form_enumerate",
-    "form_family",
-    "pell3_enumerate",
-    "pell3_family",
-    "pell5_enumerate",
-    "pell5_family",
-    "quartic_polynomial",
-    "quartic_solutions",
-    "CheckOutcome",
-    "check_divisibility_by_5_and_3",
-    "check_divisibility_laws",
-    "check_gcd_u_v",
-    "check_jacobi_p2plus3",
-    "check_lucas_pow2_mod4",
-    "check_mod_p2_laws",
-    "check_product_identities",
-    "check_q_minus_one_triple",
-    "check_residue_minus_square_obstruction",
-    "check_shift_u_mod_u",
-    "check_shift_u_mod_v",
-    "check_shift_v_mod_u",
-    "check_shift_v_mod_v",
-    "check_v5n_factor",
-    "check_v_mod8_class",
-    "INDEX_LIMIT",
-    "IndexedPair",
-    "ModularPair",
-    "SequenceParams",
-    "pair_at",
-    "pair_mod",
-    "seq_range",
-    "u",
-    "u_mod",
-    "v",
-    "v_mod",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += arith.__all__
+__all__ += classifier.__all__
+__all__ += diophantine.__all__
+__all__ += identities.__all__
+__all__ += sequences.__all__

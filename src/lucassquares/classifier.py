@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from . import arith, diophantine, identities, sequences
 from .identities import CheckOutcome
@@ -196,10 +197,9 @@ def _parity_ok(n: int, parity: str | None) -> bool:
     return parity is None or (n % 2 == 1) == (parity == "odd")
 
 
-def _search_cell(family: str, w: int, P: int, n_max: int,
-                 m_max: int | None, m_min: int, n_parity: str | None,
-                 ) -> list[SquareClassFinding]:
-    """All findings for a single P, sorted by (n, m)."""
+def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
+    """All findings of `query` for a single P, sorted by (n, m)."""
+    family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
@@ -217,7 +217,7 @@ def _search_cell(family: str, w: int, P: int, n_max: int,
     table: list[int] = [0]
     for pair in sequences.seq_range(params, 1, n_max):
         table.append(pair.u if take_u else pair.v)
-    for m in range(m_min, min(m_max, n_max) + 1):
+    for m in range(query.m_min, min(query.m_max, n_max) + 1):
         base = table[m]
         if base == 1:
             continue
@@ -246,14 +246,12 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     Deterministic regardless of `jobs`: cells are one P each and results
     are merged in canonical order.
     """
-    cells = [(query.family, query.w, P, query.n_max,
-              query.m_max, query.m_min, query.n_parity)
-             for P in query.p_values]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            per_cell = list(pool.map(_search_cell, *zip(*cells)))
+    p_values = query.p_values
+    if jobs > 1 and len(p_values) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(p_values))) as pool:
+            per_cell = list(pool.map(_search_cell, repeat(query), p_values))
     else:
-        per_cell = [_search_cell(*cell) for cell in cells]
+        per_cell = [_search_cell(query, P) for P in p_values]
     findings: list[SquareClassFinding] = []
     for cell in per_cell:
         findings.extend(cell)
@@ -678,29 +676,26 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
     Covers P <= p_max, 0 < |m|, |n| <= idx_max, |r| <= idx_max, plus spot
     checks at |n| = large_n.
 
-    The grid checks read exact values streamed by `sequences.seq_range`:
-    one span |k| <= idx_max per P for the m and r terms, and one window
-    2mn +- idx_max per (m, n).  So about 2*(2*idx_max + 1) exact terms are
-    held at a time, not the whole span |k| <= 2*idx_max**2 + idx_max.  The
-    spot checks pass no values and run on modular doubling, which keeps the
-    recurrence and doubling paths cross-checked against each other.
+    The grid checks read exact values from one table per P, streamed by
+    `sequences.seq_range` over |k| <= 2*idx_max**2 + idx_max: the last
+    index 2mn + r the grid reads.  The table grows as idx_max**4 * log P
+    digits: about 230 KiB at P = 25, idx_max = 12 (the full profile), and
+    14 MiB at P = 25, idx_max = 40.  The spot checks pass no values and run
+    on modular doubling, which keeps the recurrence and doubling paths
+    cross-checked against each other.
     """
     signed = [i for i in range(-idx_max, idx_max + 1) if i != 0]
     rs = range(-idx_max, idx_max + 1)
+    span = 2 * idx_max * idx_max + idx_max
     checks = (identities.check_shift_u_mod_u, identities.check_shift_v_mod_u,
               identities.check_shift_u_mod_v, identities.check_shift_v_mod_v)
 
     def outcomes():
         for p in range(1, p_max + 1):
             params = SequenceParams(p, 1)
-            small = {pair.n: pair
-                     for pair in sequences.seq_range(params, -idx_max, idx_max)}
+            values = {pair.n: pair for pair in sequences.seq_range(params, -span, span)}
             for m in signed:
                 for n in signed:
-                    centre = 2 * m * n
-                    values = dict(small)
-                    values.update((pair.n, pair) for pair in sequences.seq_range(
-                        params, centre - idx_max, centre + idx_max))
                     yield from [fn(params, m, n, r, values=values)
                                 for r in rs for fn in checks]
         if large_n:

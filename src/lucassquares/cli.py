@@ -451,18 +451,12 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         reports = classifier.verify_all(args.profile, jobs=args.jobs)
     elif args.target in CLASSIFICATION_IDS:
         query = classifier.default_query(args.target, args.profile)
-        p_values = _resolve_p_values(args, required=False)
+        given = {"p_values": _resolve_p_values(args, required=False),
+                 "n_max": args.nmax, "m_max": args.mmax, "m_min": args.mmin,
+                 "n_parity": args.parity}
         try:
-            if p_values is not None:
-                query = replace(query, p_values=p_values)
-            if args.nmax is not None:
-                query = replace(query, n_max=args.nmax)
-            if args.mmax is not None:
-                query = replace(query, m_max=args.mmax)
-            if args.mmin is not None:
-                query = replace(query, m_min=args.mmin)
-            if args.parity is not None:
-                query = replace(query, n_parity=args.parity)
+            query = replace(query, **{field: value for field, value in given.items()
+                                      if value is not None})
         except ValueError as err:
             raise CliError(str(err)) from None
         reports = [classifier.verify_theorem(args.target, query, jobs=args.jobs)]

@@ -20,9 +20,11 @@ use exact square detection, so within their bounds they are complete.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import isqrt, square_witness
+from .arith import square_witness
 from .sequences import SequenceParams, u as _seq_u, v as _seq_v
 
 __all__ = [
@@ -147,6 +149,16 @@ def _half(value: int, what: str) -> int:
     return q
 
 
+def _square_scan(k: int, c: int, lo: int, bound: int) -> Iterator[tuple[int, int]]:
+    """Yield (b, s) with k*b**2 + c = s**2 and s >= 0, for lo <= b <= bound in order."""
+    for b in range(lo, bound + 1):
+        t = k * b * b + c
+        if t >= 0:
+            s = math.isqrt(t)
+            if s * s == t:
+                yield b, s
+
+
 def pell5_family(sign: int, count: int) -> list[PellSolution]:
     """First `count` nonnegative solutions of u**2 - 5*v**2 = sign, parametric.
 
@@ -173,15 +185,7 @@ def pell5_enumerate(sign: int, v_bound: int) -> list[PellSolution]:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if v_bound < 0:
         raise ValueError(f"v_bound must be >= 0, got {v_bound}")
-    out = []
-    for vv in range(v_bound + 1):
-        t = 5 * vv * vv + sign
-        if t < 0:
-            continue
-        root = isqrt(t)
-        if root * root == t:
-            out.append(PellSolution(root, vv))
-    return out
+    return [PellSolution(s, vv) for vv, s in _square_scan(5, sign, 0, v_bound)]
 
 
 def form_family(c: int, count: int) -> list[FormSolution]:
@@ -218,18 +222,8 @@ def form_enumerate(c: int, y_bound: int) -> list[FormSolution]:
         raise ValueError(f"c must be -5 or -1, got {c}")
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
-    out = []
-    for yy in range(y_bound + 1):
-        t = 5 * yy * yy + c
-        if t < 0:
-            continue
-        s = isqrt(t)
-        if s * s != t:
-            continue
-        for xx in sorted({2 * yy + s, 2 * yy - s}):
-            if xx >= 1:
-                out.append(FormSolution(xx, yy, c))
-    return out
+    return [FormSolution(xx, yy, c) for yy, s in _square_scan(5, c, 0, y_bound)
+            for xx in sorted({2 * yy + s, 2 * yy - s}) if xx >= 1]
 
 
 def pell3_family(count: int) -> list[tuple[int, int]]:
@@ -254,13 +248,7 @@ def pell3_enumerate(c_bound: int) -> list[tuple[int, int]]:
     """All positive solutions of b**2 - 3*c**2 = 1 with 1 <= c <= c_bound."""
     if c_bound < 0:
         raise ValueError(f"c_bound must be >= 0, got {c_bound}")
-    out = []
-    for cc in range(1, c_bound + 1):
-        t = 3 * cc * cc + 1
-        root = isqrt(t)
-        if root * root == t:
-            out.append((root, cc))
-    return out
+    return [(s, cc) for cc, s in _square_scan(3, 1, 1, c_bound)]
 
 
 # equation -> (family(param, count), enumerate(param, bound), the (a, b)

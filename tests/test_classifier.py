@@ -376,6 +376,23 @@ class TestShiftSweepPaths:
         assert report.verdict == "counterexample"
         assert {outcome.inputs[0] for outcome in report.found} == {3}
 
+    @pytest.mark.parametrize("edge", (36, -36))
+    def test_grid_reads_the_last_index_on_each_side(self, monkeypatch, edge):
+        # idx_max = 4 reads U and V up to |2mn + r| = 2*4*4 + 4 = 36.
+        import lucassquares.sequences as seqmod
+        real = seqmod.seq_range
+
+        def bumped(params, n_lo, n_hi):
+            for pair in real(params, n_lo, n_hi):
+                if params.P == 3 and pair.n == edge:
+                    pair = IndexedPair(pair.n, pair.u + 1, pair.v)
+                yield pair
+
+        monkeypatch.setattr(seqmod, "seq_range", bumped)
+        report = classifier.sweep_shift_congruences(p_max=3, idx_max=4, large_n=None)
+        assert report.verdict == "counterexample"
+        assert {outcome.inputs[0] for outcome in report.found} == {3}
+
     def test_spot_checks_use_modular_doubling(self, monkeypatch):
         import lucassquares.sequences as seqmod
         real = seqmod.u_mod

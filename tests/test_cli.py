@@ -266,6 +266,18 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "v-5square consistent found=1 predicted=1"
 
+    def test_box_overrides_are_validated_together(self, capsys):
+        # v-vm-square's default m_max exceeds n_max = 10; only the final box counts.
+        code, out, _ = run_cli(capsys, "verify", "v-vm-square", "--P", "3",
+                               "--nmax", "10", "--mmax", "5")
+        assert code == 0
+        assert out.splitlines()[0].startswith("v-vm-square consistent")
+        code, out, err = run_cli(capsys, "verify", "v-vm-square", "--P", "3",
+                                 "--nmax", "10", "--mmax", "20")
+        assert (code, out) == (1, "")
+        assert err == ("error: need 1 <= m_min <= m_max <= n_max, "
+                       "got m_min=1, m_max=20, n_max=10\n")
+
     def test_sweep_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "quartic-equations")
         assert code == 0

@@ -17,6 +17,8 @@ from lucassquares import (
 )
 from lucassquares import diophantine
 
+from _oracles import naive_isqrt
+
 
 class TestPell5:
     def test_family_minus(self):
@@ -118,6 +120,55 @@ class TestPell3:
             pell3_family(0)
         with pytest.raises(ValueError):
             pell3_enumerate(-1)
+
+
+def _naive_roots(k, c, lo, bound):
+    """(b, s) with k*b**2 + c = s**2 for lo <= b <= bound, by binary-search roots."""
+    out = []
+    for b in range(lo, bound + 1):
+        t = k * b * b + c
+        if t < 0:
+            continue
+        s = naive_isqrt(t)
+        if s * s == t:
+            out.append((b, s))
+    return out
+
+
+ORACLE_BOUNDS = (0, 1, 4, 9, 17, 72, 161, 2000)
+
+
+class TestEnumeratorsAgainstNaiveScan:
+    @pytest.mark.parametrize("bound", ORACLE_BOUNDS)
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_pell5(self, sign, bound):
+        expected = [PellSolution(s, b) for b, s in _naive_roots(5, sign, 0, bound)]
+        assert pell5_enumerate(sign, bound) == expected
+        assert all(solution.z is None for solution in expected)
+
+    @pytest.mark.parametrize("bound", ORACLE_BOUNDS)
+    @pytest.mark.parametrize("c", (-5, -1))
+    def test_form(self, c, bound):
+        expected = []
+        for y, s in _naive_roots(5, c, 0, bound):
+            for x in range(max(2 * y - s, 1), 2 * y + s + 1):
+                if x * x - 4 * x * y - y * y == c:
+                    expected.append(FormSolution(x, y, c))
+        assert form_enumerate(c, bound) == expected
+        assert all(solution.z is None for solution in expected)
+
+    @pytest.mark.parametrize("bound", ORACLE_BOUNDS)
+    def test_pell3(self, bound):
+        assert pell3_enumerate(bound) == [(s, b) for b, s in _naive_roots(3, 1, 1, bound)]
+
+    def test_negative_rows_at_zero_and_the_c_minus1_boundary(self):
+        # At b = 0 the scanned value is sign, c or 1: the negative ones have
+        # no root and yield nothing.  c = -1 at y = 1 has roots x = 0 and 4.
+        assert pell5_enumerate(-1, 0) == []
+        assert pell5_enumerate(1, 0) == [PellSolution(1, 0)]
+        assert form_enumerate(-5, 0) == form_enumerate(-1, 0) == []
+        assert form_enumerate(-1, 1) == [FormSolution(4, 1, -1)]
+        assert pell3_enumerate(0) == []
 
 
 class TestFamilyCover:
