@@ -40,6 +40,7 @@ never branch on a report id.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -248,7 +249,8 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """
     p_values = query.p_values
     if jobs > 1 and len(p_values) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(p_values))) as pool:
+        workers = min(jobs, len(p_values), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_search_cell, repeat(query), p_values))
     else:
         per_cell = [_search_cell(query, P) for P in p_values]

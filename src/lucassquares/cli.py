@@ -240,14 +240,14 @@ def _resolve_p_values(args: argparse.Namespace, required: bool = True,
     chosen = [name for name, value in (("--P", args.p_list),
                                        ("--P-max", args.p_max),
                                        ("--P-odd-max", args.p_odd_max))
-              if value]
+              if value is not None]
     if len(chosen) > 1:
         raise CliError(f"{' and '.join(chosen)} are mutually exclusive")
-    if args.p_list:
+    if args.p_list is not None:
         values = tuple(sorted(set(args.p_list)))
-    elif args.p_max:
+    elif args.p_max is not None:
         values = p_range(args.p_max)
-    elif args.p_odd_max:
+    elif args.p_odd_max is not None:
         values = p_range(args.p_odd_max, parity="odd")
     else:
         if required:
@@ -408,13 +408,8 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_search(args: argparse.Namespace) -> _Result:
-    p_values = _resolve_p_values(args)
-    try:
-        query = SquareClassQuery(args.family, args.w, p_values, args.nmax,
-                                 m_max=args.mmax, m_min=args.mmin,
-                                 n_parity=args.parity)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    query = SquareClassQuery(args.family, args.w, _resolve_p_values(args), args.nmax,
+                             m_max=args.mmax, m_min=args.mmin, n_parity=args.parity)
     findings = [_to_dict(f) for f in classifier.search(query, jobs=args.jobs)]
     rows = [list(finding.values()) for finding in findings]
     payload = {"command": "search", "query": _to_dict(query), "findings": findings}
@@ -454,11 +449,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         given = {"p_values": _resolve_p_values(args, required=False),
                  "n_max": args.nmax, "m_max": args.mmax, "m_min": args.mmin,
                  "n_parity": args.parity}
-        try:
-            query = replace(query, **{field: value for field, value in given.items()
-                                      if value is not None})
-        except ValueError as err:
-            raise CliError(str(err)) from None
+        query = replace(query, **{field: value for field, value in given.items()
+                                  if value is not None})
         reports = [classifier.verify_theorem(args.target, query, jobs=args.jobs)]
     elif args.target in REPORT_IDS:
         if overrides_given:
@@ -508,10 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         result = _HANDLERS[args.command](args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as err:
+    except (CliError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     with _exact_int_text():

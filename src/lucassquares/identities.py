@@ -82,35 +82,14 @@ def _trivial_pass(check_id: str, inputs: tuple[int, ...], note: str) -> CheckOut
     return CheckOutcome(check_id, inputs, True, 0, 0, note)
 
 
-def _u_mod_signed(params: SequenceParams, n: int, modulus: int) -> int:
-    """U_n mod modulus for any sign of n, via the negative-index law."""
-    if n >= 0:
-        return sequences.u_mod(params, n, modulus)
-    k = -n
-    r = sequences.u_mod(params, k, modulus)
-    if params.Q == -1 or k % 2 == 0:
-        r = -r % modulus
-    return r
-
-
-def _v_mod_signed(params: SequenceParams, n: int, modulus: int) -> int:
-    """V_n mod modulus for any sign of n, via the negative-index law."""
-    if n >= 0:
-        return sequences.v_mod(params, n, modulus)
-    k = -n
-    r = sequences.v_mod(params, k, modulus)
-    if params.Q == 1 and k % 2 == 1:
-        r = -r % modulus
-    return r
-
-
 def _require_q1(params: SequenceParams, what: str) -> None:
     if params.Q != 1:
         raise ValueError(f"{what} requires Q = 1, got Q = {params.Q}")
 
 
-def _shift_sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
+# The trivial-pass note of a shift check whose modulus |Y_m| is 1, by mod_from_v.
+_UNIT_MODULUS_NOTE = {False: "modulus |U_m| = 1; congruence is trivial",
+                      True: "modulus |V_m| = 1; congruence is trivial"}
 
 
 def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
@@ -123,8 +102,10 @@ def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
     for a U-modulus and (-1)**((m+1)*n) for a V-modulus.
 
     Without `values`, Y_m and X_r are evaluated exactly and X_{2mn+r} by
-    modular doubling.  With `values` (index -> IndexedPair, covering m, r
-    and 2mn+r), the three exact values are read from it and reduced.
+    modular doubling at k = |2mn+r|.  A negative index then takes the Q = 1
+    law U_{-k} = (-1)**(k+1) * U_k, V_{-k} = (-1)**k * V_k as one negation.
+    With `values` (index -> IndexedPair, covering m, r and 2mn+r), the three
+    exact values are read from it and reduced.
     """
     _require_q1(params, "shift congruences")
     if n == 0:
@@ -132,29 +113,31 @@ def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
     if not mod_from_v and m == 0:
         raise ValueError("shift congruence mod U_m requires a nonzero m (U_0 = 0)")
     inputs = (params.P, params.Q, m, n, r)
-    if values is None:
-        base = sequences.v(params, m) if mod_from_v else sequences.u(params, m)
-    else:
-        base = values[m].v if mod_from_v else values[m].u
-    modulus = abs(base)
-    if modulus == 1:
-        which = "V" if mod_from_v else "U"
-        return _trivial_pass(check_id, inputs,
-                             f"modulus |{which}_m| = 1; congruence is trivial")
     index = 2 * m * n + r
-    if values is not None:
+    if values is None:
+        modulus = abs(sequences.v(params, m) if mod_from_v else sequences.u(params, m))
+        if modulus == 1:
+            return _trivial_pass(check_id, inputs, _UNIT_MODULUS_NOTE[mod_from_v])
+        k = abs(index)
+        if value_is_v:
+            lhs = sequences.v_mod(params, k, modulus)
+            base_r = sequences.v(params, r)
+        else:
+            lhs = sequences.u_mod(params, k, modulus)
+            base_r = sequences.u(params, r)
+        if index < 0 and k % 2 == value_is_v:  # V flips at odd k, U at even k
+            lhs = -lhs % modulus
+    else:
+        at_m = values[m]
+        modulus = abs(at_m.v if mod_from_v else at_m.u)
+        if modulus == 1:
+            return _trivial_pass(check_id, inputs, _UNIT_MODULUS_NOTE[mod_from_v])
         at_index, at_r = values[index], values[r]
         lhs = (at_index.v if value_is_v else at_index.u) % modulus
         base_r = at_r.v if value_is_v else at_r.u
-    elif value_is_v:
-        lhs = _v_mod_signed(params, index, modulus)
-        base_r = sequences.v(params, r)
-    else:
-        lhs = _u_mod_signed(params, index, modulus)
-        base_r = sequences.u(params, r)
-    sign = _shift_sign((m + 1) * n if mod_from_v else m * n)
-    rhs = (sign * base_r) % modulus
-    return _outcome(check_id, inputs, lhs, rhs)
+    odd_sign = ((m + 1) * n if mod_from_v else m * n) % 2
+    rhs = (-base_r if odd_sign else base_r) % modulus
+    return CheckOutcome(check_id, inputs, lhs == rhs, lhs, rhs)
 
 
 def check_shift_u_mod_u(params: SequenceParams, m: int, n: int, r: int, *,

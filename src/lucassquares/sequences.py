@@ -145,16 +145,13 @@ def pair_at(params: SequenceParams, n: int) -> IndexedPair:
     _check_index(n)
     k = abs(n)
     a, b = _u_pair(params.P, params.Q, k)
-    uk = a
-    vk = 2 * b - params.P * a
-    if n < 0:
-        if params.Q == 1:
-            if k % 2 == 0:
-                uk = -uk
-            else:
-                vk = -vk
-        else:
-            uk = -uk
+    uk, vk = a, 2 * b - params.P * a
+    # U_{-k} = -U_k / (-Q)**k and V_{-k} = V_k / (-Q)**k, where (-Q)**k = -1
+    # exactly when Q = 1 and k is odd.
+    if n < 0 and (params.Q == -1 or k % 2 == 0):
+        uk = -uk
+    if n < 0 and params.Q == 1 and k % 2 == 1:
+        vk = -vk
     return IndexedPair(n, uk, vk)
 
 

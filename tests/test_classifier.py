@@ -110,6 +110,32 @@ class TestSearch:
         keys = [(f.P, f.n) for f in sequential]
         assert keys == sorted(keys)
 
+    def test_pool_is_clamped_to_the_cpu_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(classifier, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(classifier.os, "cpu_count", lambda: 2)
+        query = q(family="U", w=1, p_values=tuple(range(1, 8)), n_max=40)
+        assert search(query, jobs=5) == search(query)
+        monkeypatch.setattr(classifier.os, "cpu_count", lambda: None)
+        assert search(query, jobs=5) == search(query)
+        monkeypatch.setattr(classifier.os, "cpu_count", lambda: 64)
+        assert search(query, jobs=5) == search(query)
+        assert started == [2, 1, 5]
+
     def test_box_monotonicity(self):
         small = set(search(q(family="V", w=1, p_values=(1, 3, 5), n_max=60)))
         large = set(search(q(family="V", w=1, p_values=(1, 3, 5), n_max=120)))

@@ -230,6 +230,12 @@ class TestSearch:
                                "--P-max", "5", "--nmax", "10")
         assert code == 1 and "mutually exclusive" in err
 
+    def test_zero_p_max_is_an_empty_selection(self, capsys):
+        for flag in ("--P-max", "--P-odd-max"):
+            code, out, err = run_cli(capsys, "search", "U", "1", flag, "0",
+                                     "--nmax", "5")
+            assert (code, out, err) == (1, "", "error: the P selection is empty\n")
+
     def test_two_term_requires_mmax(self, capsys):
         code, _, err = run_cli(capsys, "search", "UU", "2", "--P", "5",
                                "--nmax", "60")
@@ -290,6 +296,18 @@ class TestVerify:
 
     def test_all_rejects_box_overrides(self, capsys):
         assert run_cli(capsys, "verify", "all", "--nmax", "50")[0] == 1
+
+    def test_zero_p_max_is_not_ignored(self, capsys):
+        for flag in ("--P-max", "--P-odd-max"):
+            code, out, err = run_cli(capsys, "verify", "v-square", flag, "0")
+            assert (code, out, err) == (1, "", "error: the P selection is empty\n")
+        code, out, err = run_cli(capsys, "verify", "u-wsquare", "--P", "3",
+                                 "--P-max", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: --P and --P-max are mutually exclusive\n"
+        code, _, err = run_cli(capsys, "verify", "u-wsquare", "--P-max", "0",
+                               "--P-odd-max", "0")
+        assert (code, err) == (1, "error: --P-max and --P-odd-max are mutually exclusive\n")
 
     def test_multiple_of_needs_a_p_selection(self, capsys):
         code, out, err = run_cli(capsys, "verify", "v-5square", "--multiple-of", "7")

@@ -57,7 +57,7 @@ class TestShiftCongruences:
     @pytest.mark.parametrize("key", sorted(SHIFT_CHECKS))
     def test_signed_grid_against_exact_values(self, key):
         fn, mod_from_v, value_is_v = SHIFT_CHECKS[key]
-        for p in (1, 2, 3, 5):
+        for p in (1, 2, 3, 5, 25):
             params = SequenceParams(p, 1)
             for m in range(-5, 6):
                 if m == 0 and not mod_from_v:
@@ -79,7 +79,7 @@ class TestShiftCongruences:
     def test_supplied_values_match_doubling(self, key):
         fn, mod_from_v, _ = SHIFT_CHECKS[key]
         trivial = 0
-        for p in (1, 2, 3, 5):
+        for p in (1, 2, 3, 5, 25):
             params = SequenceParams(p, 1)
             values = {k: IndexedPair(k, naive_u(p, 1, k), naive_v(p, 1, k))
                       for k in range(-28, 29)}

@@ -145,6 +145,16 @@ class TestAgainstOracles:
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(1, 30), q=st.sampled_from((1, -1)),
+           lo=st.integers(-300, 300), k=st.integers(0, 40))
+    def test_seq_range_matches_pair_at(self, p, q, lo, k):
+        if q == -1 and p <= 2:
+            return
+        params = SequenceParams(p, q)
+        pairs = list(seq_range(params, lo, lo + k))
+        assert pairs == [pair_at(params, n) for n in range(lo, lo + k + 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 30), q=st.sampled_from((1, -1)),
            n=st.integers(-300, 300))
     def test_doubling_matches_walk(self, p, q, n):
         if q == -1 and p <= 2:
