@@ -245,11 +245,12 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """Complete list of findings in the box, sorted by (P, n, m).
 
     Deterministic regardless of `jobs`: cells are one P each and results
-    are merged in canonical order.
+    are merged in canonical order.  The pool gets at most one worker per P
+    and per CPU; when that leaves one worker, the cells run in this process.
     """
     p_values = query.p_values
-    if jobs > 1 and len(p_values) > 1:
-        workers = min(jobs, len(p_values), os.cpu_count() or 1)
+    workers = min(jobs, len(p_values), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_search_cell, repeat(query), p_values))
     else:
@@ -801,7 +802,9 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
 
     Family generation is extended until it provably covers the enumeration
     bound (the next member lies beyond it), so a missing parametric solution
-    inside the bound cannot hide.
+    inside the bound cannot hide.  `z_max` therefore changes no verdict: it
+    only sets the size each family starts from and is echoed in the notes
+    text, which is part of the report bytes.
     """
     outcomes = []
     for equation, param, bound in (("pell5", 1, v_bound), ("pell5", -1, v_bound),

@@ -70,12 +70,17 @@ def mat_pow_u(P: int, Q: int, n: int) -> int:
 
 
 def naive_isqrt(n: int) -> int:
-    """Floor square root by binary search."""
+    """Floor square root by binary search.
+
+    A b-bit n has its root in [2**((b - 1) // 2), 2**((b + 1) // 2)], so the
+    search takes about b / 2 steps even for values of thousands of digits.
+    """
     if n < 0:
         raise ValueError("negative")
     if n < 2:
         return n
-    lo, hi = 1, n
+    b = n.bit_length()
+    lo, hi = 1 << ((b - 1) // 2), 1 << ((b + 1) // 2)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if mid * mid <= n:

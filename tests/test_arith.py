@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lucassquares import (
     SQUAREFREE_COEFFS,
+    arith,
     SquareClass,
     is_square,
     isqrt,
@@ -91,6 +92,60 @@ class TestSquareWitness:
         # square-free; the witness test must still be exact.
         assert square_witness(7280 * 81, 7280) == 9
         assert square_witness(7280 * 80, 7280) is None
+
+
+# The residue filter's tables by modulus.  Each modulus divides the one
+# reduction modulus, so t = q % 2_882_880 has t % m == q % m.
+RESIDUE_TABLES = {64: arith._SQUARES_64, 63: arith._SQUARES_63,
+                  65: arith._SQUARES_65, 11: arith._SQUARES_11}
+
+# Square-free and composite coefficients; the two-term searches pass
+# products such as w * U_m, so composite w must be exact too.
+WITNESS_COEFFS = SQUAREFREE_COEFFS + (4, 12, 7280)
+
+
+class TestResidueFilter:
+    def test_tables_are_the_squares(self):
+        # r is a square mod m iff r + k*m is a perfect square for some
+        # k < m (take the root below m), checked by the binary-search oracle.
+        assert arith._RESIDUE_MODULUS == 64 * 63 * 65 * 11
+        for m, table in RESIDUE_TABLES.items():
+            assert len(table) == m
+            squares = [r for r in range(m)
+                       if any(naive_isqrt(r + k * m) ** 2 == r + k * m
+                              for k in range(m))]
+            assert [r for r in range(m) if table[r]] == squares
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**4000),
+           st.sampled_from(WITNESS_COEFFS),
+           st.sampled_from(("square", "plus_one", "minus_one", "times_k")),
+           st.integers(min_value=2, max_value=10**6))
+    def test_matches_naive_near_w_squares(self, x, w, shape, k):
+        value = {"square": w * x * x, "plus_one": w * x * x + 1,
+                 "minus_one": w * x * x - 1, "times_k": w * x * x * k}[shape]
+        want = naive_square_witness(value, w)
+        assert square_witness(value, w) == want
+        if shape == "square":
+            assert want == x
+        assert is_square(value) == (value >= 0 and naive_isqrt(value) ** 2 == value)
+
+    @pytest.mark.parametrize("m", sorted(RESIDUE_TABLES))
+    def test_every_residue_class_above_2_200(self, m):
+        # One value per class r mod m above 2**200: a perfect square when r
+        # is a square mod m, so a table entry flipped to 0 loses a root.
+        base = 2**200 + random.Random(m).getrandbits(64)
+        for r in range(m):
+            roots = [y for y in range(m) if y * y % m == r]
+            if roots:
+                x = base - base % m + roots[0]
+                value = x * x
+            else:
+                value = base - base % m + r
+            assert value > 2**200 and value % m == r
+            for w in (1, 5):
+                assert square_witness(w * value, w) == naive_square_witness(w * value, w)
+            assert is_square(value) == bool(roots)
 
 
 class TestSquareClass:

@@ -1,11 +1,14 @@
 """Square-class search, predicted sets, verdicts, and the report harness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucassquares import (
     CLASSIFICATION_IDS,
     REPORT_IDS,
     REPORT_SUMMARIES,
+    SQUAREFREE_COEFFS,
     SWEEP_IDS,
     OutOfScopeError,
     Profile,
@@ -27,6 +30,55 @@ from _oracles import naive_search_one_term, naive_search_two_term
 
 def q(family="U", w=1, p_values=(1,), n_max=50, **kwargs):
     return SquareClassQuery(family, w, p_values, n_max, **kwargs)
+
+
+def serial_pool(started):
+    """A ProcessPoolExecutor stand-in that appends max_workers to `started`
+    and maps in this process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
+
+
+@st.composite
+def small_boxes(draw):
+    """A random small search box: any family, w, P set, parity and m range."""
+    family = draw(st.sampled_from(("U", "V", "UU", "VV")))
+    p_values = tuple(sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=3))))
+    n_max = draw(st.integers(1, 60))
+    kwargs = {"n_parity": draw(st.sampled_from((None, "odd", "even")))}
+    if family in ("UU", "VV"):
+        kwargs["m_max"] = draw(st.integers(1, n_max))
+        kwargs["m_min"] = draw(st.integers(1, kwargs["m_max"]))
+    w = draw(st.sampled_from(SQUAREFREE_COEFFS))
+    return q(family=family, w=w, p_values=p_values, n_max=n_max, **kwargs)
+
+
+def naive_findings(query):
+    """The unpruned oracle's (P, n, m, x) rows for `query`, parity applied."""
+    rows = []
+    for P in query.p_values:
+        if query.family in ("U", "V"):
+            rows += [(P, n, None, x) for _, n, x in
+                     naive_search_one_term(query.family, P, query.w, query.n_max)]
+        else:
+            rows += naive_search_two_term(query.family, P, query.w, query.n_max,
+                                          query.m_max, query.m_min)
+    if query.n_parity is not None:
+        rows = [row for row in rows if (row[1] % 2 == 1) == (query.n_parity == "odd")]
+    return sorted(rows, key=lambda row: (row[0], row[1], row[2] or 0))
 
 
 class TestQueryValidation:
@@ -112,29 +164,18 @@ class TestSearch:
 
     def test_pool_is_clamped_to_the_cpu_count(self, monkeypatch):
         started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(classifier, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(classifier, "ProcessPoolExecutor", serial_pool(started))
         monkeypatch.setattr(classifier.os, "cpu_count", lambda: 2)
         query = q(family="U", w=1, p_values=tuple(range(1, 8)), n_max=40)
         assert search(query, jobs=5) == search(query)
         monkeypatch.setattr(classifier.os, "cpu_count", lambda: None)
         assert search(query, jobs=5) == search(query)
+        assert started == [2]  # an unknown CPU count runs in-process
+        monkeypatch.setattr(classifier.os, "cpu_count", lambda: 1)
+        assert search(query, jobs=5) == search(query)
         monkeypatch.setattr(classifier.os, "cpu_count", lambda: 64)
         assert search(query, jobs=5) == search(query)
-        assert started == [2, 1, 5]
+        assert started == [2, 5]
 
     def test_box_monotonicity(self):
         small = set(search(q(family="V", w=1, p_values=(1, 3, 5), n_max=60)))
@@ -157,6 +198,19 @@ class TestSearch:
             got = search(q(family=family, w=w, p_values=(p,), n_max=50, m_max=25))
             want = naive_search_two_term(family, p, w, 50, 25)
             assert sorted((f.P, f.n, f.m, f.x) for f in got) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_boxes(), st.sampled_from((1, 2)))
+    def test_search_matches_unpruned_naive(self, query, jobs):
+        # jobs=2 runs the pool path with an in-process stand-in pool.
+        started = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "ProcessPoolExecutor", serial_pool(started))
+            mp.setattr(classifier.os, "cpu_count", lambda: 2)
+            found = search(query, jobs=jobs)
+        assert started == ([2] if jobs == 2 and len(query.p_values) > 1 else [])
+        assert [(f.P, f.n, f.m, f.x) for f in found] == naive_findings(query)
+        assert all((f.family, f.w) == (query.family, query.w) for f in found)
 
     def test_p_range_helper(self):
         assert p_range(5) == (1, 2, 3, 4, 5)

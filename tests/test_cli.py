@@ -204,6 +204,14 @@ class TestSolve:
     def test_bad_count(self, capsys):
         assert run_cli(capsys, "solve", "pell5", "--count", "0")[0] == 1
 
+    def test_count_one_prints_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "pell3", "--count", "1")
+        assert (code, out) == (0, "2 1\nfamily=oracle: yes\n")
+
+    def test_count_defaults_to_five(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "pell3")
+        assert (code, out) == (0, "2 1\n7 4\n26 15\n97 56\n362 209\nfamily=oracle: yes\n")
+
 
 class TestSearch:
     def test_table_golden(self, capsys):

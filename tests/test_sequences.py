@@ -202,6 +202,18 @@ class TestModular:
         with pytest.raises(ValueError):
             ModularPair(1, 10, 0, -1)
 
+    def test_modulus_two_is_the_smallest(self):
+        # Fibonacci and Lucas parity has period 3: F_n is even iff 3 | n,
+        # and so is L_n.
+        for n in range(12):
+            parity = 0 if n % 3 == 0 else 1
+            assert pair_mod(FIB, n, 2) == ModularPair(n, 2, parity, parity)
+        assert ModularPair(5, 2, 1, 0).modulus == 2
+        with pytest.raises(ValueError):
+            ModularPair(0, 1, 0, 0)
+        with pytest.raises(ValueError):
+            pair_mod(FIB, 3, 1)
+
 
 class TestImmutability:
     def test_frozen_dataclasses(self):
