@@ -44,7 +44,7 @@ import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import arith, diophantine, identities, sequences
 from .identities import CheckOutcome
@@ -661,8 +661,7 @@ def _sweep_report(theorem_id: str, outcomes: Iterable[CheckOutcome],
     """Run the checks `outcomes` yields and report the ones that fail."""
     failures: list[CheckOutcome] = []
     total = 0
-    for outcome in outcomes:
-        total += 1
+    for total, outcome in enumerate(outcomes, 1):
         if not outcome.passed:
             failures.append(outcome)
     verdict = CONSISTENT if not failures else COUNTEREXAMPLE
@@ -693,28 +692,26 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
     checks = (identities.check_shift_u_mod_u, identities.check_shift_v_mod_u,
               identities.check_shift_u_mod_v, identities.check_shift_v_mod_v)
 
-    def outcomes():
+    def batches():  # one list of outcomes per (P, m, n) cell or (P, m) spot
         for p in range(1, p_max + 1):
             params = SequenceParams(p, 1)
             values = {pair.n: pair for pair in sequences.seq_range(params, -span, span)}
             for m in signed:
                 for n in signed:
-                    yield from [fn(params, m, n, r, values=values)
-                                for r in rs for fn in checks]
+                    yield [fn(params, m, n, r, values=values)
+                           for r in rs for fn in checks]
         if large_n:
             for p in (1, 2, 5, 25):
                 if p > p_max:
                     continue
                 params = SequenceParams(p, 1)
                 for m in (1, -2, 5, 12):
-                    for n in (large_n, -large_n):
-                        for r in (-3, 0, 7):
-                            for fn in checks:
-                                yield fn(params, m, n, r)
+                    yield [fn(params, m, n, r) for n in (large_n, -large_n)
+                           for r in (-3, 0, 7) for fn in checks]
 
     grid = (f"P <= {p_max}, 0 < |m|,|n| <= {idx_max}, |r| <= {idx_max}"
             + (f", spot checks at |n| = {large_n}" if large_n else ""))
-    return _sweep_report("shift-congruences", outcomes(), grid)
+    return _sweep_report("shift-congruences", chain.from_iterable(batches()), grid)
 
 
 def sweep_product_identities(p_max: int = 25, idx_max: int = 6) -> TheoremReport:

@@ -16,15 +16,25 @@ Solution dataclasses validate their defining equation on construction, and
 the parametric constructors check (rather than assume) that the halved
 sequence values are integers.  Enumerators scan the smaller variable and
 use exact square detection, so within their bounds they are complete.
+
+The pell5, form and pell3 enumerators scan b for k*b**2 + c = s**2 over a
+residue wheel: the b mod 64*63 for which k*b**2 + c is a quadratic residue
+mod 64 and mod 63 (Cohen, *A Course in Computational Algebraic Number
+Theory* (1993), §1.7.2), read from the tables the square test in `arith`
+uses.  A square is a residue mod every modulus, so the wheel rejects no
+square, and `math.isqrt` still decides every b it keeps.  It keeps 4.8% to
+27% of the b values, by (k, c).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
-from .arith import square_witness
+from .arith import _SQUARES_63, _SQUARES_64, square_witness
 from .sequences import SequenceParams, u as _seq_u, v as _seq_v
 
 __all__ = [
@@ -149,14 +159,43 @@ def _half(value: int, what: str) -> int:
     return q
 
 
+# k*b**2 + c mod 64 and mod 63 depends only on b mod 64 * 63.
+_WHEEL = 64 * 63
+
+
+@cache
+def _wheel_offsets(k: int, c: int) -> tuple[int, ...]:
+    """The o in [0, _WHEEL), ascending, with k*o**2 + c a square mod 64 and mod 63.
+
+    k*b**2 + c can be a square only if b mod _WHEEL is one of them.
+    """
+    residues = ((o, k * o * o + c) for o in range(_WHEEL))
+    return tuple(o for o, t in residues if _SQUARES_64[t % 64] and _SQUARES_63[t % 63])
+
+
 def _square_scan(k: int, c: int, lo: int, bound: int) -> Iterator[tuple[int, int]]:
-    """Yield (b, s) with k*b**2 + c = s**2 and s >= 0, for lo <= b <= bound in order."""
-    for b in range(lo, bound + 1):
-        t = k * b * b + c
-        if t >= 0:
-            s = math.isqrt(t)
-            if s * s == t:
-                yield b, s
+    """Yield (b, s) with k*b**2 + c = s**2 and s >= 0, for lo <= b <= bound in order.
+
+    b steps over the wheel of `_wheel_offsets`, one period of _WHEEL at a
+    time: a b whose k*b**2 + c is not a quadratic residue mod 64 and mod 63
+    cannot give a square (Cohen 1993, §1.7.2), so it is skipped without
+    `math.isqrt`.  A square is a residue mod every modulus, so the wheel
+    rejects no square; every b it keeps still gets the exact test
+    `s * s == t`.
+    """
+    offsets = _wheel_offsets(k, c)
+    base = lo - lo % _WHEEL
+    first = bisect_left(offsets, lo - base)
+    while base <= bound:
+        for offset in offsets[first:bisect_right(offsets, bound - base)]:
+            b = base + offset
+            t = k * b * b + c
+            if t >= 0:
+                s = math.isqrt(t)
+                if s * s == t:
+                    yield b, s
+        base += _WHEEL
+        first = 0
 
 
 def pell5_family(sign: int, count: int) -> list[PellSolution]:

@@ -9,7 +9,8 @@ The checks cover four groups:
 
 - shift congruences: U and V at index 2*m*n + r reduced mod U_m or V_m,
   with the parity-derived sign, from doubling or from exact values the
-  caller supplies (`values=`);
+  caller supplies (`values=`).  The four public checks are built by one
+  factory, so each runs as a single function;
 - product identities: the doubling, tripling, and quintupling formulas and
   the discriminant identity V_n**2 - (P**2+4)*U_n**2 = 4*(-1)**n (Q = 1),
   plus the Q = -1 tripling companion and the factor law for V_{5n} when
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckOutcome:
     """Result of one identity or congruence check.
 
@@ -63,6 +64,13 @@ class CheckOutcome:
     (both already reduced for congruences).  For membership-style checks
     the two sides encode the compared predicates as small integers, with
     `note` explaining the encoding.
+
+    The `__init__` is written by hand because the shift sweep builds about
+    1.4 million of these.  It writes the six fields straight into the
+    instance dict, where the generated frozen `__init__` makes one
+    `object.__setattr__` call per field; that roughly halves the cost of a
+    record.  It takes the same arguments, and `repr`, `==`, `hash`,
+    `replace`, pickling and the frozen `__setattr__` are the dataclass ones.
     """
 
     check_id: str
@@ -71,6 +79,16 @@ class CheckOutcome:
     lhs: int
     rhs: int
     note: str = field(default="")
+
+    def __init__(self, check_id: str, inputs: tuple[int, ...], passed: bool,
+                 lhs: int, rhs: int, note: str = "") -> None:
+        fields = self.__dict__
+        fields["check_id"] = check_id
+        fields["inputs"] = inputs
+        fields["passed"] = passed
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["note"] = note
 
 
 def _outcome(check_id: str, inputs: tuple[int, ...], lhs: int, rhs: int,
@@ -87,17 +105,11 @@ def _require_q1(params: SequenceParams, what: str) -> None:
         raise ValueError(f"{what} requires Q = 1, got Q = {params.Q}")
 
 
-# The trivial-pass note of a shift check whose modulus |Y_m| is 1, by mod_from_v.
-_UNIT_MODULUS_NOTE = {False: "modulus |U_m| = 1; congruence is trivial",
-                      True: "modulus |V_m| = 1; congruence is trivial"}
+def _shift_check(name: str, check_id: str, mod_from_v: bool, value_is_v: bool,
+                 doc: str):
+    """Build the public shift check `name`, one frame per call.
 
-
-def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
-                 mod_from_v: bool, value_is_v: bool,
-                 values: Mapping[int, IndexedPair] | None = None) -> CheckOutcome:
-    """Common body of the four shift-congruence checks.
-
-    Verifies X_{2mn+r} = sign * X_r (mod |Y_m|) where X is U or V
+    The check verifies X_{2mn+r} = sign * X_r (mod |Y_m|) where X is U or V
     (`value_is_v`), Y is U or V (`mod_from_v`), and sign is (-1)**(m*n)
     for a U-modulus and (-1)**((m+1)*n) for a V-modulus.
 
@@ -107,69 +119,63 @@ def _check_shift(check_id: str, params: SequenceParams, m: int, n: int, r: int,
     With `values` (index -> IndexedPair, covering m, r and 2mn+r), the three
     exact values are read from it and reduced.
     """
-    _require_q1(params, "shift congruences")
-    if n == 0:
-        raise ValueError("shift congruence requires a nonzero n")
-    if not mod_from_v and m == 0:
-        raise ValueError("shift congruence mod U_m requires a nonzero m (U_0 = 0)")
-    inputs = (params.P, params.Q, m, n, r)
-    index = 2 * m * n + r
-    if values is None:
-        modulus = abs(sequences.v(params, m) if mod_from_v else sequences.u(params, m))
-        if modulus == 1:
-            return _trivial_pass(check_id, inputs, _UNIT_MODULUS_NOTE[mod_from_v])
-        k = abs(index)
-        if value_is_v:
-            lhs = sequences.v_mod(params, k, modulus)
-            base_r = sequences.v(params, r)
+    unit_note = (f"modulus |{'V' if mod_from_v else 'U'}_m| = 1; "
+                 "congruence is trivial")
+
+    def check(params: SequenceParams, m: int, n: int, r: int, *,
+              values: Mapping[int, IndexedPair] | None = None,
+              ) -> CheckOutcome:
+        if params.Q != 1:
+            raise ValueError(f"shift congruences requires Q = 1, got Q = {params.Q}")
+        if n == 0:
+            raise ValueError("shift congruence requires a nonzero n")
+        if not mod_from_v and m == 0:
+            raise ValueError("shift congruence mod U_m requires a nonzero m (U_0 = 0)")
+        inputs = (params.P, params.Q, m, n, r)
+        index = 2 * m * n + r
+        if values is None:
+            modulus = abs(sequences.v(params, m) if mod_from_v
+                          else sequences.u(params, m))
+            if modulus == 1:
+                return _trivial_pass(check_id, inputs, unit_note)
+            k = abs(index)
+            if value_is_v:
+                lhs = sequences.v_mod(params, k, modulus)
+                base_r = sequences.v(params, r)
+            else:
+                lhs = sequences.u_mod(params, k, modulus)
+                base_r = sequences.u(params, r)
+            if index < 0 and k % 2 == value_is_v:  # V flips at odd k, U at even k
+                lhs = -lhs % modulus
         else:
-            lhs = sequences.u_mod(params, k, modulus)
-            base_r = sequences.u(params, r)
-        if index < 0 and k % 2 == value_is_v:  # V flips at odd k, U at even k
-            lhs = -lhs % modulus
-    else:
-        at_m = values[m]
-        modulus = abs(at_m.v if mod_from_v else at_m.u)
-        if modulus == 1:
-            return _trivial_pass(check_id, inputs, _UNIT_MODULUS_NOTE[mod_from_v])
-        at_index, at_r = values[index], values[r]
-        lhs = (at_index.v if value_is_v else at_index.u) % modulus
-        base_r = at_r.v if value_is_v else at_r.u
-    odd_sign = ((m + 1) * n if mod_from_v else m * n) % 2
-    rhs = (-base_r if odd_sign else base_r) % modulus
-    return CheckOutcome(check_id, inputs, lhs == rhs, lhs, rhs)
+            at_m = values[m]
+            modulus = abs(at_m.v if mod_from_v else at_m.u)
+            if modulus == 1:
+                return _trivial_pass(check_id, inputs, unit_note)
+            at_index, at_r = values[index], values[r]
+            lhs = (at_index.v if value_is_v else at_index.u) % modulus
+            base_r = at_r.v if value_is_v else at_r.u
+        odd_sign = ((m + 1) * n if mod_from_v else m * n) % 2
+        rhs = (-base_r if odd_sign else base_r) % modulus
+        return CheckOutcome(check_id, inputs, lhs == rhs, lhs, rhs)
+
+    check.__name__ = check.__qualname__ = name
+    check.__doc__ = doc
+    return check
 
 
-def check_shift_u_mod_u(params: SequenceParams, m: int, n: int, r: int, *,
-                        values: Mapping[int, IndexedPair] | None = None,
-                        ) -> CheckOutcome:
-    """U_{2mn+r} = (-1)**(mn) * U_r (mod U_m), for Q = 1 and m, n nonzero."""
-    return _check_shift("shift-u-mod-u", params, m, n, r,
-                        mod_from_v=False, value_is_v=False, values=values)
-
-
-def check_shift_v_mod_u(params: SequenceParams, m: int, n: int, r: int, *,
-                        values: Mapping[int, IndexedPair] | None = None,
-                        ) -> CheckOutcome:
-    """V_{2mn+r} = (-1)**(mn) * V_r (mod U_m), for Q = 1 and m, n nonzero."""
-    return _check_shift("shift-v-mod-u", params, m, n, r,
-                        mod_from_v=False, value_is_v=True, values=values)
-
-
-def check_shift_u_mod_v(params: SequenceParams, m: int, n: int, r: int, *,
-                        values: Mapping[int, IndexedPair] | None = None,
-                        ) -> CheckOutcome:
-    """U_{2mn+r} = (-1)**((m+1)n) * U_r (mod V_m), for Q = 1 and n nonzero."""
-    return _check_shift("shift-u-mod-v", params, m, n, r,
-                        mod_from_v=True, value_is_v=False, values=values)
-
-
-def check_shift_v_mod_v(params: SequenceParams, m: int, n: int, r: int, *,
-                        values: Mapping[int, IndexedPair] | None = None,
-                        ) -> CheckOutcome:
-    """V_{2mn+r} = (-1)**((m+1)n) * V_r (mod V_m), for Q = 1 and n nonzero."""
-    return _check_shift("shift-v-mod-v", params, m, n, r,
-                        mod_from_v=True, value_is_v=True, values=values)
+check_shift_u_mod_u = _shift_check(
+    "check_shift_u_mod_u", "shift-u-mod-u", mod_from_v=False, value_is_v=False,
+    doc="U_{2mn+r} = (-1)**(mn) * U_r (mod U_m), for Q = 1 and m, n nonzero.")
+check_shift_v_mod_u = _shift_check(
+    "check_shift_v_mod_u", "shift-v-mod-u", mod_from_v=False, value_is_v=True,
+    doc="V_{2mn+r} = (-1)**(mn) * V_r (mod U_m), for Q = 1 and m, n nonzero.")
+check_shift_u_mod_v = _shift_check(
+    "check_shift_u_mod_v", "shift-u-mod-v", mod_from_v=True, value_is_v=False,
+    doc="U_{2mn+r} = (-1)**((m+1)n) * U_r (mod V_m), for Q = 1 and n nonzero.")
+check_shift_v_mod_v = _shift_check(
+    "check_shift_v_mod_v", "shift-v-mod-v", mod_from_v=True, value_is_v=True,
+    doc="V_{2mn+r} = (-1)**((m+1)n) * V_r (mod V_m), for Q = 1 and n nonzero.")
 
 
 def check_product_identities(params: SequenceParams, n: int) -> list[CheckOutcome]:

@@ -135,7 +135,12 @@ def _naive_roots(k, c, lo, bound):
     return out
 
 
-ORACLE_BOUNDS = (0, 1, 4, 9, 17, 72, 161, 2000)
+# The scan steps b over a wheel of period 64 * 63 = 4032; the bounds from
+# WHEEL - 1 to 3 * WHEEL + WHEEL // 2 end on, next to and past its period
+# boundaries, so the scan crosses up to three of them.
+WHEEL = 64 * 63
+ORACLE_BOUNDS = (0, 1, 4, 9, 17, 72, 161, 2000,
+                 WHEEL - 1, WHEEL, WHEEL + 1, 2 * WHEEL + 17, 3 * WHEEL + WHEEL // 2)
 
 
 class TestEnumeratorsAgainstNaiveScan:
@@ -160,6 +165,20 @@ class TestEnumeratorsAgainstNaiveScan:
     @pytest.mark.parametrize("bound", ORACLE_BOUNDS)
     def test_pell3(self, bound):
         assert pell3_enumerate(bound) == [(s, b) for b, s in _naive_roots(3, 1, 1, bound)]
+
+    @pytest.mark.parametrize("k, c", ((5, 1), (5, -1), (5, -5), (3, 1)))
+    def test_wheel_keeps_every_row_that_is_a_residue(self, k, c):
+        squares = {m: {x * x % m for x in range(m)} for m in (64, 63)}
+        expected = tuple(o for o in range(WHEEL)
+                         if all((k * o * o + c) % m in sq for m, sq in squares.items()))
+        assert diophantine._wheel_offsets(k, c) == expected
+
+    @pytest.mark.parametrize("k, c", ((5, 1), (5, -1), (5, -5), (3, 1)))
+    def test_square_scan_honours_lo_and_bound_across_periods(self, k, c):
+        for lo in (0, 1, WHEEL - 1, WHEEL, WHEEL + 1, 2 * WHEEL - 3):
+            for bound in (lo - 1, lo, WHEEL - 1, WHEEL, 2 * WHEEL + 1, 3 * WHEEL):
+                assert list(diophantine._square_scan(k, c, lo, bound)) == \
+                    _naive_roots(k, c, lo, bound), (lo, bound)
 
     def test_negative_rows_at_zero_and_the_c_minus1_boundary(self):
         # At b = 0 the scanned value is sign, c or 1: the negative ones have

@@ -1,8 +1,13 @@
 """Identity and congruence checks: spec cases, error contracts, grid sweeps."""
 
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from lucassquares import (
+    CheckOutcome,
     SequenceParams,
     check_divisibility_by_5_and_3,
     check_divisibility_laws,
@@ -33,6 +38,38 @@ SHIFT_CHECKS = {
     "u-v": (check_shift_u_mod_v, True, False),
     "v-v": (check_shift_v_mod_v, True, True),
 }
+
+
+class TestCheckOutcome:
+    def test_fields_and_defaults(self):
+        fields = dataclasses.fields(CheckOutcome)
+        assert [f.name for f in fields] == ["check_id", "inputs", "passed",
+                                            "lhs", "rhs", "note"]
+        assert [f.default for f in fields] == [dataclasses.MISSING] * 5 + [""]
+        assert CheckOutcome("id", (1,), True, 2, 2).note == ""
+        with pytest.raises(TypeError):
+            CheckOutcome("id", (1,), True, 2)
+
+    def test_value_semantics(self):
+        a = CheckOutcome("id", (1, 2), False, 3, 4, "why")
+        b = CheckOutcome(check_id="id", inputs=(1, 2), passed=False, lhs=3, rhs=4,
+                         note="why")
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != dataclasses.replace(a, rhs=3)
+        assert dataclasses.replace(a, passed=True, note="") == \
+            CheckOutcome("id", (1, 2), True, 3, 4)
+        assert dataclasses.astuple(a) == ("id", (1, 2), False, 3, 4, "why")
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(a) == ("CheckOutcome(check_id='id', inputs=(1, 2), passed=False, "
+                           "lhs=3, rhs=4, note='why')")
+
+    def test_frozen(self):
+        outcome = CheckOutcome("id", (1,), True, 2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.passed = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del outcome.note
+        assert outcome.passed is True and outcome.note == ""
 
 
 class TestShiftCongruences:
@@ -100,14 +137,40 @@ class TestShiftCongruences:
             assert fn(P5, -3, -big, -2).passed
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            check_shift_u_mod_u(SequenceParams(4, -1), 2, 1, 1)
-        with pytest.raises(ValueError):
-            check_shift_u_mod_u(FIB, 3, 0, 1)
-        with pytest.raises(ValueError):
-            check_shift_u_mod_u(FIB, 0, 2, 1)
-        with pytest.raises(ValueError):
-            check_shift_v_mod_u(FIB, 0, 2, 1)
+        for fn, mod_from_v, _ in SHIFT_CHECKS.values():
+            with pytest.raises(ValueError, match=r"^shift congruences requires "
+                               r"Q = 1, got Q = -1$"):
+                fn(SequenceParams(4, -1), 2, 0, 1)
+            with pytest.raises(ValueError,
+                               match=r"^shift congruence requires a nonzero n$"):
+                fn(FIB, 3, 0, 1)
+            if not mod_from_v:
+                with pytest.raises(ValueError, match=r"^shift congruence mod U_m "
+                                   r"requires a nonzero m \(U_0 = 0\)$"):
+                    fn(FIB, 0, 2, 1)
+
+    @pytest.mark.parametrize("key, name, doc", [
+        ("u-u", "check_shift_u_mod_u",
+         "U_{2mn+r} = (-1)**(mn) * U_r (mod U_m), for Q = 1 and m, n nonzero."),
+        ("v-u", "check_shift_v_mod_u",
+         "V_{2mn+r} = (-1)**(mn) * V_r (mod U_m), for Q = 1 and m, n nonzero."),
+        ("u-v", "check_shift_u_mod_v",
+         "U_{2mn+r} = (-1)**((m+1)n) * U_r (mod V_m), for Q = 1 and n nonzero."),
+        ("v-v", "check_shift_v_mod_v",
+         "V_{2mn+r} = (-1)**((m+1)n) * V_r (mod V_m), for Q = 1 and n nonzero."),
+    ])
+    def test_public_surface(self, key, name, doc):
+        fn = SHIFT_CHECKS[key][0]
+        assert (fn.__name__, fn.__qualname__) == (name, name)
+        assert fn.__module__ == "lucassquares.identities"
+        assert fn.__doc__ == doc
+        signature = inspect.signature(fn)
+        assert str(signature) == (
+            "(params: 'SequenceParams', m: 'int', n: 'int', r: 'int', *, "
+            "values: 'Mapping[int, IndexedPair] | None' = None) -> 'CheckOutcome'")
+        assert signature.parameters["values"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            fn(FIB, 3, 1, 1, {})
 
     def test_m_zero_allowed_for_v_modulus(self):
         outcome = check_shift_u_mod_v(FIB, 0, 3, 1)
@@ -117,10 +180,10 @@ class TestShiftCongruences:
     def test_unit_modulus_is_trivial_pass(self):
         outcome = check_shift_u_mod_u(FIB, 2, 5, 3)  # U_2(1,1) = 1
         assert outcome.passed
-        assert "trivial" in outcome.note
+        assert outcome.note == "modulus |U_m| = 1; congruence is trivial"
         outcome = check_shift_u_mod_v(FIB, 1, 5, 3)  # V_1(1,1) = 1
         assert outcome.passed
-        assert "trivial" in outcome.note
+        assert outcome.note == "modulus |V_m| = 1; congruence is trivial"
 
 
 class TestProductIdentities:
