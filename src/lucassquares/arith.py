@@ -10,7 +10,9 @@ first rejects by quadratic residues mod 64, 63, 65 and 11, the filter of
 Cohen, *A Course in Computational Algebraic Number Theory* (1993), §1.7.2,
 also used by GMP's `mpz_perfect_square_p`.  A square is a residue mod every
 modulus, so the filter rejects no square.  Only values that pass all four
-tables (6 in 715 of random non-squares) pay for `math.isqrt`.
+tables (6 in 715 of random non-squares) pay for `math.isqrt`.  The same
+tables, plus six more for the primes 17 to 37, let the two-term search
+reject X_n = c * x**2 from the residues of X_n * c, before it divides.
 """
 
 from __future__ import annotations
@@ -73,12 +75,44 @@ def _square_residues(m: int) -> bytes:
 _RESIDUE_MODULUS = 2_882_880
 _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = map(_square_residues, (64, 63, 65, 11))
 
+# 17 * 19 * 23 * 29 * 31 * 37 < 2**30: the second reduction of the product filter.
+_RESIDUE_MODULUS_2 = 247_110_827
+_SQUARES_17, _SQUARES_19, _SQUARES_23, _SQUARES_29, _SQUARES_31, _SQUARES_37 = map(
+    _square_residues, (17, 19, 23, 29, 31, 37))
+
+
+def _is_residue(t: int) -> bool:
+    """False if t, reduced mod 2,882,880, is a non-square mod 64, 63, 65 or 11."""
+    return bool(_SQUARES_64[t & 63] and _SQUARES_63[t % 63]
+                and _SQUARES_65[t % 65] and _SQUARES_11[t % 11])
+
+
+def _is_residue_2(t: int) -> bool:
+    """False if t, reduced mod 247,110,827, is a non-square mod 17, ..., 37."""
+    return bool(_SQUARES_17[t % 17] and _SQUARES_19[t % 19] and _SQUARES_23[t % 23]
+                and _SQUARES_29[t % 29] and _SQUARES_31[t % 31] and _SQUARES_37[t % 37])
+
+
+def _residue_pair(n: int) -> tuple[int, int]:
+    """n reduced by both residue moduli: the input of `_product_may_be_square`."""
+    return n % _RESIDUE_MODULUS, n % _RESIDUE_MODULUS_2
+
+
+def _product_may_be_square(a: tuple[int, int], c: tuple[int, int]) -> bool:
+    """False only if A * C is not a square; a and c are their `_residue_pair`s.
+
+    The two-term search tests A = X_n against C = w * X_m.  A solution
+    A = C * x**2 makes A * C = (C * x)**2, a square mod every modulus
+    whether or not C is a unit there, so False rejects n before the exact
+    division, with no quotient and no modular inverse.
+    """
+    return (_is_residue(a[0] * c[0] % _RESIDUE_MODULUS)
+            and _is_residue_2(a[1] * c[1] % _RESIDUE_MODULUS_2))
+
 
 def _square_root(q: int) -> int | None:
     """x with x * x == q for q >= 0, or None; residues first, then isqrt."""
-    t = q % _RESIDUE_MODULUS
-    if not (_SQUARES_64[t & 63] and _SQUARES_63[t % 63]
-            and _SQUARES_65[t % 65] and _SQUARES_11[t % 11]):
+    if not _is_residue(q % _RESIDUE_MODULUS):
         return None
     x = math.isqrt(q)
     return x if x * x == q else None

@@ -23,10 +23,14 @@ Conventions, applied uniformly in search and predictions:
   exclude that case.
 
 The two-term search prunes n by the divisibility laws (U_m | U_n iff m | n
-when U_m != 1; V_m | V_n iff m | n with odd quotient when V_m > 2) and then
-still verifies the division remainder exactly.  The laws themselves are
-continuously re-verified by the divisibility sweep, and an independent
-no-pruning search backs this up in the test suite.
+when U_m != 1; V_m | V_n iff m | n with odd quotient when V_m > 2).  It
+then rejects n when X_n * w * X_m is a non-square mod one of 64, 63, 65,
+11 and the primes 17 to 37, read from residues taken once per term (a
+solution makes that product (w * X_m * x)**2).  Only the survivors pay for
+the exact division, whose remainder and square test still decide every
+finding.  The laws themselves are continuously re-verified by the
+divisibility sweep, and an independent no-pruning search backs this up in
+the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -218,10 +222,12 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     table: list[int] = [0]
     for pair in sequences.seq_range(params, 1, n_max):
         table.append(pair.u if take_u else pair.v)
+    residues = [arith._residue_pair(value) for value in table]
     for m in range(query.m_min, min(query.m_max, n_max) + 1):
         base = table[m]
         if base == 1:
             continue
+        multiplier = arith._residue_pair(w * base)
         if take_u:
             candidates = range(m, n_max + 1, m)
         elif base == 2:
@@ -230,6 +236,8 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
             candidates = range(3 * m, n_max + 1, 2 * m)
         for n in candidates:
             if n == m or not _parity_ok(n, n_parity):
+                continue
+            if not arith._product_may_be_square(residues[n], multiplier):
                 continue
             quotient, rem = divmod(table[n], base)
             if rem:

@@ -190,11 +190,14 @@ def _exact_int_text():
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise CliError(f"cannot write {out_path}: {err.strerror or err}") from None
 
 
 # --------------------------------------------------------------------------
@@ -500,12 +503,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         result = _HANDLERS[args.command](args)
+        with _exact_int_text():
+            text = _render(result, args.format)
+        _emit(text, args.out)
     except (CliError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    with _exact_int_text():
-        text = _render(result, args.format)
-    _emit(text, args.out)
     return result.exit_code
 
 

@@ -1,9 +1,11 @@
 """Square detection and Jacobi symbol against independent references."""
 
+import functools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lucassquares import (
@@ -99,22 +101,43 @@ class TestSquareWitness:
 RESIDUE_TABLES = {64: arith._SQUARES_64, 63: arith._SQUARES_63,
                   65: arith._SQUARES_65, 11: arith._SQUARES_11}
 
+# The product filter's second tables, read after one reduction mod
+# 17 * 19 * 23 * 29 * 31 * 37.
+SECOND_TABLES = {17: arith._SQUARES_17, 19: arith._SQUARES_19, 23: arith._SQUARES_23,
+                 29: arith._SQUARES_29, 31: arith._SQUARES_31, 37: arith._SQUARES_37}
+ALL_TABLES = {**RESIDUE_TABLES, **SECOND_TABLES}
+
+# The primes of the ten moduli.
+FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 # Square-free and composite coefficients; the two-term searches pass
 # products such as w * U_m, so composite w must be exact too.
 WITNESS_COEFFS = SQUAREFREE_COEFFS + (4, 12, 7280)
 
 
+@functools.cache
+def naive_squares_mod(m: int) -> frozenset[int]:
+    """r in range(m) with r + k*m a perfect square for some k < m (take the
+    root below m), by the binary-search oracle."""
+    return frozenset(r for r in range(m)
+                     if any(naive_isqrt(r + k * m) ** 2 == r + k * m for k in range(m)))
+
+
+def lift(k: int, a: int) -> int:
+    """An integer that is a mod k and 1 mod the other nine filter moduli."""
+    total = math.prod(ALL_TABLES)
+    idempotent = total // k * pow(total // k, -1, k)   # 1 mod k, 0 mod the rest
+    return (1 + (a - 1) * idempotent) % total
+
+
 class TestResidueFilter:
     def test_tables_are_the_squares(self):
-        # r is a square mod m iff r + k*m is a perfect square for some
-        # k < m (take the root below m), checked by the binary-search oracle.
+        # Both filters' tables: r is marked iff r is a square mod m.
         assert arith._RESIDUE_MODULUS == 64 * 63 * 65 * 11
-        for m, table in RESIDUE_TABLES.items():
+        assert arith._RESIDUE_MODULUS_2 == 17 * 19 * 23 * 29 * 31 * 37 < 2**30
+        for m, table in ALL_TABLES.items():
             assert len(table) == m
-            squares = [r for r in range(m)
-                       if any(naive_isqrt(r + k * m) ** 2 == r + k * m
-                              for k in range(m))]
-            assert [r for r in range(m) if table[r]] == squares
+            assert [r for r in range(m) if table[r]] == sorted(naive_squares_mod(m))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**4000),
@@ -146,6 +169,47 @@ class TestResidueFilter:
             for w in (1, 5):
                 assert square_witness(w * value, w) == naive_square_witness(w * value, w)
             assert is_square(value) == bool(roots)
+
+
+class TestProductFilter:
+    @pytest.mark.parametrize("k", sorted(ALL_TABLES))
+    def test_each_modulus_tests_the_product(self, k):
+        # Every pair of classes mod k, units or not, lifted to 1 mod the
+        # other nine moduli: the filter passes exactly when a * c is a
+        # square mod k.
+        squares = naive_squares_mod(k)
+        lifted = [arith._residue_pair(lift(k, a)) for a in range(k)]
+        for a in range(k):
+            for c in range(k):
+                passed = arith._product_may_be_square(lifted[a], lifted[c])
+                assert passed == (a * c % k in squares), (k, a, c)
+
+    @pytest.mark.parametrize("k", sorted(ALL_TABLES))
+    def test_on_units_the_product_test_is_the_quotient_test(self, k):
+        # For a unit b, a * b**-1 = (a * b) * (b**-1)**2, so where the
+        # quotient's class is defined, testing the product loses nothing.
+        table = ALL_TABLES[k]
+        for b in range(1, k):
+            if math.gcd(b, k) != 1:
+                continue
+            inverse = pow(b, -1, k)
+            for a in range(k):
+                assert table[a * b % k] == table[a * inverse % k], (k, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7),
+                    min_size=len(FILTER_PRIMES), max_size=len(FILTER_PRIMES)),
+           st.integers(min_value=1, max_value=2**64),
+           st.sampled_from(WITNESS_COEFFS + (2**31 - 1,)),
+           st.integers(min_value=0, max_value=2**600))
+    @example([7] * len(FILTER_PRIMES), 1, 7280, 99)
+    def test_accepts_every_solution(self, exponents, cofactor, w, x):
+        # A = w * b * x**2 is a solution for C = w * b, with b made to share
+        # the filter primes, so C is often no unit mod the moduli.
+        b = cofactor * math.prod(p**e for p, e in zip(FILTER_PRIMES, exponents))
+        c = w * b
+        assert arith._product_may_be_square(arith._residue_pair(c * x * x),
+                                            arith._residue_pair(c))
 
 
 class TestSquareClass:

@@ -25,7 +25,11 @@ from lucassquares import (
 from lucassquares import classifier
 from lucassquares.sequences import IndexedPair
 
-from _oracles import naive_search_one_term, naive_search_two_term
+from _oracles import naive_search_one_term, naive_search_two_term, naive_u_seq, naive_v_seq
+
+# The primes of the two-term search's residue moduli: 64, 63, 65, 11 and
+# 17, 19, 23, 29, 31, 37.
+FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def q(family="U", w=1, p_values=(1,), n_max=50, **kwargs):
@@ -198,6 +202,28 @@ class TestSearch:
             got = search(q(family=family, w=w, p_values=(p,), n_max=50, m_max=25))
             want = naive_search_two_term(family, p, w, 50, 25)
             assert sorted((f.P, f.n, f.m, f.x) for f in got) == want
+
+    @pytest.mark.parametrize("family", ("UU", "VV"))
+    def test_two_term_matches_naive_through_the_residue_filter(self, family):
+        # In this box each prime of the residue moduli divides some X_m, so
+        # w * X_m is no unit mod each modulus somewhere, and solutions such
+        # as U_12 = 2 * U_6 * 99**2 at P = 5 (U_6 = 2**4 * 3 * 5 * 11) and
+        # V_6 = 6 * V_2 * 11**2 at P = 5 must pass the filter.
+        p_values, n_max, m_max = tuple(range(1, 25)), 60, 40
+        seq = naive_u_seq if family == "UU" else naive_v_seq
+        divisors = {p for P in p_values for value in seq(P, 1, m_max + 1)[1:]
+                    if value != 1 for p in FILTER_PRIMES if value % p == 0}
+        assert divisors == set(FILTER_PRIMES)
+        rows = []
+        for w in SQUAREFREE_COEFFS:
+            found = search(q(family=family, w=w, p_values=p_values, n_max=n_max,
+                             m_max=m_max))
+            want = [(P, n, m, w, x) for P in p_values
+                    for _, n, m, x in naive_search_two_term(family, P, w, n_max, m_max)]
+            assert [(f.P, f.n, f.m, f.w, f.x) for f in found] == want
+            rows += want
+        assert {"UU": (5, 12, 6, 2, 99), "VV": (5, 6, 2, 6, 11)}[family] in rows
+        assert len(rows) == {"UU": 13, "VV": 5}[family]
 
     @settings(max_examples=150, deadline=None)
     @given(small_boxes(), st.sampled_from((1, 2)))

@@ -382,6 +382,20 @@ class TestOutputPlumbing:
         assert code == 0 and out == ""
         assert target.read_bytes() == b"n,u,v\n12,144,322\n"
 
+    def test_out_to_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "v-square", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_out_to_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "seq", "-P", "3", "-n", "1..3",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
