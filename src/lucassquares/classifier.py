@@ -22,31 +22,29 @@ Conventions, applied uniformly in search and predictions:
   one-term family and the divisibility laws the classifications build on
   exclude that case.
 
-The two-term search prunes n by the divisibility laws (U_m | U_n iff m | n
-when U_m != 1; V_m | V_n iff m | n with odd quotient when V_m > 2).  It
-then rejects n when X_n * w * X_m is a non-square mod one of 64, 63, 65,
-11 and the primes 17 to 37, read from residues taken once per term (a
-solution makes that product (w * X_m * x)**2).  Only the survivors pay for
-the exact division, whose remainder and square test still decide every
-finding.  The laws themselves are continuously re-verified by the
-divisibility sweep, and an independent no-pruning search backs this up in
-the test suite.
+The two-term search prunes n to `identities.divisor_indices`, the
+divisibility laws' range (only V_1 = 2 at P = 2 takes every n).  It then
+rejects n when X_n * w * X_m is a non-square mod one of 64, 63, 65, 11 and
+the primes 17 to 37, read from residues taken once per term (a solution
+makes that product (w * X_m * x)**2).  Only the survivors pay for the
+exact division, whose remainder and square test still decide every
+finding.  The divisibility sweep checks that same range function, and an
+independent no-pruning search backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
 
 Each report is one registry record: `_CLASSIFICATIONS` holds a
 classification's family, covered w, summary, per-P scope rule,
-predicted-set generator and default box, and `_SWEEPS` a sweep's function,
-`Profile` fields and summary.  The functions below read the records and
-never branch on a report id.
+predicted-set generator and default box, and `_SWEEPS` a sweep's summary
+and its `run(profile)`, which calls the sweep by keyword.  The functions
+below read the records and never branch on a report id.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
@@ -223,17 +221,15 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     for pair in sequences.seq_range(params, 1, n_max):
         table.append(pair.u if take_u else pair.v)
     residues = [arith._residue_pair(value) for value in table]
-    for m in range(query.m_min, min(query.m_max, n_max) + 1):
+    for m in range(query.m_min, query.m_max + 1):
         base = table[m]
         if base == 1:
             continue
         multiplier = arith._residue_pair(w * base)
-        if take_u:
-            candidates = range(m, n_max + 1, m)
-        elif base == 2:
-            candidates = range(1, n_max + 1)
+        if base == 2 and not take_u:
+            candidates = range(1, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
         else:
-            candidates = range(3 * m, n_max + 1, 2 * m)
+            candidates = identities.divisor_indices(m, n_max, not take_u)
         for n in candidates:
             if n == m or not _parity_ok(n, n_parity):
                 continue
@@ -259,6 +255,8 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     p_values = query.p_values
     workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
+        # Here, not at module load: it pulls in multiprocessing for every call.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_search_cell, repeat(query), p_values))
     else:
@@ -490,35 +488,38 @@ _CLASSIFICATIONS = {
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One identity sweep: the function verify_report calls and its inputs."""
+    """One identity sweep: how verify_report runs it on a Profile."""
 
-    function: str                  # a module attribute, looked up at call time
-    fields: tuple[str, ...]        # the Profile fields passed, in order
+    # Names its sweep, so the module attribute (or a wrapper set there) runs.
+    run: Callable[[Profile], TheoremReport]
     summary: str
 
 
 _SWEEPS = {
     "shift-congruences": _Sweep(
-        "sweep_shift_congruences", ("sweep_p_max", "sweep_idx", "large_n"),
+        lambda prof: sweep_shift_congruences(idx_max=prof.sweep_idx),
         "U and V at index 2mn + r modulo U_m and V_m"),
     "product-identities": _Sweep(
-        "sweep_product_identities", ("sweep_p_max", "sweep_idx"),
+        lambda prof: sweep_product_identities(idx_max=prof.sweep_idx),
         "doubling, discriminant, tripling and quintupling identities"),
     "divisibility-laws": _Sweep(
-        "sweep_divisibility_laws", ("sweep_p_max", "sweep_idx"),
+        lambda prof: sweep_divisibility_laws(idx_max=prof.sweep_idx),
         "U_m | U_n, V_m | V_n and gcd(U_n, V_n) laws"),
     "residue-classes": _Sweep(
-        "sweep_residue_classes",
-        ("sweep_p_max", "sweep_idx", "obstruction_max", "pow2_max"),
+        lambda prof: sweep_residue_classes(idx_max=prof.sweep_idx,
+                                           obstruction_max=prof.obstruction_max,
+                                           pow2_max=prof.pow2_max),
         "V mod 8, mod P**2 laws, 5- and 3-divisibility, L_{2**k} mod 4, "
         "the -square residue obstruction and the Jacobi symbol of P**2+3"),
     "pell-form-families": _Sweep(
-        "sweep_pell_form_families",
-        ("pell_z_max", "pell_v_bound", "form_y_bound", "pell3_c_bound"),
+        lambda prof: sweep_pell_form_families(z_max=prof.pell_z_max,
+                                              v_bound=prof.pell_v_bound,
+                                              y_bound=prof.form_y_bound,
+                                              c_bound=prof.pell3_c_bound),
         "parametric vs enumerated solutions of u**2-5v**2 = +-1, "
         "x**2-4xy-y**2 in {-5,-1} and b**2-3c**2 = 1"),
     "quartic-equations": _Sweep(
-        "sweep_quartic_equations", ("quartic_x_bound",),
+        lambda prof: sweep_quartic_equations(x_bound=prof.quartic_x_bound),
         "x**4+3x**2+1, x**4-3x**2+1, x**4+5x**2+5 against 5*y**2"),
 }
 
@@ -787,19 +788,6 @@ def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
     return _sweep_report("residue-classes", outcomes(), grid)
 
 
-def _family_oracle_outcome(check_id: str, inputs: tuple[int, ...],
-                           family_pairs: set, oracle_pairs: set,
-                           ) -> CheckOutcome:
-    passed = family_pairs == oracle_pairs
-    note = ""
-    if not passed:
-        only_family = sorted(family_pairs - oracle_pairs)
-        only_oracle = sorted(oracle_pairs - family_pairs)
-        note = f"family-only: {only_family}; oracle-only: {only_oracle}"
-    return CheckOutcome(check_id, inputs, passed,
-                        len(family_pairs), len(oracle_pairs), note)
-
-
 def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
                              y_bound: int = 10**4, c_bound: int = 10**4,
                              ) -> TheoremReport:
@@ -818,8 +806,11 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
         _, _, family_pairs, oracle_pairs = diophantine.family_cover(
             equation, param, max(2, z_max // 2 + 1), bound)
         inputs = (bound,) if param is None else (param, bound)
-        outcomes.append(_family_oracle_outcome(
-            f"{equation}-family-oracle", inputs, family_pairs, oracle_pairs))
+        passed = family_pairs == oracle_pairs
+        note = "" if passed else (f"family-only: {sorted(family_pairs - oracle_pairs)}; "
+                                  f"oracle-only: {sorted(oracle_pairs - family_pairs)}")
+        outcomes.append(CheckOutcome(f"{equation}-family-oracle", inputs, passed,
+                                     len(family_pairs), len(oracle_pairs), note))
     grid = (f"z ~ {z_max}, Pell v <= {v_bound}, form y <= {y_bound}, "
             f"Pell-3 c <= {c_bound}")
     return _sweep_report("pell-form-families", outcomes, grid)
@@ -847,14 +838,13 @@ def sweep_quartic_equations(x_bound: int = 2000) -> TheoremReport:
 
 @dataclass(frozen=True)
 class Profile:
-    """Box sizes for one verify_all run."""
+    """Box sizes for one verify_all run: two-term boxes take m <= n_max // 2
+    (no larger m divides another n <= n_max), and the sweeps keep their
+    default P and large-n bounds."""
 
     p_max: int
     n_max: int
-    m_max: int
-    sweep_p_max: int
     sweep_idx: int
-    large_n: int
     obstruction_max: int
     pow2_max: int
     pell_z_max: int
@@ -865,14 +855,12 @@ class Profile:
 
 
 PROFILES = {
-    "quick": Profile(p_max=25, n_max=120, m_max=60, sweep_p_max=25, sweep_idx=6,
-                     large_n=10**6, obstruction_max=501, pow2_max=12,
-                     pell_z_max=20, pell_v_bound=10**4, form_y_bound=10**4,
-                     pell3_c_bound=10**4, quartic_x_bound=2000),
-    "full": Profile(p_max=99, n_max=400, m_max=200, sweep_p_max=25, sweep_idx=12,
-                    large_n=10**6, obstruction_max=2001, pow2_max=20,
-                    pell_z_max=40, pell_v_bound=10**6, form_y_bound=10**5,
-                    pell3_c_bound=10**5, quartic_x_bound=10**4),
+    "quick": Profile(p_max=25, n_max=120, sweep_idx=6, obstruction_max=501,
+                     pow2_max=12, pell_z_max=20, pell_v_bound=10**4,
+                     form_y_bound=10**4, pell3_c_bound=10**4, quartic_x_bound=2000),
+    "full": Profile(p_max=99, n_max=400, sweep_idx=12, obstruction_max=2001,
+                    pow2_max=20, pell_z_max=40, pell_v_bound=10**6,
+                    form_y_bound=10**5, pell3_c_bound=10**5, quartic_x_bound=10**4),
 }
 
 
@@ -900,7 +888,7 @@ def default_query(theorem_id: str, profile: str | Profile = "quick",
     entry = _classification(theorem_id)
     p_values = tuple(p for p in p_range(prof.p_max, parity=entry.default_parity)
                      if _covers(entry, theorem_id, p))
-    m_max = prof.m_max if entry.family in ("UU", "VV") else None
+    m_max = prof.n_max // 2 if entry.family in ("UU", "VV") else None
     return SquareClassQuery(entry.family, entry.ws[0], p_values,
                             max(prof.n_max, entry.min_n_max),
                             m_max=m_max, m_min=entry.m_min)
@@ -919,9 +907,7 @@ def verify_report(report_id: str, profile: str | Profile = "quick",
     if report_id not in SWEEP_IDS:
         raise ValueError(f"unknown report id {report_id!r}; "
                          f"valid: {', '.join(REPORT_IDS)}")
-    sweep = _SWEEPS[report_id]
-    # Through the module namespace, so a wrapper set on the attribute runs.
-    return globals()[sweep.function](*(getattr(prof, name) for name in sweep.fields))
+    return _SWEEPS[report_id].run(prof)
 
 
 def verify_all(profile: str | Profile = "quick", jobs: int = 1,

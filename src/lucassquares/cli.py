@@ -190,14 +190,16 @@ def _exact_int_text():
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if not out_path:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as err:
-        raise CliError(f"cannot write {out_path}: {err.strerror or err}") from None
+        target = out_path or "stdout"
+        raise CliError(f"cannot write {target}: {err.strerror or err}") from None
 
 
 # --------------------------------------------------------------------------

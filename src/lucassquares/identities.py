@@ -45,6 +45,7 @@ __all__ = [
     "check_product_identities",
     "check_q_minus_one_triple",
     "check_v5n_factor",
+    "divisor_indices",
     "check_divisibility_laws",
     "check_gcd_u_v",
     "check_v_mod8_class",
@@ -244,6 +245,15 @@ def check_v5n_factor(params: SequenceParams, n: int) -> CheckOutcome:
                     f"a = {(quotient - 1) // 5}")
 
 
+def divisor_indices(m: int, n_max: int, v_law: bool) -> range:
+    """The n <= n_max with X_m | X_n by the divisibility laws (Q = 1).
+
+    U_m | U_n iff m | n when U_m != 1; V_m | V_n iff m | n with n/m odd when
+    V_m > 2.  The two-term search prunes by this range, and
+    check_divisibility_laws predicts by it."""
+    return range(m, n_max + 1, 2 * m if v_law else m)
+
+
 def check_divisibility_laws(params: SequenceParams, m: int, n: int) -> list[CheckOutcome]:
     """The two divisibility biconditionals, as membership checks.
 
@@ -269,7 +279,7 @@ def check_divisibility_laws(params: SequenceParams, m: int, n: int) -> list[Chec
             f"V_m = {vm} divides every term; biconditional not asserted"))
     else:
         divides = 1 if sequences.v(params, n) % vm == 0 else 0
-        predicted = 1 if (n % m == 0 and (n // m) % 2 == 1) else 0
+        predicted = 1 if n in divisor_indices(m, n, True) else 0
         outcomes.append(_outcome(
             "v-divides-v", inputs, divides, predicted,
             "lhs: V_m | V_n; rhs: m | n with odd quotient"))
@@ -281,7 +291,7 @@ def check_divisibility_laws(params: SequenceParams, m: int, n: int) -> list[Chec
             "U_m = 1 divides every term; biconditional not asserted"))
     else:
         divides = 1 if sequences.u(params, n) % um == 0 else 0
-        predicted = 1 if n % m == 0 else 0
+        predicted = 1 if n in divisor_indices(m, n, False) else 0
         outcomes.append(_outcome(
             "u-divides-u", inputs, divides, predicted,
             "lhs: U_m | U_n; rhs: m | n"))

@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written the slow, obvious way (plain recurrences,
-binary-search square roots, exhaustive double loops) so that agreement
-with the package is meaningful.  Nothing imports from lucassquares.
+Newton and binary-search square roots, exhaustive double loops) so that
+agreement with the package is meaningful.  Nothing imports from lucassquares.
 """
 
 from __future__ import annotations
@@ -70,7 +70,26 @@ def mat_pow_u(P: int, Q: int, n: int) -> int:
 
 
 def naive_isqrt(n: int) -> int:
-    """Floor square root by binary search.
+    """Floor square root by Newton's iteration on integers.
+
+    From x = 2**ceil(b / 2) above the root of a b-bit n, x -> (x + n // x)
+    // 2 falls strictly until it reaches the floor root and then stops
+    falling, so the search takes about log2(b) steps.
+    """
+    if n < 0:
+        raise ValueError("negative")
+    if n < 2:
+        return n
+    x = 1 << ((n.bit_length() + 1) // 2)
+    while True:
+        y = (x + n // x) // 2
+        if y >= x:
+            return x
+        x = y
+
+
+def bisect_isqrt(n: int) -> int:
+    """Floor square root by binary search: the oracle of `naive_isqrt`.
 
     A b-bit n has its root in [2**((b - 1) // 2), 2**((b + 1) // 2)], so the
     search takes about b / 2 steps even for values of thousands of digits.

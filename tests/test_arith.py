@@ -19,7 +19,7 @@ from lucassquares import (
     square_witness,
 )
 
-from _oracles import naive_isqrt, naive_jacobi, naive_square_witness
+from _oracles import bisect_isqrt, naive_isqrt, naive_jacobi, naive_square_witness
 
 
 class TestIsqrt:
@@ -42,8 +42,19 @@ class TestIsqrt:
             bits = rng.randrange(1, 512)
             n = rng.getrandbits(bits)
             r = isqrt(n)
-            assert r == naive_isqrt(n)
+            assert r == bisect_isqrt(n)
             assert r * r <= n < (r + 1) * (r + 1)
+
+    def test_newton_oracle_matches_binary_search(self):
+        # The Newton oracle takes the big values; binary search checks it here.
+        rng = random.Random(20261018)
+        values = list(range(300))
+        values += [x * x + d for x in (10**9, 2**150 + 1) for d in (-1, 0, 1)]
+        values += [rng.getrandbits(rng.randrange(1, 400)) for _ in range(3000)]
+        for n in values:
+            assert naive_isqrt(n) == bisect_isqrt(n)
+        with pytest.raises(ValueError):
+            naive_isqrt(-1)
 
     def test_square_boundaries(self):
         for x in list(range(200)) + [10**9, 10**18, 10**50]:

@@ -22,7 +22,7 @@ from lucassquares import (
     verify_report,
     verify_theorem,
 )
-from lucassquares import classifier
+from lucassquares import classifier, identities
 from lucassquares.sequences import IndexedPair
 
 from _oracles import naive_search_one_term, naive_search_two_term, naive_u_seq, naive_v_seq
@@ -168,7 +168,7 @@ class TestSearch:
 
     def test_pool_is_clamped_to_the_cpu_count(self, monkeypatch):
         started = []
-        monkeypatch.setattr(classifier, "ProcessPoolExecutor", serial_pool(started))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", serial_pool(started))
         monkeypatch.setattr(classifier.os, "cpu_count", lambda: 2)
         query = q(family="U", w=1, p_values=tuple(range(1, 8)), n_max=40)
         assert search(query, jobs=5) == search(query)
@@ -231,12 +231,32 @@ class TestSearch:
         # jobs=2 runs the pool path with an in-process stand-in pool.
         started = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifier, "ProcessPoolExecutor", serial_pool(started))
+            mp.setattr("concurrent.futures.ProcessPoolExecutor", serial_pool(started))
             mp.setattr(classifier.os, "cpu_count", lambda: 2)
             found = search(query, jobs=jobs)
         assert started == ([2] if jobs == 2 and len(query.p_values) > 1 else [])
         assert [(f.P, f.n, f.m, f.x) for f in found] == naive_findings(query)
         assert all((f.family, f.w) == (query.family, query.w) for f in found)
+
+    def test_divisibility_sweep_guards_the_search_rule(self, monkeypatch):
+        # The search prunes by identities.divisor_indices and the sweep
+        # checks it: stepping V by 4m hides V_2 | V_6 from both, so the
+        # sweep must fail while the search loses V_6 = 6 * V_2 * 11**2 at P = 5.
+        query = q(family="VV", w=6, p_values=(5,), n_max=12, m_max=6)
+        want = [(5, n, m, 6, x) for _, n, m, x in naive_search_two_term("VV", 5, 6, 12, 6)]
+
+        def rows():
+            return [(f.P, f.n, f.m, f.w, f.x) for f in search(query)]
+
+        assert (5, 6, 2, 6, 11) in want
+        assert rows() == want
+        assert classifier.sweep_divisibility_laws(p_max=5, idx_max=12).verdict == "consistent"
+        monkeypatch.setattr(identities, "divisor_indices",
+                            lambda m, n_max, v_law: range(m, n_max + 1, 4 * m if v_law else m))
+        assert (5, 6, 2, 6, 11) not in rows()
+        report = classifier.sweep_divisibility_laws(p_max=5, idx_max=12)
+        assert report.verdict == "counterexample"
+        assert {outcome.check_id for outcome in report.found} == {"v-divides-v"}
 
     def test_p_range_helper(self):
         assert p_range(5) == (1, 2, 3, 4, 5)
@@ -442,10 +462,9 @@ class TestHarness:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(classifier, name, counting)
-        tiny = Profile(p_max=3, n_max=12, m_max=6, sweep_p_max=2, sweep_idx=2,
-                       large_n=0, obstruction_max=9, pow2_max=3, pell_z_max=2,
-                       pell_v_bound=100, form_y_bound=100, pell3_c_bound=100,
-                       quartic_x_bound=10)
+        tiny = Profile(p_max=3, n_max=12, sweep_idx=2, obstruction_max=9, pow2_max=3,
+                       pell_z_max=2, pell_v_bound=100, form_y_bound=100,
+                       pell3_c_bound=100, quartic_x_bound=10)
         reports = verify_all(tiny)
         assert [r.theorem_id for r in reports] == list(REPORT_IDS)
         assert calls == {"verify_theorem": 11, **dict.fromkeys(names[1:], 1)}

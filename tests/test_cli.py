@@ -1,9 +1,11 @@
 """CLI behavior: golden outputs, formats, exit codes, round-trips."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -395,6 +397,23 @@ class TestOutputPlumbing:
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ("write", "flush"))
+    def test_stdout_write_error_is_a_usage_error(self, capsys, monkeypatch, failing):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["seq", "-P", "3", "-n", "1..3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot write stdout: No space left on device\n"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
