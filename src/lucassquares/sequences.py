@@ -13,11 +13,13 @@ so for Q = 1 they read U_{-n} = (-1)**(n+1) * U_n, V_{-n} = (-1)**n * V_n,
 and for Q = -1 simply U_{-n} = -U_n, V_{-n} = V_n.
 
 `pair_at` evaluates (U_n, V_n) in O(log |n|) big-integer operations by
-division-free index doubling; `seq_range` streams consecutive indices by the
-plain recurrence (and doubles as an independent cross-check of the doubling
-path); `u_mod` and `v_mod` run the same doubling entirely in modular
-arithmetic, so congruences at indices like 10**6 never materialize the
-exact values.  Everything is arbitrary precision and pure.
+doubling the pair (U_k, V_k) itself; `seq_range` streams consecutive indices
+by the plain recurrence (and doubles as an independent cross-check of the
+doubling path); `u_mod` and `v_mod` double (U_k, U_{k+1}) without division
+entirely in modular arithmetic, so congruences at indices like 10**6 never
+materialize the exact values.  The exact and modular paths use different
+formulas, so comparing them compares independent code.  Everything is
+arbitrary precision and pure.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SequenceParams:
     Q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.P, int) or not isinstance(self.Q, int):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (self.P, self.Q)):
             raise ValueError("P and Q must be integers")
         if self.P < 1:
             raise ValueError(f"P must be >= 1, got {self.P}")
@@ -101,27 +103,26 @@ class ModularPair:
 
 
 def _check_index(n: int) -> None:
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("index must be an integer")
     if abs(n) >= INDEX_LIMIT:
         raise ValueError(f"index magnitude must be below 2**63, got {n}")
 
 
-def _u_pair(P: int, Q: int, n: int) -> tuple[int, int]:
-    """Return (U_n, U_{n+1}) for n >= 0 by division-free doubling.
+def _uv_pair(P: int, Q: int, n: int) -> tuple[int, int]:
+    """Return (U_n, V_n) for n >= 0 by doubling (U_k, V_k), bits high first.
 
-    Walks the bits of n most significant first, maintaining (a, b) =
-    (U_k, U_{k+1}) and using U_{2k} = U_k * (2*U_{k+1} - P*U_k) and
-    U_{2k+1} = U_{k+1}**2 + Q*U_k**2.
+    Each bit uses U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*(-Q)**k; a 1 bit
+    then steps by 2*U_{j+1} = P*U_j + V_j and 2*V_{j+1} = D*U_j + P*V_j with
+    D = P**2 + 4*Q.  Both right sides are even for every j, so the shifts
+    are exact (Joye and Quisquater, Electronics Letters 32(6), 1996).
     """
-    a, b = 0, 1
+    D = P * P + 4 * Q
+    a, b, two_q_k = 0, 2, 2  # U_k, V_k, 2*(-Q)**k at k = 0
     for bit in bin(n)[2:]:
-        c = a * (2 * b - P * a)
-        d = b * b + Q * a * a
+        a, b, two_q_k = a * b, b * b - two_q_k, 2
         if bit == "1":
-            a, b = d, P * d + Q * c
-        else:
-            a, b = c, d
+            a, b, two_q_k = (P * a + b) >> 1, (D * a + P * b) >> 1, -2 * Q
     return a, b
 
 
@@ -144,8 +145,7 @@ def pair_at(params: SequenceParams, n: int) -> IndexedPair:
     """Exact (U_n, V_n) at any integer index in O(log |n|) operations."""
     _check_index(n)
     k = abs(n)
-    a, b = _u_pair(params.P, params.Q, k)
-    uk, vk = a, 2 * b - params.P * a
+    uk, vk = _uv_pair(params.P, params.Q, k)
     # U_{-k} = -U_k / (-Q)**k and V_{-k} = V_k / (-Q)**k, where (-Q)**k = -1
     # exactly when Q = 1 and k is odd.
     if n < 0 and (params.Q == -1 or k % 2 == 0):
@@ -198,15 +198,23 @@ def seq_range(params: SequenceParams, n_lo: int, n_hi: int) -> Iterator[IndexedP
 
     Values are produced by the plain three-term recurrence, which makes this
     the natural oracle against the doubling path and the cheapest way to
-    tabulate a contiguous block of the sequence.
+    tabulate a contiguous block of the sequence.  It carries U_{n-1}, U_n,
+    U_{n+1} from one `pair_at` and reads V_n = U_{n+1} + Q*U_{n-1}, with the
+    unit Q applied as an addition or a subtraction.
     """
     _check_index(n_lo)
     _check_index(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
     P, Q = params.P, params.Q
-    ua = u(params, n_lo)
-    ub = u(params, n_lo + 1)
-    for n in range(n_lo, n_hi + 1):
-        yield IndexedPair(n, ua, 2 * ub - P * ua)
-        ua, ub = ub, P * ub + Q * ua
+    first = pair_at(params, n_lo)
+    b, c = first.u, (P * first.u + first.v) >> 1
+    a = Q * (first.v - c)
+    if Q == 1:
+        for n in range(n_lo, n_hi + 1):
+            yield IndexedPair(n, b, c + a)
+            a, b, c = b, c, P * c + b
+    else:
+        for n in range(n_lo, n_hi + 1):
+            yield IndexedPair(n, b, c - a)
+            a, b, c = b, c, P * c - b

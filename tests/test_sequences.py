@@ -1,7 +1,7 @@
 """Sequence evaluation against independent recurrence walks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lucassquares import (
@@ -53,10 +53,22 @@ class TestValidation:
             SequenceParams(2, -1)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(ValueError):
-            SequenceParams(1.0, 1)
-        with pytest.raises(ValueError):
-            SequenceParams(1, 1.0)
+        for P, Q in ((1.0, 1), (1, 1.0), (True, 1), (5, True)):
+            with pytest.raises(ValueError, match="P and Q must be integers"):
+                SequenceParams(P, Q)
+
+    @pytest.mark.parametrize("call", [
+        lambda: pair_at(P5, True),
+        lambda: u(P5, False),
+        lambda: list(seq_range(P5, False, 3)),
+        lambda: list(seq_range(P5, 0, True)),
+        lambda: u_mod(P5, True, 7),
+        lambda: v_mod(P5, False, 7),
+        lambda: pair_mod(P5, True, 7),
+    ], ids=["pair_at", "u", "seq_range-lo", "seq_range-hi", "u_mod", "v_mod", "pair_mod"])
+    def test_rejects_bool_index(self, call):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            call()
 
     def test_smallest_q_minus_one_case_is_p3(self):
         assert SequenceParams(3, -1).discriminant == 5
@@ -162,6 +174,46 @@ class TestAgainstOracles:
         params = SequenceParams(p, q)
         assert u(params, n) == naive_u(p, q, n)
         assert v(params, n) == naive_v(p, q, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 99), q=st.sampled_from((1, -1)), n=st.integers(0, 3000))
+    @example(p=1, q=1, n=0)
+    @example(p=1, q=1, n=1)
+    @example(p=1, q=1, n=2)
+    @example(p=3, q=-1, n=0)
+    @example(p=3, q=-1, n=1)
+    @example(p=3, q=-1, n=2)
+    def test_doubling_matches_matrix_power(self, p, q, n):
+        if q == -1 and p <= 2:
+            return
+        params = SequenceParams(p, q)
+        want_u, want_next = mat_pow_u(p, q, n), mat_pow_u(p, q, n + 1)
+        assert pair_at(params, n) == IndexedPair(n, want_u, 2 * want_next - p * want_u)
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=st.integers(1, 99), q=st.sampled_from((1, -1)), n=st.integers(-3000, -1))
+    def test_doubling_matches_walk_at_negative_indices(self, p, q, n):
+        if q == -1 and p <= 2:
+            return
+        assert pair_at(SequenceParams(p, q), n) == IndexedPair(n, naive_u(p, q, n),
+                                                               naive_v(p, q, n))
+
+    @pytest.mark.parametrize("q", (1, -1))
+    @pytest.mark.parametrize("n_lo", (-1, 0, 1, -1000))
+    def test_seq_range_spans_match_walk(self, q, n_lo):
+        for p in (3, 4, 50):
+            pairs = list(seq_range(SequenceParams(p, q), n_lo, n_lo + 24))
+            assert pairs == [IndexedPair(n, naive_u(p, q, n), naive_v(p, q, n))
+                             for n in range(n_lo, n_lo + 25)]
+
+    @pytest.mark.parametrize("p, q, n", [(1, 1, 10**5), (2, 1, 31_415), (50, -1, 27_183),
+                                         (99, 1, 10**4 + 1), (99, -1, 65_537)])
+    def test_exact_and_modular_doubling_agree_at_large_n(self, p, q, n):
+        params = SequenceParams(p, q)
+        pair = pair_at(params, n)
+        for modulus in (10**9 + 7, 999_999_999_989):
+            assert pair_mod(params, n, modulus) == ModularPair(
+                n, modulus, pair.u % modulus, pair.v % modulus)
 
 
 class TestModular:
