@@ -11,8 +11,9 @@ Cohen, *A Course in Computational Algebraic Number Theory* (1993), §1.7.2,
 also used by GMP's `mpz_perfect_square_p`.  A square is a residue mod every
 modulus, so the filter rejects no square.  Only values that pass all four
 tables (6 in 715 of random non-squares) pay for `math.isqrt`.  The same
-tables, plus six more for the primes 17 to 37, let the two-term search
-reject X_n = c * x**2 from the residues of X_n * c, before it divides.
+tables, plus six more for the primes 17 to 37, let the search reject
+X_n = c * x**2 from the residue of X_n * c mod their product, before any
+exact arithmetic on X_n.
 """
 
 from __future__ import annotations
@@ -93,21 +94,20 @@ def _is_residue_2(t: int) -> bool:
                 and _SQUARES_29[t % 29] and _SQUARES_31[t % 31] and _SQUARES_37[t % 37])
 
 
-def _residue_pair(n: int) -> tuple[int, int]:
-    """n reduced by both residue moduli: the input of `_product_may_be_square`."""
-    return n % _RESIDUE_MODULUS, n % _RESIDUE_MODULUS_2
+# Both residue moduli at once, < 2**50: the modulus of the search's residue stream.
+_SIEVE_MODULUS = _RESIDUE_MODULUS * _RESIDUE_MODULUS_2
 
 
-def _product_may_be_square(a: tuple[int, int], c: tuple[int, int]) -> bool:
-    """False only if A * C is not a square; a and c are their `_residue_pair`s.
+def _product_may_be_square(a: int, c: int) -> bool:
+    """False only if A * C is not a square; a and c are A and C mod _SIEVE_MODULUS.
 
-    The two-term search tests A = X_n against C = w * X_m.  A solution
-    A = C * x**2 makes A * C = (C * x)**2, a square mod every modulus
-    whether or not C is a unit there, so False rejects n before the exact
-    division, with no quotient and no modular inverse.
+    The search tests A = X_n against C = w (one-term) or C = w * X_m
+    (two-term).  A solution A = C * x**2 makes A * C = (C * x)**2, a square
+    mod every modulus whether or not C is a unit there, so False rejects n
+    before any exact arithmetic, with no quotient and no modular inverse.
     """
-    return (_is_residue(a[0] * c[0] % _RESIDUE_MODULUS)
-            and _is_residue_2(a[1] * c[1] % _RESIDUE_MODULUS_2))
+    t = a * c % _SIEVE_MODULUS
+    return _is_residue(t % _RESIDUE_MODULUS) and _is_residue_2(t % _RESIDUE_MODULUS_2)
 
 
 def _square_root(q: int) -> int | None:

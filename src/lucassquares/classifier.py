@@ -22,14 +22,19 @@ Conventions, applied uniformly in search and predictions:
   one-term family and the divisibility laws the classifications build on
   exclude that case.
 
-The two-term search prunes n to `identities.divisor_indices`, the
-divisibility laws' range (only V_1 = 2 at P = 2 takes every n).  It then
-rejects n when X_n * w * X_m is a non-square mod one of 64, 63, 65, 11 and
-the primes 17 to 37, read from residues taken once per term (a solution
-makes that product (w * X_m * x)**2).  Only the survivors pay for the
-exact division, whose remainder and square test still decide every
-finding.  The divisibility sweep checks that same range function, and an
-independent no-pruning search backs this up in the test suite.
+Each search cell walks one P: the exact terms from `sequences.seq_range`
+and, in step, their residues mod 2,882,880 * 247,110,827 from
+`sequences.residue_range`.  A solution X_n = c * x**2 makes X_n * c =
+(c * x)**2, with c = w for the one-term families and c = w * X_m for the
+two-term ones, so the search rejects n when that product is a non-square
+mod one of 64, 63, 65, 11 and the primes 17 to 37, by
+`arith._product_may_be_square`.  Only the survivors pay for
+`square_witness` or the exact division, whose remainder and square test
+still decide every finding.  The two-term search first prunes n to
+`identities.divisor_indices`, the divisibility laws' range (only V_1 = 2
+at P = 2 takes every n).  The divisibility sweep checks that same range
+function, and an independent no-pruning search backs this up in the test
+suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -46,7 +51,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import arith, diophantine, identities, sequences
 from .identities import CheckOutcome
@@ -90,6 +95,11 @@ class OutOfScopeError(Exception):
     """A query falls outside the hypotheses a classification covers."""
 
 
+def _require_int(field: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SquareClassQuery:
     """One bounded search box.
@@ -112,7 +122,8 @@ class SquareClassQuery:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not isinstance(self.w, int) or self.w < 1:
+        _require_int("w", self.w)
+        if self.w < 1:
             raise ValueError(f"w must be a positive integer, got {self.w}")
         if any(self.w % (p * p) == 0 for p in range(2, arith.isqrt(self.w) + 1)):
             raise ValueError(f"w must be square-free, got {self.w}")
@@ -122,8 +133,12 @@ class SquareClassQuery:
             raise ValueError("p_values must be strictly increasing")
         for p in self.p_values:
             SequenceParams(p, 1)
-        if not isinstance(self.n_max, int) or self.n_max < 1:
+        _require_int("n_max", self.n_max)
+        if self.n_max < 1:
             raise ValueError(f"n_max must be a positive integer, got {self.n_max}")
+        _require_int("m_min", self.m_min)
+        if self.m_max is not None:
+            _require_int("m_max", self.m_max)
         if self.family in ("UU", "VV"):
             if self.m_max is None:
                 raise ValueError(f"family {self.family} requires m_max")
@@ -204,28 +219,34 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m)."""
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
+    modulus = arith._SIEVE_MODULUS
+    take_u = family in ("U", "UU")
+    side = 0 if take_u else 1  # U_n or V_n of each residue pair
+    terms = zip(sequences.seq_range(params, 1, n_max),
+                sequences.residue_range(params, 1, n_max, modulus))
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
-        take_u = family == "U"
-        for pair in sequences.seq_range(params, 1, n_max):
-            if not _parity_ok(pair.n, n_parity):
+        if n_parity is not None:
+            # The terms start at n = 1, so odd n sit at the even positions.
+            terms = islice(terms, 0 if n_parity == "odd" else 1, None, 2)
+        for pair, res in terms:
+            if not arith._product_may_be_square(res[side], w):
                 continue
-            value = pair.u if take_u else pair.v
-            x = arith.square_witness(value, w)
+            x = arith.square_witness(pair.u if take_u else pair.v, w)
             if x:
                 out.append(SquareClassFinding(family, P, pair.n, None, w, x))
         return out
 
-    take_u = family == "UU"
     table: list[int] = [0]
-    for pair in sequences.seq_range(params, 1, n_max):
+    residues: list[int] = [0]
+    for pair, res in terms:
         table.append(pair.u if take_u else pair.v)
-    residues = [arith._residue_pair(value) for value in table]
+        residues.append(res[side])
     for m in range(query.m_min, query.m_max + 1):
         base = table[m]
         if base == 1:
             continue
-        multiplier = arith._residue_pair(w * base)
+        multiplier = w * residues[m] % modulus
         if base == 2 and not take_u:
             candidates = range(1, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
         else:

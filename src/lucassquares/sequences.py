@@ -13,13 +13,16 @@ so for Q = 1 they read U_{-n} = (-1)**(n+1) * U_n, V_{-n} = (-1)**n * V_n,
 and for Q = -1 simply U_{-n} = -U_n, V_{-n} = V_n.
 
 `pair_at` evaluates (U_n, V_n) in O(log |n|) big-integer operations by
-doubling the pair (U_k, V_k) itself; `seq_range` streams consecutive indices
-by the plain recurrence (and doubles as an independent cross-check of the
-doubling path); `u_mod` and `v_mod` double (U_k, U_{k+1}) without division
-entirely in modular arithmetic, so congruences at indices like 10**6 never
-materialize the exact values.  The exact and modular paths use different
-formulas, so comparing them compares independent code.  Everything is
-arbitrary precision and pure.
+doubling (U_{k-1}, U_k) with two squarings per bit; `seq_range` streams
+consecutive indices by the plain recurrence (and doubles as an independent
+cross-check of the doubling path); `u_mod` and `v_mod` double
+(U_k, U_{k+1}) without division entirely in modular arithmetic, so
+congruences at indices like 10**6 never materialize the exact values.  The
+exact and modular paths use different formulas, so comparing them compares
+independent code.  `residue_range` is the modular twin of `seq_range`: the
+same recurrence on small integers, which the search uses to sieve terms by
+their residues before any exact arithmetic.  Everything is arbitrary
+precision and pure.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "v_mod",
     "pair_mod",
     "seq_range",
+    "residue_range",
 ]
 
 # Indices must fit in a signed machine word; beyond that even the modular
@@ -72,18 +76,36 @@ class SequenceParams:
         return self.P * self.P + 4 * self.Q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedPair:
     """One index n with its exact values U_n and V_n.
 
     Satisfies v**2 - (P**2 + 4*Q) * u**2 = 4 * (-Q)**n for the parameters
     it was produced under (the producer knows P and Q; the pair itself
     stores only the values).
+
+    `seq_range` builds one pair per term and the shift sweep reads their
+    fields millions of times, so both must be cheap.  Slots keep the reads
+    fast, and the hand-written `__init__` fills them through the slot
+    descriptors in about 0.6 of the time of the generated frozen one, which
+    makes one `object.__setattr__` call per field.  (Filling the instance
+    dict, as `CheckOutcome` does, builds as fast, but on Python 3.11 every
+    later read is slower.)  It takes the same arguments, and `repr`, `==`,
+    `hash`, `replace`, pickling and the frozen `__setattr__` are the
+    dataclass ones.
     """
 
     n: int
     u: int
     v: int
+
+    def __init__(self, n: int, u: int, v: int) -> None:
+        _set_n(self, n)
+        _set_u(self, u)
+        _set_v(self, v)
+
+
+_set_n, _set_u, _set_v = (IndexedPair.__dict__[name].__set__ for name in ("n", "u", "v"))
 
 
 @dataclass(frozen=True)
@@ -110,20 +132,31 @@ def _check_index(n: int) -> None:
 
 
 def _uv_pair(P: int, Q: int, n: int) -> tuple[int, int]:
-    """Return (U_n, V_n) for n >= 0 by doubling (U_k, V_k), bits high first.
+    """Return (U_n, V_n) for n >= 0 by doubling (U_{k-1}, U_k), bits high first.
 
-    Each bit uses U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*(-Q)**k; a 1 bit
-    then steps by 2*U_{j+1} = P*U_j + V_j and 2*V_{j+1} = D*U_j + P*V_j with
-    D = P**2 + 4*Q.  Both right sides are even for every j, so the shifts
-    are exact (Joye and Quisquater, Electronics Letters 32(6), 1996).
+    Each bit squares both terms once and reads
+
+        U_{2k-1} = U_k**2 + Q*U_{k-1}**2
+        U_{2k+1} = (P**2 + 3*Q)*U_k**2 - U_{k-1}**2 - 2*Q*(-Q)**(k-1)
+        U_{2k}   = (U_{2k+1} - Q*U_{2k-1}) / P,   an exact division,
+
+    then keeps (U_{2k-1}, U_{2k}) on a 0 bit and (U_{2k}, U_{2k+1}) on a 1
+    bit.  At the end V_n = P*U_n + 2*Q*U_{n-1}.  This is GMP's
+    `mpz_fib2_ui` scheme with general P and Q; it starts from
+    (U_{-1}, U_0) = (Q, 0).
     """
-    D = P * P + 4 * Q
-    a, b, two_q_k = 0, 2, 2  # U_k, V_k, 2*(-Q)**k at k = 0
+    E = P * P + 3 * Q
+    a, b, two = Q, 0, -2  # U_{k-1}, U_k and 2*Q*(-Q)**(k-1) at k = 0
     for bit in bin(n)[2:]:
-        a, b, two_q_k = a * b, b * b - two_q_k, 2
+        s, t = b * b, a * a
+        lo = s + t if Q == 1 else s - t                  # U_{2k-1}
+        hi = E * s - t - two                             # U_{2k+1}
+        mid = (hi - lo if Q == 1 else hi + lo) // P      # U_{2k}
         if bit == "1":
-            a, b, two_q_k = (P * a + b) >> 1, (D * a + P * b) >> 1, -2 * Q
-    return a, b
+            a, b, two = mid, hi, 2 * Q  # k odd: (-Q)**(k-1) = 1
+        else:
+            a, b, two = lo, mid, -2     # k even: 2*Q*(-Q) = -2
+    return b, P * b + 2 * Q * a
 
 
 def _u_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
@@ -218,3 +251,29 @@ def seq_range(params: SequenceParams, n_lo: int, n_hi: int) -> Iterator[IndexedP
         for n in range(n_lo, n_hi + 1):
             yield IndexedPair(n, b, c - a)
             a, b, c = b, c, P * c - b
+
+
+def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
+                  modulus: int) -> Iterator[tuple[int, int]]:
+    """Yield (U_n mod modulus, V_n mod modulus) for n = n_lo .. n_hi, n_lo >= 0.
+
+    The modular twin of `seq_range`: the same three-term recurrence on
+    small integers, seeded by one modular doubling at n_lo.  It yields bare
+    tuples, in index order, so that a search can sieve every term by its
+    residues for the cost of a few machine-word operations.
+    """
+    _check_modular_args(n_lo, modulus)
+    _check_index(n_hi)
+    if n_lo > n_hi:
+        raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
+    P, Q = params.P, params.Q
+    b, c = _u_pair_mod(P, Q, n_lo, modulus)
+    a = Q * (c - P * b) % modulus  # U_{n_lo - 1}, since Q is its own inverse
+    if Q == 1:
+        for _ in range(n_lo, n_hi + 1):
+            yield b, (c + a) % modulus
+            a, b, c = b, c, (P * c + b) % modulus
+    else:
+        for _ in range(n_lo, n_hi + 1):
+            yield b, (c - a) % modulus
+            a, b, c = b, c, (P * c - b) % modulus

@@ -214,7 +214,7 @@ def test_c10_double_u_witness():
 def _bumped_sequences(p_star: int, n_star: int, which: str):
     """Shadow engine: one sequence value perturbed by +1, all access paths."""
     real = {name: getattr(seqmod, name)
-            for name in ("u", "v", "u_mod", "v_mod", "seq_range")}
+            for name in ("u", "v", "u_mod", "v_mod", "seq_range", "residue_range")}
 
     def hit(params, n):
         return params.P == p_star and n == n_star
@@ -246,11 +246,20 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
             else:
                 yield pair
 
+    def shadow_residue_range(params, n_lo, n_hi, modulus):
+        stream = real["residue_range"](params, n_lo, n_hi, modulus)
+        for n, (u_res, v_res) in enumerate(stream, n_lo):
+            if hit(params, n):
+                u_res = (u_res + (1 if which == "u" else 0)) % modulus
+                v_res = (v_res + (1 if which == "v" else 0)) % modulus
+            yield u_res, v_res
+
     seqmod.u = shadow_u
     seqmod.v = shadow_v
     seqmod.u_mod = shadow_u_mod
     seqmod.v_mod = shadow_v_mod
     seqmod.seq_range = shadow_seq_range
+    seqmod.residue_range = shadow_residue_range
     try:
         yield
     finally:

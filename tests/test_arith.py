@@ -146,6 +146,7 @@ class TestResidueFilter:
         # Both filters' tables: r is marked iff r is a square mod m.
         assert arith._RESIDUE_MODULUS == 64 * 63 * 65 * 11
         assert arith._RESIDUE_MODULUS_2 == 17 * 19 * 23 * 29 * 31 * 37 < 2**30
+        assert arith._SIEVE_MODULUS == math.prod(ALL_TABLES) < 2**50
         for m, table in ALL_TABLES.items():
             assert len(table) == m
             assert [r for r in range(m) if table[r]] == sorted(naive_squares_mod(m))
@@ -189,7 +190,7 @@ class TestProductFilter:
         # other nine moduli: the filter passes exactly when a * c is a
         # square mod k.
         squares = naive_squares_mod(k)
-        lifted = [arith._residue_pair(lift(k, a)) for a in range(k)]
+        lifted = [lift(k, a) % arith._SIEVE_MODULUS for a in range(k)]
         for a in range(k):
             for c in range(k):
                 passed = arith._product_may_be_square(lifted[a], lifted[c])
@@ -219,8 +220,8 @@ class TestProductFilter:
         # the filter primes, so C is often no unit mod the moduli.
         b = cofactor * math.prod(p**e for p, e in zip(FILTER_PRIMES, exponents))
         c = w * b
-        assert arith._product_may_be_square(arith._residue_pair(c * x * x),
-                                            arith._residue_pair(c))
+        modulus = arith._SIEVE_MODULUS
+        assert arith._product_may_be_square(c * x * x % modulus, c % modulus)
 
 
 class TestSquareClass:

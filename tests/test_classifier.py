@@ -85,6 +85,10 @@ def naive_findings(query):
     return sorted(rows, key=lambda row: (row[0], row[1], row[2] or 0))
 
 
+def found_rows(query):
+    return [(f.P, f.n, f.m, f.x) for f in search(query)]
+
+
 class TestQueryValidation:
     def test_rejects_bad_family(self):
         with pytest.raises(ValueError):
@@ -118,6 +122,20 @@ class TestQueryValidation:
             q(family="V", m_max=10)  # one-term takes no m_max
         with pytest.raises(ValueError):
             q(family="V", m_min=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("w", True), ("w", 2.0), ("w", "5"),
+        ("n_max", True), ("n_max", 50.0),
+        ("m_max", True), ("m_max", 2.5), ("m_max", "10"),
+        ("m_min", True), ("m_min", 1.0)])
+    def test_rejects_non_integer_fields_by_name(self, field, value):
+        kwargs = {"family": "UU", "w": 2, "n_max": 50, "m_max": 20, "m_min": 2}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            q(**kwargs)
+        if field in ("w", "n_max"):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                q(**{field: value})
 
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
@@ -202,6 +220,72 @@ class TestSearch:
             got = search(q(family=family, w=w, p_values=(p,), n_max=50, m_max=25))
             want = naive_search_two_term(family, p, w, 50, 25)
             assert sorted((f.P, f.n, f.m, f.x) for f in got) == want
+
+    @pytest.mark.parametrize("query, lost", [
+        (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
+        (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
+    def test_search_sieves_by_the_residue_stream(self, monkeypatch, query, lost):
+        # The sieve reads sequences.residue_range through the module, so a
+        # stream that is wrong at U_12 alone hides that solution.
+        import lucassquares.sequences as seqmod
+        real = seqmod.residue_range
+
+        def bumped(params, n_lo, n_hi, modulus):
+            for n, (u_res, v_res) in enumerate(real(params, n_lo, n_hi, modulus), n_lo):
+                yield ((u_res + 1) % modulus if n == 12 else u_res), v_res
+
+        assert lost in [row[:3] for row in found_rows(query)]
+        monkeypatch.setattr(seqmod, "residue_range", bumped)
+        assert lost not in [row[:3] for row in found_rows(query)]
+
+    def test_solutions_above_the_sieve_modulus(self):
+        # Solutions far above the sieve's modulus (< 2**50), so the sieve
+        # reads reduced residues and not the values themselves:
+        # U_2 = V_1 = P = w * x**2; U_4 = 3 * U_2 * x**2 when P**2 + 2 = 3 * x**2
+        # (since U_4 = U_2 * V_2); V_3 = 3 * V_1 * x**2 when P = 3k with
+        # x**2 - 3k**2 = 1 (since V_3 = V_1 * (P**2 + 3)).
+        big, x = 2**60, 10**9 + 7
+        pell_m2, pell_p1 = (1, 1), (2, 1)  # P**2 - 3x**2 = -2 and x**2 - 3k**2 = 1
+        while pell_m2[0] ** 2 < big:
+            pell_m2 = (2 * pell_m2[0] + 3 * pell_m2[1], pell_m2[0] + 2 * pell_m2[1])
+        while pell_p1[1] ** 2 < big:
+            pell_p1 = (2 * pell_p1[0] + 3 * pell_p1[1], pell_p1[0] + 2 * pell_p1[1])
+        queries = [q(family=family, w=w, p_values=(w * x * x,), n_max=6)
+                   for family in ("U", "V") for w in SQUAREFREE_COEFFS]
+        queries += [q(family="UU", w=3, p_values=(pell_m2[0],), n_max=8, m_max=4),
+                    q(family="VV", w=3, p_values=(3 * pell_p1[1],), n_max=9, m_max=3)]
+        for query in queries:
+            rows = found_rows(query)
+            assert rows and rows == naive_findings(query), query
+            seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
+            assert any(seq(P, 1, n + 1)[n] > 2**50 for P, n, _, _ in rows)
+        assert (pell_m2[0], 4, 2, pell_m2[1]) in found_rows(queries[-2])
+        assert (3 * pell_p1[1], 3, 1, pell_p1[0]) in found_rows(queries[-1])
+
+    @pytest.mark.parametrize("family", ("U", "V"))
+    def test_one_term_matches_naive_through_the_residue_filter(self, family):
+        # Each prime of the sieve modulus divides some X_n in this box, so
+        # X_n * w is no unit mod each modulus somewhere, and every w has
+        # solutions (U_2 = V_1 = P, P = w * x**2) that must pass the sieve.
+        p_values, n_max = tuple(range(1, 25)), 60
+        seq = naive_u_seq if family == "U" else naive_v_seq
+        divisors = {p for P in p_values for value in seq(P, 1, n_max + 1)[1:]
+                    for p in FILTER_PRIMES if value % p == 0}
+        assert divisors == set(FILTER_PRIMES)
+        rows = []
+        for w in SQUAREFREE_COEFFS:
+            want = [(P, n, x) for P in p_values
+                    for _, n, x in naive_search_one_term(family, P, w, n_max)]
+            assert want, w
+            for parity in (None, "odd", "even"):
+                found = search(q(family=family, w=w, p_values=p_values, n_max=n_max,
+                                 n_parity=parity))
+                assert [(f.P, f.n, f.x) for f in found] == [
+                    row for row in want
+                    if parity is None or (row[1] % 2 == 1) == (parity == "odd")], (w, parity)
+            rows += want
+        assert {n % 2 for _, n, _ in rows} == {0, 1}
+        assert len(rows) == {"U": 53, "V": 27}[family]
 
     @pytest.mark.parametrize("family", ("UU", "VV"))
     def test_two_term_matches_naive_through_the_residue_filter(self, family):

@@ -5,7 +5,7 @@ import pytest
 import lucassquares
 from lucassquares import arith, classifier, diophantine, identities, sequences
 
-# The 70 module names the package exports besides `__version__`, written
+# The 71 module names the package exports besides `__version__`, written
 # out as literals so that none can drop out of `__all__` unnoticed.
 EXPORTED = {
     arith: ("SQUAREFREE_COEFFS", "SquareClass", "is_square", "isqrt", "jacobi",
@@ -29,7 +29,7 @@ EXPORTED = {
                  "check_shift_u_mod_u", "check_shift_u_mod_v", "check_shift_v_mod_u",
                  "check_shift_v_mod_v", "check_v5n_factor", "check_v_mod8_class"),
     sequences: ("INDEX_LIMIT", "IndexedPair", "ModularPair", "SequenceParams", "pair_at",
-                "pair_mod", "seq_range", "u", "u_mod", "v", "v_mod"),
+                "pair_mod", "residue_range", "seq_range", "u", "u_mod", "v", "v_mod"),
 }
 
 

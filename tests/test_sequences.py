@@ -1,5 +1,8 @@
 """Sequence evaluation against independent recurrence walks."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from lucassquares import (
     SequenceParams,
     pair_at,
     pair_mod,
+    residue_range,
     seq_range,
     u,
     u_mod,
@@ -267,10 +271,62 @@ class TestModular:
             pair_mod(FIB, 3, 1)
 
 
+class TestIndexedPair:
+    def test_value_semantics(self):
+        # The hand-written __init__ keeps the dataclass's behaviour.
+        a = IndexedPair(12, 144, 322)
+        b = IndexedPair(n=12, u=144, v=322)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != dataclasses.replace(a, v=323)
+        assert dataclasses.astuple(a) == (12, 144, 322)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(a) == "IndexedPair(n=12, u=144, v=322)"
+        with pytest.raises(TypeError):
+            IndexedPair(12, 144)
+
+
+class TestResidueRange:
+    # The search's sieve modulus, 64*63*65*11 * 17*19*23*29*31*37, and two
+    # small ones, one of them even.
+    MODULI = (2_882_880 * 247_110_827, 97, 2)
+
+    @pytest.mark.parametrize("q", (1, -1))
+    @pytest.mark.parametrize("n_lo", (0, 1, 2, 7, 1000))
+    def test_matches_pair_mod_at_every_index(self, q, n_lo):
+        for p in (3, 4, 50, 99):
+            params = SequenceParams(p, q)
+            for modulus in self.MODULI:
+                got = list(residue_range(params, n_lo, n_lo + 120, modulus))
+                want = [pair_mod(params, n, modulus) for n in range(n_lo, n_lo + 121)]
+                assert got == [(res.u_res, res.v_res) for res in want], (p, modulus)
+
+    @pytest.mark.parametrize("q", (1, -1))
+    def test_matches_the_exact_walk(self, q):
+        # Independent of the modular doubling that seeds the stream.
+        modulus = self.MODULI[0]
+        for p in (1, 2, 3, 5, 12) if q == 1 else (3, 5, 12):
+            useq, vseq = naive_u_seq(p, q, 301), naive_v_seq(p, q, 301)
+            got = list(residue_range(SequenceParams(p, q), 0, 300, modulus))
+            assert got == [(a % modulus, b % modulus) for a, b in zip(useq, vseq)]
+
+    def test_single_index_and_bad_arguments(self):
+        assert list(residue_range(P5, 12, 12, 10**9)) == [(71351280, v(P5, 12) % 10**9)]
+        with pytest.raises(ValueError):
+            list(residue_range(FIB, -1, 3, 7))
+        with pytest.raises(ValueError):
+            list(residue_range(FIB, 5, 4, 7))
+        with pytest.raises(ValueError):
+            list(residue_range(FIB, 0, 3, 1))
+        with pytest.raises(ValueError):
+            list(residue_range(FIB, 0, INDEX_LIMIT, 7))
+
+
 class TestImmutability:
     def test_frozen_dataclasses(self):
         pair = pair_at(FIB, 3)
         with pytest.raises(AttributeError):
             pair.u = 5
+        with pytest.raises(AttributeError):
+            del pair.v
         with pytest.raises(AttributeError):
             FIB.P = 2
