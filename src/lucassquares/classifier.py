@@ -95,6 +95,11 @@ class OutOfScopeError(Exception):
     """A query falls outside the hypotheses a classification covers."""
 
 
+# The largest w a query takes: its square-free check trial-divides by every
+# p <= sqrt(w), a million divisions at this bound.
+_W_MAX = 10**12
+
+
 def _require_int(field: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
@@ -105,10 +110,11 @@ class SquareClassQuery:
     """One bounded search box.
 
     `family` selects the equation shape ("U", "V" one-term; "UU", "VV"
-    two-term), `w` the square-free coefficient, `p_values` the P values
-    (strictly increasing), and `n_max` the index bound.  Two-term families
-    additionally take `m_max` (and optionally `m_min`, default 1).
-    `n_parity` restricts the searched n to "odd" or "even" when set.
+    two-term), `w` the square-free coefficient (at most 10**12), `p_values`
+    the P values (strictly increasing; stored as a tuple), and `n_max` the
+    index bound.  Two-term families additionally take `m_max` (and
+    optionally `m_min`, default 1).  `n_parity` restricts the searched n to
+    "odd" or "even" when set.
     """
 
     family: str
@@ -125,8 +131,15 @@ class SquareClassQuery:
         _require_int("w", self.w)
         if self.w < 1:
             raise ValueError(f"w must be a positive integer, got {self.w}")
+        if self.w > _W_MAX:
+            raise ValueError(f"w must be at most 10**12, got {self.w}")
         if any(self.w % (p * p) == 0 for p in range(2, arith.isqrt(self.w) + 1)):
             raise ValueError(f"w must be square-free, got {self.w}")
+        try:
+            object.__setattr__(self, "p_values", tuple(self.p_values))
+        except TypeError:
+            raise ValueError(f"p_values must be a sequence of integers, "
+                             f"got {self.p_values!r}") from None
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
         if any(b <= a for a, b in zip(self.p_values, self.p_values[1:])):
@@ -273,6 +286,9 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     are merged in canonical order.  The pool gets at most one worker per P
     and per CPU; when that leaves one worker, the cells run in this process.
     """
+    _require_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     p_values = query.p_values
     workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
@@ -282,19 +298,19 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
             per_cell = list(pool.map(_search_cell, repeat(query), p_values))
     else:
         per_cell = [_search_cell(query, P) for P in p_values]
-    findings: list[SquareClassFinding] = []
-    for cell in per_cell:
-        findings.extend(cell)
-    return findings
+    return list(chain.from_iterable(per_cell))
 
 
 def p_range(p_max: int, parity: str | None = None, multiple_of: int | None = None,
             ) -> tuple[int, ...]:
     """P values 1..p_max with optional parity and divisibility filters."""
+    _require_int("p_max", p_max)
     if parity not in (None, "odd", "even"):
         raise ValueError(f"parity must be 'odd', 'even' or None, got {parity!r}")
-    if multiple_of is not None and multiple_of < 1:
-        raise ValueError(f"multiple_of must be >= 1, got {multiple_of}")
+    if multiple_of is not None:
+        _require_int("multiple_of", multiple_of)
+        if multiple_of < 1:
+            raise ValueError(f"multiple_of must be >= 1, got {multiple_of}")
     return tuple(p for p in range(1, p_max + 1)
                  if _parity_ok(p, parity) and (multiple_of is None or p % multiple_of == 0))
 
@@ -535,8 +551,8 @@ _SWEEPS = {
     "pell-form-families": _Sweep(
         lambda prof: sweep_pell_form_families(z_max=prof.pell_z_max,
                                               v_bound=prof.pell_v_bound,
-                                              y_bound=prof.form_y_bound,
-                                              c_bound=prof.pell3_c_bound),
+                                              y_bound=prof.form_bound,
+                                              c_bound=prof.form_bound),
         "parametric vs enumerated solutions of u**2-5v**2 = +-1, "
         "x**2-4xy-y**2 in {-5,-1} and b**2-3c**2 = 1"),
     "quartic-equations": _Sweep(
@@ -870,18 +886,17 @@ class Profile:
     pow2_max: int
     pell_z_max: int
     pell_v_bound: int
-    form_y_bound: int
-    pell3_c_bound: int
+    form_bound: int  # both the form's y bound and the Pell-3 c bound
     quartic_x_bound: int
 
 
 PROFILES = {
     "quick": Profile(p_max=25, n_max=120, sweep_idx=6, obstruction_max=501,
                      pow2_max=12, pell_z_max=20, pell_v_bound=10**4,
-                     form_y_bound=10**4, pell3_c_bound=10**4, quartic_x_bound=2000),
+                     form_bound=10**4, quartic_x_bound=2000),
     "full": Profile(p_max=99, n_max=400, sweep_idx=12, obstruction_max=2001,
                     pow2_max=20, pell_z_max=40, pell_v_bound=10**6,
-                    form_y_bound=10**5, pell3_c_bound=10**5, quartic_x_bound=10**4),
+                    form_bound=10**5, quartic_x_bound=10**4),
 }
 
 
@@ -916,15 +931,12 @@ def default_query(theorem_id: str, profile: str | Profile = "quick",
 
 
 def verify_report(report_id: str, profile: str | Profile = "quick",
-                  query: SquareClassQuery | None = None,
                   jobs: int = 1) -> TheoremReport:
-    """Run one report by id: a classification (optionally with a custom
-    query) or an identity sweep at the profile's grid sizes."""
+    """Run one report by id on the profile's default box or grid;
+    `verify_theorem` runs a classification on any other box."""
     prof = _profile(profile)
     if report_id in CLASSIFICATION_IDS:
-        if query is None:
-            query = default_query(report_id, prof)
-        return verify_theorem(report_id, query, jobs=jobs)
+        return verify_theorem(report_id, default_query(report_id, prof), jobs=jobs)
     if report_id not in SWEEP_IDS:
         raise ValueError(f"unknown report id {report_id!r}; "
                          f"valid: {', '.join(REPORT_IDS)}")

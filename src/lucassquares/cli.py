@@ -23,7 +23,6 @@ import io
 import json
 import re
 import sys
-from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -60,11 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
-    table_lines: Iterable[str]
     csv_header: list[str]
     csv_rows: list[list]
     json_payload: dict
     exit_code: int = EXIT_OK
+    # None: one line per CSV row, cells space-separated, "-" for None.
+    table_lines: list[str] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +159,11 @@ def report_from_dict(data: dict) -> TheoremReport:
 
 def _render(result: _Result, fmt: str) -> str:
     if fmt == "table":
-        return "".join(line + "\n" for line in result.table_lines)
+        lines = result.table_lines
+        if lines is None:
+            lines = (" ".join("-" if cell is None else str(cell) for cell in row)
+                     for row in result.csv_rows)
+        return "".join(line + "\n" for line in lines)
     if fmt == "json":
         return json.dumps(_stringify(result.json_payload),
                           indent=2, sort_keys=True) + "\n"
@@ -346,16 +350,13 @@ def _build_parser() -> _Parser:
 def _cmd_seq(args: argparse.Namespace) -> _Result:
     lo, hi = _parse_index_span(args.n)
     params = SequenceParams(args.P, args.Q)
-    rows: list[list[int]] = []
     if args.mod is not None:
         if lo < 0:
             raise CliError("--mod requires nonnegative indices")
-        for n in range(lo, hi + 1):
-            pair = sequences.pair_mod(params, n, args.mod)
-            rows.append([pair.n, pair.u_res, pair.v_res])
+        rows = [[n, u, v] for n, (u, v) in
+                enumerate(sequences.residue_range(params, lo, hi, args.mod), lo)]
     else:
-        for pair in sequences.seq_range(params, lo, hi):
-            rows.append([pair.n, pair.u, pair.v])
+        rows = [[pair.n, pair.u, pair.v] for pair in sequences.seq_range(params, lo, hi)]
     payload = {
         "command": "seq",
         "P": args.P,
@@ -363,9 +364,7 @@ def _cmd_seq(args: argparse.Namespace) -> _Result:
         "modulus": args.mod,
         "rows": [{"n": n, "u": u, "v": v} for n, u, v in rows],
     }
-    # Lazy, so that the digits are written inside main's _exact_int_text().
-    table = (f"{n} {u} {v}" for n, u, v in rows)
-    return _Result(table, ["n", "u", "v"], rows, payload)
+    return _Result(["n", "u", "v"], rows, payload)
 
 
 def _cmd_solve(args: argparse.Namespace) -> _Result:
@@ -383,8 +382,7 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
             "x_bound": args.xmax,
             "solutions": [{"x": s.x, "y": s.y} for s in solutions],
         }
-        table = [f"{x} {y}" for x, y in rows]
-        return _Result(table, ["x", "y"], rows, payload)
+        return _Result(["x", "y"], rows, payload)
 
     # The agreement check extends the family until it provably covers the
     # enumeration bound, so a --count smaller than the bound requires cannot
@@ -409,7 +407,7 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
     payload["family_matches_oracle"] = agree
     table.append(f"family=oracle: {'yes' if agree else 'no'}")
     exit_code = EXIT_OK if agree else EXIT_COUNTEREXAMPLE
-    return _Result(table, header, rows, payload, exit_code)
+    return _Result(header, rows, payload, exit_code, table)
 
 
 def _cmd_search(args: argparse.Namespace) -> _Result:
@@ -418,9 +416,7 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
     findings = [_to_dict(f) for f in classifier.search(query, jobs=args.jobs)]
     rows = [list(finding.values()) for finding in findings]
     payload = {"command": "search", "query": _to_dict(query), "findings": findings}
-    # Columns family, P, n, m, w, x; "-" marks the one-term families' empty m.
-    table = [" ".join("-" if cell is None else str(cell) for cell in row) for row in rows]
-    return _Result(table, [f.name for f in fields(SquareClassFinding)], rows, payload)
+    return _Result([f.name for f in fields(SquareClassFinding)], rows, payload)
 
 
 def _report_table_lines(report: TheoremReport) -> list[str]:
@@ -482,8 +478,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     }
     csv_rows = [[report.theorem_id, report.verdict, len(report.found),
                  len(report.predicted), report.notes] for report in reports]
-    return _Result(table, ["theorem_id", "verdict", "found", "predicted", "notes"],
-                   csv_rows, payload, _verify_exit_code(reports))
+    return _Result(["theorem_id", "verdict", "found", "predicted", "notes"],
+                   csv_rows, payload, _verify_exit_code(reports), table)
 
 
 _HANDLERS = {

@@ -314,7 +314,11 @@ def family_cover(equation: str, param: int | None, count: int,
     past the bound, so a `count` smaller than the bound needs cannot show up
     as a disagreement.
     """
-    family_fn, enumerate_fn, pair = _COVERS[equation]
+    try:
+        family_fn, enumerate_fn, pair = _COVERS[equation]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown equation {equation!r}; "
+                         f"valid: {', '.join(_COVERS)}") from None
     members = family_fn(param, count)
     if bound is None:
         bound = pair(members[-1])[1]

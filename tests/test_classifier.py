@@ -99,6 +99,12 @@ class TestQueryValidation:
             with pytest.raises(ValueError):
                 q(w=w)
 
+    def test_w_is_bounded_before_the_square_free_check(self):
+        assert q(w=10**12 - 11).w == 10**12 - 11  # square-free, at the bound
+        for w in (10**12 + 39, 10**19 + 51, 10**40 + 1):
+            with pytest.raises(ValueError, match=r"^w must be at most 10\*\*12"):
+                q(w=w)
+
     def test_rejects_bad_p_values(self):
         with pytest.raises(ValueError):
             q(p_values=())
@@ -108,6 +114,15 @@ class TestQueryValidation:
             q(p_values=(2, 2))
         with pytest.raises(ValueError):
             q(p_values=(0, 1))
+        with pytest.raises(ValueError, match="^p_values must be"):
+            q(p_values=5)
+
+    def test_p_values_are_stored_as_a_tuple(self):
+        listed, tupled = q(p_values=[1, 2]), q(p_values=(1, 2))
+        assert listed.p_values == (1, 2)
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert q(p_values=range(1, 4)) == q(p_values=(1, 2, 3))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -198,6 +213,11 @@ class TestSearch:
         monkeypatch.setattr(classifier.os, "cpu_count", lambda: 64)
         assert search(query, jobs=5) == search(query)
         assert started == [2, 5]
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.0, True])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ValueError, match="^jobs must be"):
+            search(q(), jobs=jobs)
 
     def test_box_monotonicity(self):
         small = set(search(q(family="V", w=1, p_values=(1, 3, 5), n_max=60)))
@@ -354,6 +374,10 @@ class TestSearch:
             p_range(10, parity="od")
         with pytest.raises(ValueError, match="multiple_of"):
             p_range(10, multiple_of=0)
+        with pytest.raises(ValueError, match="^multiple_of must be an integer"):
+            p_range(10, multiple_of=2.5)
+        with pytest.raises(ValueError, match="^p_max must be an integer"):
+            p_range(2.5)
 
 
 class TestPredictedSets:
@@ -547,8 +571,8 @@ class TestHarness:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(classifier, name, counting)
         tiny = Profile(p_max=3, n_max=12, sweep_idx=2, obstruction_max=9, pow2_max=3,
-                       pell_z_max=2, pell_v_bound=100, form_y_bound=100,
-                       pell3_c_bound=100, quartic_x_bound=10)
+                       pell_z_max=2, pell_v_bound=100, form_bound=100,
+                       quartic_x_bound=10)
         reports = verify_all(tiny)
         assert [r.theorem_id for r in reports] == list(REPORT_IDS)
         assert calls == {"verify_theorem": 11, **dict.fromkeys(names[1:], 1)}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lucassquares import (
     CheckOutcome,
+    INDEX_LIMIT,
     SequenceParams,
     SquareClassFinding,
     SquareClassQuery,
@@ -22,6 +23,8 @@ from lucassquares import (
     classifier,
     cli,
     default_query,
+    pair_mod,
+    sequences,
     u,
     v,
     verify_theorem,
@@ -117,6 +120,38 @@ class TestSeq:
     def test_negative_index(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "-P", "3", "-Q", "1", "-n=-4")
         assert (code, out) == (0, "-4 -33 119\n")
+
+    @pytest.mark.parametrize("P, Q, lo, hi, modulus", [
+        (3, -1, 0, 30, 1000), (7, 1, 0, 200, 1000003), (2, 1, 10, 20, 2),
+        (6, -1, 1000, 1010, 123456789012345678901)])
+    def test_mod_span_is_one_residue_range(self, capsys, monkeypatch,
+                                           P, Q, lo, hi, modulus):
+        params = SequenceParams(P, Q)
+        pairs = [pair_mod(params, n, modulus) for n in range(lo, hi + 1)]
+        want = "".join(f"{p.n} {p.u_res} {p.v_res}\n" for p in pairs)
+        spans = []
+        real = sequences.residue_range
+
+        def recording(*args):
+            spans.append(args)
+            return real(*args)
+
+        def refused(*args):
+            raise AssertionError("seq --mod calls pair_mod")
+
+        monkeypatch.setattr(sequences, "residue_range", recording)
+        monkeypatch.setattr(sequences, "pair_mod", refused)
+        code, out, err = run_cli(capsys, "seq", "-P", str(P), "-Q", str(Q),
+                                 "-n", f"{lo}..{hi}", "--mod", str(modulus))
+        assert (code, out, err) == (0, want, "")
+        assert spans == [(params, lo, hi, modulus)]
+
+    def test_mod_span_past_the_index_limit_fails_before_any_row(self, capsys):
+        hi = INDEX_LIMIT + 2
+        code, out, err = run_cli(capsys, "seq", "-P", "3", "-n", f"{hi - 10}..{hi}",
+                                 "--mod", "7")
+        assert (code, out) == (1, "")
+        assert err == f"error: index magnitude must be below 2**63, got {hi}\n"
 
     def test_json_uses_decimal_strings(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "-P", "1", "-Q", "1", "-n", "12",
@@ -245,6 +280,17 @@ class TestSearch:
             code, out, err = run_cli(capsys, "search", "U", "1", flag, "0",
                                      "--nmax", "5")
             assert (code, out, err) == (1, "", "error: the P selection is empty\n")
+
+    def test_w_above_the_bound_is_refused_without_trial_division(self):
+        # Trial division to sqrt(w) would run for hours at 20 digits, so a
+        # timeout rather than a hang marks the failure.
+        proc = subprocess.run(
+            [sys.executable, "-m", "lucassquares", "search", "U",
+             "10000000000000000051", "--P", "1", "--nmax", "5"],
+            capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: w must be at most 10**12, "
+                               "got 10000000000000000051\n")
 
     def test_two_term_requires_mmax(self, capsys):
         code, _, err = run_cli(capsys, "search", "UU", "2", "--P", "5",

@@ -191,6 +191,11 @@ class TestEnumeratorsAgainstNaiveScan:
 
 
 class TestFamilyCover:
+    @pytest.mark.parametrize("equation", ["nope", "quartic", ["pell5"]])
+    def test_rejects_an_unknown_equation(self, equation):
+        with pytest.raises(ValueError, match="^unknown equation"):
+            diophantine.family_cover(equation, 1, 2)
+
     def test_extends_the_family_past_an_explicit_bound(self):
         members, bound, family_pairs, oracle_pairs = diophantine.family_cover(
             "pell5", -1, 1, 1000)
