@@ -53,14 +53,19 @@ class SquareClass:
         return self.w * self.x * self.x
 
 
+def _require_int(field: str, value: object) -> None:
+    """Raise ValueError naming `field` unless `value` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def isqrt(n: int) -> int:
     """Floor of the square root of a nonnegative integer.
 
     The result r satisfies r**2 <= n < (r + 1)**2.  Negative input is an
     error rather than a value.
     """
-    if not isinstance(n, int):
-        raise ValueError("isqrt requires an integer")
+    _require_int("n", n)
     if n < 0:
         raise ValueError(f"isqrt requires a nonnegative integer, got {n}")
     return math.isqrt(n)
@@ -120,6 +125,7 @@ def _square_root(q: int) -> int | None:
 
 def is_square(n: int) -> bool:
     """True iff n is a perfect square (negative numbers never are)."""
+    _require_int("n", n)
     return n >= 0 and _square_root(n) is not None
 
 
@@ -135,7 +141,9 @@ def square_witness(n: int, w: int) -> int | None:
     65 and 11 before `math.isqrt` (Cohen 1993, §1.7.2), so a non-square is
     usually rejected after one reduction and at most four table lookups.
     """
-    if not isinstance(w, int) or w < 1:
+    _require_int("n", n)
+    _require_int("w", w)
+    if w < 1:
         raise ValueError(f"w must be a positive integer, got {w}")
     if n < 0:
         return None
@@ -152,6 +160,7 @@ def square_class(n: int) -> SquareClass | None:
     fits.  For n >= 1 the representation is unique when it exists (the
     square-free part of n is unique); n = 0 classifies as (w=1, x=0).
     """
+    _require_int("n", n)
     if n < 0:
         return None
     for w in SQUAREFREE_COEFFS:
@@ -169,8 +178,8 @@ def jacobi(a: int, n: int) -> int:
     reciprocity sign (n mod 4, a mod 4), and reduce.  (a / 1) = 1 by the
     empty-product convention; the value is 0 iff gcd(a, n) > 1.
     """
-    if not isinstance(a, int) or not isinstance(n, int):
-        raise ValueError("jacobi requires integers")
+    _require_int("a", a)
+    _require_int("n", n)
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"jacobi requires a positive odd n, got {n}")
     a %= n

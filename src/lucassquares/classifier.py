@@ -9,7 +9,9 @@ are searched exhaustively over explicit boxes (P values, n and m bounds),
 and each classification report diffs the findings against the predicted
 solution set under the hypotheses the classification actually covers.
 Queries outside those hypotheses are refused with `OutOfScopeError` rather
-than answered with a guess.
+than answered with a guess.  Where a classification covers a P for odd n
+only, `verify_theorem` searches every n of the box there and drops the
+findings with even n.
 
 Conventions, applied uniformly in search and predictions:
 
@@ -54,6 +56,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 
 from . import arith, diophantine, identities, sequences
+from .arith import _require_int
 from .identities import CheckOutcome
 from .sequences import SequenceParams
 
@@ -98,11 +101,6 @@ class OutOfScopeError(Exception):
 # The largest w a query takes: its square-free check trial-divides by every
 # p <= sqrt(w), a million divisions at this bound.
 _W_MAX = 10**12
-
-
-def _require_int(field: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -551,8 +549,7 @@ _SWEEPS = {
     "pell-form-families": _Sweep(
         lambda prof: sweep_pell_form_families(z_max=prof.pell_z_max,
                                               v_bound=prof.pell_v_bound,
-                                              y_bound=prof.form_bound,
-                                              c_bound=prof.form_bound),
+                                              form_bound=prof.form_bound),
         "parametric vs enumerated solutions of u**2-5v**2 = +-1, "
         "x**2-4xy-y**2 in {-5,-1} and b**2-3c**2 = 1"),
     "quartic-equations": _Sweep(
@@ -579,8 +576,8 @@ def _scopes(theorem_id: str, entry: _Classification, query: SquareClassQuery,
     """The scope of each queried P; raises OutOfScopeError if the query is uncovered.
 
     A predicted set must hold for every queried n, so there an ODD_N P needs
-    n_parity='odd'.  A verification searches such a P for odd n only unless
-    the query asks for even n, and a multiplexed one takes any family and w.
+    n_parity='odd'.  A verification refuses even n at such a P and drops the
+    findings with even n there, and a multiplexed one takes any family and w.
     """
     if not (verifying and entry.searched):
         if query.family != entry.family:
@@ -670,11 +667,13 @@ def _diff_report(theorem_id: str, query: SquareClassQuery,
 
 def verify_theorem(theorem_id: str, query: SquareClassQuery,
                    jobs: int = 1) -> TheoremReport:
-    """Search the box, compute the predicted set, and diff them.
+    """Search the box once per searched (family, w), compute the predicted
+    set, and diff them.
 
-    Out-of-scope queries yield a report with the out_of_predicted_scope
-    verdict (the violated hypothesis is in the notes) rather than raising,
-    so callers always get a report.
+    Findings with even n at a P covered for odd n only are dropped: the
+    classification says nothing there.  Out-of-scope queries yield a report
+    with the out_of_predicted_scope verdict (the violated hypothesis is in
+    the notes) rather than raising, so callers always get a report.
     """
     entry = _classification(theorem_id)
     combos = entry.searched or ((query.family, query.w),)
@@ -683,16 +682,14 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
         predicted = _clip(query, entry.predict(query.p_values, combos))
     except OutOfScopeError as err:
         return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, str(err))
-    boxes, notes = [query], entry.notes
+    notes = entry.notes
     odd_only = [p for p in query.p_values if scopes[p] == ODD_N]
     if odd_only and query.n_parity is None:
-        rest = tuple(p for p in query.p_values if scopes[p] != ODD_N)
-        boxes = [replace(query, p_values=rest)] if rest else []
-        boxes.append(replace(query, p_values=tuple(odd_only), n_parity="odd"))
         notes = (f"P values {odd_only} ({entry.odd_n[1]}) searched for odd n only; "
                  "even n is uncovered there")
-    found = [finding for box in boxes for family, w in combos
-             for finding in search(replace(box, family=family, w=w), jobs=jobs)]
+    found = [finding for family, w in combos
+             for finding in search(replace(query, family=family, w=w), jobs=jobs)
+             if finding.n % 2 or scopes[finding.P] != ODD_N]
     found.sort(key=_finding_key)
     uncounted = {p for p, scope in scopes.items() if scope == UNCOUNTED}
     return _diff_report(theorem_id, query, predicted, found, notes,
@@ -704,12 +701,18 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
 
 def _sweep_report(theorem_id: str, outcomes: Iterable[CheckOutcome],
                   grid_text: str) -> TheoremReport:
-    """Run the checks `outcomes` yields and report the ones that fail."""
+    """Run the checks `outcomes` yields and report the ones that fail.
+
+    A grid that holds no check raises ValueError: a consistent verdict on
+    nothing would read as a verified law.
+    """
     failures: list[CheckOutcome] = []
     total = 0
     for total, outcome in enumerate(outcomes, 1):
         if not outcome.passed:
             failures.append(outcome)
+    if not total:
+        raise ValueError(f"{theorem_id}: the grid {grid_text} holds no checks")
     verdict = CONSISTENT if not failures else COUNTEREXAMPLE
     notes = f"{grid_text}: {total} checks, {len(failures)} failed"
     if len(failures) > 50:
@@ -826,9 +829,11 @@ def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
 
 
 def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
-                             y_bound: int = 10**4, c_bound: int = 10**4,
-                             ) -> TheoremReport:
+                             form_bound: int = 10**4) -> TheoremReport:
     """Parametric families against direct enumeration for all three equations.
+
+    `v_bound` bounds the Pell v, and `form_bound` both the form's y and the
+    Pell-3 c.
 
     Family generation is extended until it provably covers the enumeration
     bound (the next member lies beyond it), so a missing parametric solution
@@ -838,8 +843,8 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
     """
     outcomes = []
     for equation, param, bound in (("pell5", 1, v_bound), ("pell5", -1, v_bound),
-                                   ("form", -5, y_bound), ("form", -1, y_bound),
-                                   ("pell3", None, c_bound)):
+                                   ("form", -5, form_bound), ("form", -1, form_bound),
+                                   ("pell3", None, form_bound)):
         _, _, family_pairs, oracle_pairs = diophantine.family_cover(
             equation, param, max(2, z_max // 2 + 1), bound)
         inputs = (bound,) if param is None else (param, bound)
@@ -848,8 +853,8 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
                                   f"oracle-only: {sorted(oracle_pairs - family_pairs)}")
         outcomes.append(CheckOutcome(f"{equation}-family-oracle", inputs, passed,
                                      len(family_pairs), len(oracle_pairs), note))
-    grid = (f"z ~ {z_max}, Pell v <= {v_bound}, form y <= {y_bound}, "
-            f"Pell-3 c <= {c_bound}")
+    grid = (f"z ~ {z_max}, Pell v <= {v_bound}, form y <= {form_bound}, "
+            f"Pell-3 c <= {form_bound}")
     return _sweep_report("pell-form-families", outcomes, grid)
 
 

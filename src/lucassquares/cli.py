@@ -63,8 +63,8 @@ class _Result:
     csv_rows: list[list]
     json_payload: dict
     exit_code: int = EXIT_OK
-    # None: one line per CSV row, cells space-separated, "-" for None.
-    table_lines: list[str] | None = None
+    # One line per row, cells space-separated, "-" for None; None: the CSV rows.
+    table_rows: list[list] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -159,11 +159,9 @@ def report_from_dict(data: dict) -> TheoremReport:
 
 def _render(result: _Result, fmt: str) -> str:
     if fmt == "table":
-        lines = result.table_lines
-        if lines is None:
-            lines = (" ".join("-" if cell is None else str(cell) for cell in row)
-                     for row in result.csv_rows)
-        return "".join(line + "\n" for line in lines)
+        rows = result.csv_rows if result.table_rows is None else result.table_rows
+        return "".join(" ".join("-" if cell is None else str(cell) for cell in row) + "\n"
+                       for row in rows)
     if fmt == "json":
         return json.dumps(_stringify(result.json_payload),
                           indent=2, sort_keys=True) + "\n"
@@ -400,12 +398,11 @@ def _cmd_solve(args: argparse.Namespace) -> _Result:
     else:
         header, rows = ["b", "c"], [list(bc) for bc in family]
     payload["solutions"] = [dict(zip(header, row)) for row in rows]
-    table = [f"{row[-2]} {row[-1]}" for row in rows]
 
     agree = family_pairs == oracle_pairs
     payload["oracle_bound"] = bound
     payload["family_matches_oracle"] = agree
-    table.append(f"family=oracle: {'yes' if agree else 'no'}")
+    table = [row[-2:] for row in rows] + [[f"family=oracle: {'yes' if agree else 'no'}"]]
     exit_code = EXIT_OK if agree else EXIT_COUNTEREXAMPLE
     return _Result(header, rows, payload, exit_code, table)
 
@@ -419,21 +416,12 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
     return _Result([f.name for f in fields(SquareClassFinding)], rows, payload)
 
 
-def _report_table_lines(report: TheoremReport) -> list[str]:
-    lines = [f"{report.theorem_id} {report.verdict} "
-             f"found={len(report.found)} predicted={len(report.predicted)}"]
+def _report_table_rows(report: TheoremReport) -> list[list[str]]:
+    rows = [[f"{report.theorem_id} {report.verdict} "
+             f"found={len(report.found)} predicted={len(report.predicted)}"]]
     if report.verdict != classifier.CONSISTENT:
-        lines.append(f"  {report.notes}")
-    return lines
-
-
-def _verify_exit_code(reports: list[TheoremReport]) -> int:
-    verdicts = {report.verdict for report in reports}
-    if classifier.COUNTEREXAMPLE in verdicts:
-        return EXIT_COUNTEREXAMPLE
-    if classifier.OUT_OF_SCOPE in verdicts:
-        return EXIT_OUT_OF_SCOPE
-    return EXIT_OK
+        rows.append([f"  {report.notes}"])
+    return rows
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
@@ -462,14 +450,14 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         raise CliError(f"unknown report {args.target!r}; "
                        f"valid: all, {', '.join(REPORT_IDS)}")
 
-    table: list[str] = []
-    for report in reports:
-        table.extend(_report_table_lines(report))
+    table = [row for report in reports for row in _report_table_rows(report)]
     counts = {verdict: sum(1 for r in reports if r.verdict == verdict)
               for verdict in _VERDICTS}
-    table.append(f"reports={len(reports)} consistent={counts[classifier.CONSISTENT]} "
-                 f"counterexample={counts[classifier.COUNTEREXAMPLE]} "
-                 f"out_of_scope={counts[classifier.OUT_OF_SCOPE]}")
+    table.append([f"reports={len(reports)} consistent={counts[classifier.CONSISTENT]} "
+                  f"counterexample={counts[classifier.COUNTEREXAMPLE]} "
+                  f"out_of_scope={counts[classifier.OUT_OF_SCOPE]}"])
+    exit_code = (EXIT_COUNTEREXAMPLE if counts[classifier.COUNTEREXAMPLE]
+                 else EXIT_OUT_OF_SCOPE if counts[classifier.OUT_OF_SCOPE] else EXIT_OK)
     payload = {
         "command": "verify",
         "target": args.target,
@@ -479,7 +467,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     csv_rows = [[report.theorem_id, report.verdict, len(report.found),
                  len(report.predicted), report.notes] for report in reports]
     return _Result(["theorem_id", "verdict", "found", "predicted", "notes"],
-                   csv_rows, payload, _verify_exit_code(reports), table)
+                   csv_rows, payload, exit_code, table)
 
 
 _HANDLERS = {

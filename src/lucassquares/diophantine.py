@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import _SQUARES_63, _SQUARES_64, square_witness
+from .arith import _SQUARES_63, _SQUARES_64, _require_int, square_witness
 from .sequences import SequenceParams, u as _seq_u, v as _seq_v
 
 __all__ = [
@@ -159,6 +159,11 @@ def _half(value: int, what: str) -> int:
     return q
 
 
+def _halved(name: str, k: int) -> int:
+    """L_k / 2 (name "L") or F_k / 2 (name "F"), exactly."""
+    return _half((_seq_v if name == "L" else _seq_u)(_FIB, k), f"{name}_{k}")
+
+
 # k*b**2 + c mod 64 and mod 63 depends only on b mod 64 * 63.
 _WHEEL = 64 * 63
 
@@ -206,22 +211,19 @@ def pell5_family(sign: int, count: int) -> list[PellSolution]:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    z = 0 if sign == 1 else 1
-    out = []
-    for _ in range(count):
-        uu = _half(_seq_v(_FIB, 3 * z), f"L_{3 * z}")
-        vv = _half(_seq_u(_FIB, 3 * z), f"F_{3 * z}")
-        out.append(PellSolution(uu, vv, z))
-        z += 2
-    return out
+    first = 0 if sign == 1 else 1
+    return [PellSolution(_halved("L", 3 * z), _halved("F", 3 * z), z)
+            for z in range(first, first + 2 * count, 2)]
 
 
 def pell5_enumerate(sign: int, v_bound: int) -> list[PellSolution]:
     """All solutions of u**2 - 5*v**2 = sign with 0 <= v <= v_bound, by scan."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _require_int("v_bound", v_bound)
     if v_bound < 0:
         raise ValueError(f"v_bound must be >= 0, got {v_bound}")
     return [PellSolution(s, vv) for vv, s in _square_scan(5, sign, 0, v_bound)]
@@ -235,18 +237,12 @@ def form_family(c: int, count: int) -> list[FormSolution]:
     """
     if c not in (-5, -1):
         raise ValueError(f"c must be -5 or -1, got {c}")
+    _require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    seq = _seq_v if c == -5 else _seq_u
-    name = "L" if c == -5 else "F"
-    z = 0 if c == -5 else 1
-    out = []
-    for _ in range(count):
-        xx = _half(seq(_FIB, 3 * z + 3), f"{name}_{3 * z + 3}")
-        yy = _half(seq(_FIB, 3 * z), f"{name}_{3 * z}")
-        out.append(FormSolution(xx, yy, c, z))
-        z += 2
-    return out
+    name, first = ("L", 0) if c == -5 else ("F", 1)
+    return [FormSolution(_halved(name, 3 * z + 3), _halved(name, 3 * z), c, z)
+            for z in range(first, first + 2 * count, 2)]
 
 
 def form_enumerate(c: int, y_bound: int) -> list[FormSolution]:
@@ -259,6 +255,7 @@ def form_enumerate(c: int, y_bound: int) -> list[FormSolution]:
     """
     if c not in (-5, -1):
         raise ValueError(f"c must be -5 or -1, got {c}")
+    _require_int("y_bound", y_bound)
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
     return [FormSolution(xx, yy, c) for yy, s in _square_scan(5, c, 0, y_bound)
@@ -271,6 +268,7 @@ def pell3_family(count: int) -> list[tuple[int, int]]:
     Generated from the Q = -1 companion pair at P = 4 as
     (b, c) = (V_m(4,-1)/2, U_m(4,-1)) for m = 1, 2, ...
     """
+    _require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = []
@@ -285,6 +283,7 @@ def pell3_family(count: int) -> list[tuple[int, int]]:
 
 def pell3_enumerate(c_bound: int) -> list[tuple[int, int]]:
     """All positive solutions of b**2 - 3*c**2 = 1 with 1 <= c <= c_bound."""
+    _require_int("c_bound", c_bound)
     if c_bound < 0:
         raise ValueError(f"c_bound must be >= 0, got {c_bound}")
     return [(s, cc) for cc, s in _square_scan(3, 1, 1, c_bound)]
@@ -322,6 +321,7 @@ def family_cover(equation: str, param: int | None, count: int,
     members = family_fn(param, count)
     if bound is None:
         bound = pair(members[-1])[1]
+    _require_int("bound", bound)
     cover, size = members, count
     while pair(cover[-1])[1] <= bound:
         size += 1  # not len(cover) + 1: a family short of members must not loop
@@ -334,6 +334,7 @@ def family_cover(equation: str, param: int | None, count: int,
 def quartic_solutions(variant: str, x_bound: int) -> list[QuarticSolution]:
     """All positive solutions of the variant quartic = 5*y**2 with x <= x_bound."""
     a, b = _variant_coeffs(variant)
+    _require_int("x_bound", x_bound)
     if x_bound < 1:
         raise ValueError(f"x_bound must be >= 1, got {x_bound}")
     out = []

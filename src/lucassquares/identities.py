@@ -271,30 +271,21 @@ def check_divisibility_laws(params: SequenceParams, m: int, n: int) -> list[Chec
         raise ValueError("divisibility laws require m >= 1 and n >= 1")
     inputs = (params.P, params.Q, m, n)
     outcomes = []
-
-    vm = sequences.v(params, m)
-    if vm <= 2:
-        outcomes.append(_trivial_pass(
-            "v-divides-v", inputs,
-            f"V_m = {vm} divides every term; biconditional not asserted"))
-    else:
-        divides = 1 if sequences.v(params, n) % vm == 0 else 0
-        predicted = 1 if n in divisor_indices(m, n, True) else 0
-        outcomes.append(_outcome(
-            "v-divides-v", inputs, divides, predicted,
-            "lhs: V_m | V_n; rhs: m | n with odd quotient"))
-
-    um = sequences.u(params, m)
-    if um == 1:
-        outcomes.append(_trivial_pass(
-            "u-divides-u", inputs,
-            "U_m = 1 divides every term; biconditional not asserted"))
-    else:
-        divides = 1 if sequences.u(params, n) % um == 0 else 0
-        predicted = 1 if n in divisor_indices(m, n, False) else 0
-        outcomes.append(_outcome(
-            "u-divides-u", inputs, divides, predicted,
-            "lhs: U_m | U_n; rhs: m | n"))
+    # U_m >= 1 for Q = 1 and m >= 1, so U_m <= 1 is the guard U_m == 1.
+    for check_id, letter, value, v_law, unit_max, rhs_text in (
+            ("v-divides-v", "V", sequences.v, True, 2, "m | n with odd quotient"),
+            ("u-divides-u", "U", sequences.u, False, 1, "m | n")):
+        xm = value(params, m)
+        if xm <= unit_max:
+            outcomes.append(_trivial_pass(
+                check_id, inputs,
+                f"{letter}_m = {xm} divides every term; biconditional not asserted"))
+        else:
+            divides = 1 if value(params, n) % xm == 0 else 0
+            predicted = 1 if n in divisor_indices(m, n, v_law) else 0
+            outcomes.append(_outcome(
+                check_id, inputs, divides, predicted,
+                f"lhs: {letter}_m | {letter}_n; rhs: {rhs_text}"))
     return outcomes
 
 

@@ -22,6 +22,27 @@ from lucassquares import (
 from _oracles import bisect_isqrt, naive_isqrt, naive_jacobi, naive_square_witness
 
 
+NON_INTEGER_CALLS = [
+    (square_witness, (4.0, 1), "n"),
+    (square_witness, (4, True), "w"),
+    (square_witness, (4, 1.0), "w"),
+    (is_square, (4.0,), "n"),
+    (is_square, (True,), "n"),
+    (square_class, (2.0,), "n"),
+    (square_class, (False,), "n"),
+    (isqrt, (True,), "n"),
+    (jacobi, (True, 3), "a"),
+    (jacobi, (2, 3.0), "n"),
+]
+
+
+@pytest.mark.parametrize("fn, args, field", NON_INTEGER_CALLS,
+                         ids=[f"{fn.__name__}{args}" for fn, args, _ in NON_INTEGER_CALLS])
+def test_entry_points_refuse_non_integers_by_name(fn, args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        fn(*args)
+
+
 class TestIsqrt:
     def test_known_values(self):
         assert isqrt(0) == 0

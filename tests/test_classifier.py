@@ -362,6 +362,21 @@ class TestSearch:
         assert report.verdict == "counterexample"
         assert {outcome.check_id for outcome in report.found} == {"v-divides-v"}
 
+    @pytest.mark.parametrize("sweep, kwargs, grid", [
+        ("product_identities", {"p_max": -1}, "P <= -1, |n| <= 6"),
+        ("shift_congruences", {"p_max": 0, "idx_max": 2},
+         "P <= 0, 0 < |m|,|n| <= 2, |r| <= 2, spot checks at |n| = 1000000"),
+        ("divisibility_laws", {"p_max": 3, "idx_max": 0}, "P <= 3, m, n <= 0"),
+        ("residue_classes",
+         {"p_max": 0, "idx_max": 0, "obstruction_max": 0, "pow2_max": 0},
+         "P <= 0, indices <= 0, k <= 0, obstruction moduli <= 0"),
+    ])
+    def test_a_sweep_over_an_empty_grid_is_refused(self, sweep, kwargs, grid):
+        report_id = sweep.replace("_", "-")
+        with pytest.raises(ValueError) as info:
+            getattr(classifier, f"sweep_{sweep}")(**kwargs)
+        assert str(info.value) == f"{report_id}: the grid {grid} holds no checks"
+
     def test_p_range_helper(self):
         assert p_range(5) == (1, 2, 3, 4, 5)
         assert p_range(9, parity="odd") == (1, 3, 5, 7, 9)
@@ -471,6 +486,24 @@ class TestVerifyTheorem:
                                 q(family="UU", w=5, p_values=(18,), n_max=60,
                                   m_max=30))
         assert report.verdict == "out_of_predicted_scope"
+
+    def test_even_n_findings_at_odd_n_only_p_are_dropped(self, monkeypatch):
+        # u-5um-square covers P = 8 (0 mod 4, P**2 = -1 mod 5) for odd n only.
+        planted = [SquareClassFinding("UU", 8, n, 2, 5, 1) for n in (7, 10)]
+
+        def fake_search(query, jobs=1):
+            return [f for f in planted if f.P in query.p_values
+                    and classifier._parity_ok(f.n, query.n_parity)]
+
+        monkeypatch.setattr(classifier, "search", fake_search)
+        report = verify_theorem("u-5um-square",
+                                q(family="UU", w=5, p_values=(7, 8), n_max=60, m_max=30))
+        assert report.verdict == "counterexample"
+        assert report.found == (planted[0],)
+        assert report.notes.endswith(
+            "; P values [8] (P = 0 mod 4, P**2 = -1 mod 5) searched for odd n only; "
+            "even n is uncovered there; "
+            "unexpected findings: (P=8, n=7, m=2, w=5, x=1)")
 
     def test_multiplexed_u_wsquare(self):
         report = verify_theorem("u-wsquare", default_query("u-wsquare", "quick"))

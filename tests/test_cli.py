@@ -24,6 +24,7 @@ from lucassquares import (
     cli,
     default_query,
     pair_mod,
+    pell3_family,
     sequences,
     u,
     v,
@@ -248,6 +249,33 @@ class TestSolve:
     def test_count_defaults_to_five(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "pell3")
         assert (code, out) == (0, "2 1\n7 4\n26 15\n97 56\n362 209\nfamily=oracle: yes\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit cap before Python 3.10.7")
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_members_past_the_str_digit_limit(self, capsys, fmt):
+        # c_1200 of b**2 - 3c**2 = 1 has about 690 digits; the cap is lowered
+        # to 640 so that the handler must leave every value an int.
+        members = pell3_family(1200)
+        want_rows = [f"{b} {c}" for b, c in members]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "solve", "pell3", "--count", "1200",
+                                     "--enum-bound", "10", "--format", fmt)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, err) == (0, "")
+        if fmt == "table":
+            assert out.splitlines() == [*want_rows, "family=oracle: yes"]
+        elif fmt == "csv":
+            assert out.splitlines() == ["b,c", *(row.replace(" ", ",") for row in want_rows)]
+        else:
+            payload = json.loads(out)
+            assert payload["family_matches_oracle"] is True
+            assert [f"{s['b']} {s['c']}" for s in payload["solutions"]] == want_rows
+        assert len(want_rows[-1].split()[1]) > 640
 
 
 class TestSearch:

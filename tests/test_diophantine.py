@@ -1,5 +1,7 @@
 """Pell equations, the binary quadratic form, and the quartic scans."""
 
+import hashlib
+
 import pytest
 
 from lucassquares import (
@@ -141,6 +143,39 @@ def _naive_roots(k, c, lo, bound):
 WHEEL = 64 * 63
 ORACLE_BOUNDS = (0, 1, 4, 9, 17, 72, 161, 2000,
                  WHEEL - 1, WHEEL, WHEEL + 1, 2 * WHEEL + 17, 3 * WHEEL + WHEEL // 2)
+
+
+@pytest.mark.parametrize("family, param, pin", [
+    (pell5_family, 1, "82cf3107c46841ca0f23ac7ca9d4aba04627136795dde0673c5b254713b0045e"),
+    (pell5_family, -1, "29d1107e8d3d47f0f720c51ddbb613904d5031f3cef6508b80bc92057e6b465e"),
+    (form_family, -5, "31de671a4967757d4d70db156624f3e2b2d4b9f52d626c762d41c70aef5d659e"),
+    (form_family, -1, "7cb03c1c9042b4a5062746265214752c33caa05f1449a60153e026273dfca52e"),
+], ids=["pell5+1", "pell5-1", "form-5", "form-1"])
+def test_families_are_pinned_member_for_member(family, param, pin):
+    # Every field of the first 40 members, z included.
+    text = repr([tuple(vars(s).values()) for s in family(param, 40)])
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+NON_INTEGER_CALLS = [
+    (pell5_family, (1, True), "count"),
+    (pell5_family, (-1, 2.0), "count"),
+    (pell5_enumerate, (1, 10.5), "v_bound"),
+    (form_family, (-5, True), "count"),
+    (form_enumerate, (-1, 10.0), "y_bound"),
+    (pell3_family, (3.0,), "count"),
+    (pell3_enumerate, (True,), "c_bound"),
+    (diophantine.family_cover, ("pell5", 1, 3, 2.5), "bound"),
+    (diophantine.family_cover, ("pell3", None, True), "count"),
+    (quartic_solutions, ("plus3", 20.0), "x_bound"),
+]
+
+
+@pytest.mark.parametrize("fn, args, field", NON_INTEGER_CALLS,
+                         ids=[f"{fn.__name__}{args}" for fn, args, _ in NON_INTEGER_CALLS])
+def test_counts_and_bounds_refuse_non_integers_by_name(fn, args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        fn(*args)
 
 
 class TestEnumeratorsAgainstNaiveScan:

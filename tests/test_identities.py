@@ -1,6 +1,7 @@
 """Identity and congruence checks: spec cases, error contracts, grid sweeps."""
 
 import dataclasses
+import hashlib
 import inspect
 import pickle
 
@@ -274,6 +275,20 @@ class TestDivisibilityLaws:
         assert "divides every term" in outcomes["v-divides-v"].note  # V_1 = 2
         outcomes = {o.check_id: o for o in check_divisibility_laws(FIB, 2, 5)}
         assert "divides every term" in outcomes["u-divides-u"].note  # U_2 = 1
+
+    def test_outcomes_are_pinned_field_for_field(self):
+        # Every field of both laws' outcomes over P <= 11 and m, n <= 12
+        # (1,584 calls), degenerate divisors and notes included.
+        digest = hashlib.sha256()
+        for p in range(1, 12):
+            params = SequenceParams(p, 1)
+            for m in range(1, 13):
+                for n in range(1, 13):
+                    for o in check_divisibility_laws(params, m, n):
+                        fields = (o.check_id, o.inputs, o.passed, o.lhs, o.rhs, o.note)
+                        digest.update(repr(fields).encode())
+        assert digest.hexdigest() == (
+            "4bbb0af03921b619cd7ac80c0ba765e32bd08e6248d652816a13b2a9577dffb0")
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
