@@ -11,9 +11,9 @@ Cohen, *A Course in Computational Algebraic Number Theory* (1993), §1.7.2,
 also used by GMP's `mpz_perfect_square_p`.  A square is a residue mod every
 modulus, so the filter rejects no square.  Only values that pass all four
 tables (6 in 715 of random non-squares) pay for `math.isqrt`.  The same
-tables, plus six more for the primes 17 to 37, let the search reject
-X_n = c * x**2 from the residue of X_n * c mod their product, before any
-exact arithmetic on X_n.
+tables, plus six more for the primes 17 to 37 and thirteen for the primes
+41 to 97, let the search reject X_n = c * x**2 from the residue of X_n * c
+mod their product, a 128-bit modulus, before any exact arithmetic on X_n.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ _SQUARES_17, _SQUARES_19, _SQUARES_23, _SQUARES_29, _SQUARES_31, _SQUARES_37 = m
     _square_residues, (17, 19, 23, 29, 31, 37))
 
 
+# 41 * 43 * ... * 97 < 2**79: the third reduction of the product filter.
+_RESIDUE_MODULUS_3 = 310_692_537_866_322_378_582_047
+(_SQUARES_41, _SQUARES_43, _SQUARES_47, _SQUARES_53, _SQUARES_59, _SQUARES_61,
+ _SQUARES_67, _SQUARES_71, _SQUARES_73, _SQUARES_79, _SQUARES_83, _SQUARES_89,
+ _SQUARES_97) = map(_square_residues, (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
+
+
 def _is_residue(t: int) -> bool:
     """False if t, reduced mod 2,882,880, is a non-square mod 64, 63, 65 or 11."""
     return bool(_SQUARES_64[t & 63] and _SQUARES_63[t % 63]
@@ -99,8 +106,18 @@ def _is_residue_2(t: int) -> bool:
                 and _SQUARES_29[t % 29] and _SQUARES_31[t % 31] and _SQUARES_37[t % 37])
 
 
-# Both residue moduli at once, < 2**50: the modulus of the search's residue stream.
-_SIEVE_MODULUS = _RESIDUE_MODULUS * _RESIDUE_MODULUS_2
+def _is_residue_3(t: int) -> bool:
+    """False if t, reduced mod 41 * 43 * ... * 97, is a non-square mod one of them."""
+    return bool(_SQUARES_41[t % 41] and _SQUARES_43[t % 43] and _SQUARES_47[t % 47]
+                and _SQUARES_53[t % 53] and _SQUARES_59[t % 59] and _SQUARES_61[t % 61]
+                and _SQUARES_67[t % 67] and _SQUARES_71[t % 71] and _SQUARES_73[t % 73]
+                and _SQUARES_79[t % 79] and _SQUARES_83[t % 83] and _SQUARES_89[t % 89]
+                and _SQUARES_97[t % 97])
+
+
+# The three residue moduli at once, a 128-bit number: the modulus of the
+# search's residue stream.
+_SIEVE_MODULUS = _RESIDUE_MODULUS * _RESIDUE_MODULUS_2 * _RESIDUE_MODULUS_3
 
 
 def _product_may_be_square(a: int, c: int) -> bool:
@@ -110,9 +127,11 @@ def _product_may_be_square(a: int, c: int) -> bool:
     (two-term).  A solution A = C * x**2 makes A * C = (C * x)**2, a square
     mod every modulus whether or not C is a unit there, so False rejects n
     before any exact arithmetic, with no quotient and no modular inverse.
+    The three stages run in turn, each only if the one before passes.
     """
     t = a * c % _SIEVE_MODULUS
-    return _is_residue(t % _RESIDUE_MODULUS) and _is_residue_2(t % _RESIDUE_MODULUS_2)
+    return (_is_residue(t % _RESIDUE_MODULUS) and _is_residue_2(t % _RESIDUE_MODULUS_2)
+            and _is_residue_3(t % _RESIDUE_MODULUS_3))
 
 
 def _square_root(q: int) -> int | None:

@@ -24,15 +24,18 @@ Conventions, applied uniformly in search and predictions:
   one-term family and the divisibility laws the classifications build on
   exclude that case.
 
-Each search cell walks one P: the exact terms from `sequences.seq_range`
-and, in step, their residues mod 2,882,880 * 247,110,827 from
-`sequences.residue_range`.  A solution X_n = c * x**2 makes X_n * c =
-(c * x)**2, with c = w for the one-term families and c = w * X_m for the
-two-term ones, so the search rejects n when that product is a non-square
-mod one of 64, 63, 65, 11 and the primes 17 to 37, by
-`arith._product_may_be_square`.  Only the survivors pay for
-`square_witness` or the exact division, whose remainder and square test
-still decide every finding.  The two-term search first prunes n to
+Each search cell walks one P.  It first reads every term's residue from
+`sequences.residue_range`, mod the 128-bit `arith._SIEVE_MODULUS`.  A
+solution X_n = c * x**2 makes X_n * c = (c * x)**2, with c = w for the
+one-term families and c = w * X_m for the two-term ones, so the search
+rejects n when that product is a non-square mod one of 64, 63, 65, 11 and
+the primes 17 to 97, by `arith._product_may_be_square`.  Only the
+survivors pay for `square_witness` or the exact division, whose remainder
+and square test still decide every finding.  Their exact terms come from
+one `sequences.seq_range` stream per cell, read only as far as the largest
+index a survivor needs; a two-term cell also reads each X_m whose residue
+is 1 or 2, the only residues of the unit and the 2 that the divisibility
+laws set apart.  The two-term search first prunes n to
 `identities.divisor_indices`, the divisibility laws' range (only V_1 = 2
 at P = 2 takes every n).  The divisibility sweep checks that same range
 function, and an independent no-pruning search backs this up in the test
@@ -227,37 +230,48 @@ def _parity_ok(n: int, parity: str | None) -> bool:
 
 
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
-    """All findings of `query` for a single P, sorted by (n, m)."""
+    """All findings of `query` for a single P, sorted by (n, m).
+
+    Every candidate is sieved on its residues first.  The exact terms come
+    from one `seq_range` stream, read on demand: only as far as the largest
+    index a survivor needs, so a cell with no survivor reads none.
+    """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
     modulus = arith._SIEVE_MODULUS
+    may_be_square = arith._product_may_be_square
     take_u = family in ("U", "UU")
     side = 0 if take_u else 1  # U_n or V_n of each residue pair
-    terms = zip(sequences.seq_range(params, 1, n_max),
-                sequences.residue_range(params, 1, n_max, modulus))
+    residues = [0]
+    residues += [res[side] for res in sequences.residue_range(params, 1, n_max, modulus)]
+    pairs = sequences.seq_range(params, 1, n_max)
+    exact = [0]
+
+    def term(k: int) -> int:
+        """Exact X_k, read from the stream up to k if not read yet."""
+        if k >= len(exact):
+            read = islice(pairs, k + 1 - len(exact))
+            exact.extend(pair.u if take_u else pair.v for pair in read)
+        return exact[k]
+
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
-        if n_parity is not None:
-            # The terms start at n = 1, so odd n sit at the even positions.
-            terms = islice(terms, 0 if n_parity == "odd" else 1, None, 2)
-        for pair, res in terms:
-            if not arith._product_may_be_square(res[side], w):
-                continue
-            x = arith.square_witness(pair.u if take_u else pair.v, w)
-            if x:
-                out.append(SquareClassFinding(family, P, pair.n, None, w, x))
+        step = 1 if n_parity is None else 2
+        for n in range(2 if n_parity == "even" else 1, n_max + 1, step):
+            if may_be_square(residues[n], w):
+                x = arith.square_witness(term(n), w)
+                if x:
+                    out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
-    table: list[int] = [0]
-    residues: list[int] = [0]
-    for pair, res in terms:
-        table.append(pair.u if take_u else pair.v)
-        residues.append(res[side])
     for m in range(query.m_min, query.m_max + 1):
-        base = table[m]
+        # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m of
+        # residue 1 or 2 can be the unit or the 2 that the laws set apart.
+        residue = residues[m]
+        base = term(m) if residue in (1, 2) else None
         if base == 1:
             continue
-        multiplier = w * residues[m] % modulus
+        multiplier = w * residue % modulus
         if base == 2 and not take_u:
             candidates = range(1, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
         else:
@@ -265,9 +279,9 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         for n in candidates:
             if n == m or not _parity_ok(n, n_parity):
                 continue
-            if not arith._product_may_be_square(residues[n], multiplier):
+            if not may_be_square(residues[n], multiplier):
                 continue
-            quotient, rem = divmod(table[n], base)
+            quotient, rem = divmod(term(n), term(m))
             if rem:
                 continue
             x = arith.square_witness(quotient, w)

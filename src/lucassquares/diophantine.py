@@ -80,6 +80,13 @@ def _variant_coeffs(variant: str) -> tuple[int, int]:
             f"valid: {', '.join(sorted(QUARTIC_VARIANTS))}") from None
 
 
+def _require_ints(**values: int | None) -> None:
+    """`_require_int` on each keyword value; z alone may be None (no index)."""
+    for name, value in values.items():
+        if not (name == "z" and value is None):
+            _require_int(name, value)
+
+
 @dataclass(frozen=True)
 class PellSolution:
     """A nonnegative solution of u**2 - 5*v**2 = +-1.
@@ -94,6 +101,7 @@ class PellSolution:
     z: int | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(u=self.u, v=self.v, z=self.z)
         sign = self.u * self.u - 5 * self.v * self.v
         if sign not in (1, -1):
             raise ValueError(f"({self.u}, {self.v}) does not solve u**2 - 5v**2 = +-1")
@@ -120,6 +128,7 @@ class FormSolution:
     z: int | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(x=self.x, y=self.y, c=self.c, z=self.z)
         if self.c not in (-5, -1):
             raise ValueError(f"c must be -5 or -1, got {self.c}")
         value = self.x * self.x - 4 * self.x * self.y - self.y * self.y
@@ -142,6 +151,7 @@ class QuarticSolution:
     y: int
 
     def __post_init__(self) -> None:
+        _require_ints(x=self.x, y=self.y)
         a, b = _variant_coeffs(self.variant)
         x2 = self.x * self.x
         if x2 * x2 + a * x2 + b != 5 * self.y * self.y:
@@ -209,6 +219,7 @@ def pell5_family(sign: int, count: int) -> list[PellSolution]:
     Solutions are (L_{3z}/2, F_{3z}/2) in increasing u, with z running over
     the even integers >= 0 for sign +1 and the odd integers >= 1 for -1.
     """
+    _require_int("sign", sign)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _require_int("count", count)
@@ -221,6 +232,7 @@ def pell5_family(sign: int, count: int) -> list[PellSolution]:
 
 def pell5_enumerate(sign: int, v_bound: int) -> list[PellSolution]:
     """All solutions of u**2 - 5*v**2 = sign with 0 <= v <= v_bound, by scan."""
+    _require_int("sign", sign)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _require_int("v_bound", v_bound)
@@ -235,6 +247,7 @@ def form_family(c: int, count: int) -> list[FormSolution]:
     For c = -5 the solutions are (L_{3z+3}/2, L_{3z}/2) with z even >= 0;
     for c = -1 they are (F_{3z+3}/2, F_{3z}/2) with z odd >= 1.
     """
+    _require_int("c", c)
     if c not in (-5, -1):
         raise ValueError(f"c must be -5 or -1, got {c}")
     _require_int("count", count)
@@ -253,6 +266,7 @@ def form_enumerate(c: int, y_bound: int) -> list[FormSolution]:
     Only positive x are reported: the boundary solution (x, y) = (0, 1) of
     c = -1 is outside every parametric family and is deliberately excluded.
     """
+    _require_int("c", c)
     if c not in (-5, -1):
         raise ValueError(f"c must be -5 or -1, got {c}")
     _require_int("y_bound", y_bound)

@@ -20,8 +20,8 @@ cross-check of the doubling path); `u_mod` and `v_mod` double
 congruences at indices like 10**6 never materialize the exact values.  The
 exact and modular paths use different formulas, so comparing them compares
 independent code.  `residue_range` is the modular twin of `seq_range`: the
-same recurrence on small integers, which the search uses to sieve terms by
-their residues before any exact arithmetic.  Everything is arbitrary
+same recurrence on integers below a fixed modulus, which the search uses to
+sieve terms by their residues before any exact arithmetic.  Everything is arbitrary
 precision and pure.
 """
 
@@ -258,9 +258,11 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
     """Yield (U_n mod modulus, V_n mod modulus) for n = n_lo .. n_hi, n_lo >= 0.
 
     The modular twin of `seq_range`: the same three-term recurrence on
-    small integers, seeded by one modular doubling at n_lo.  It yields bare
-    tuples, in index order, so that a search can sieve every term by its
-    residues for the cost of a few machine-word operations.
+    integers below the modulus, seeded by one modular doubling at n_lo.  It
+    yields bare tuples, in index order, so that a search can sieve every
+    term by its residues for the cost of a few operations on numbers of the
+    modulus's size (128 bits for the search's sieve), whatever the size of
+    the exact term.
     """
     _check_modular_args(n_lo, modulus)
     _check_index(n_hi)

@@ -137,10 +137,14 @@ RESIDUE_TABLES = {64: arith._SQUARES_64, 63: arith._SQUARES_63,
 # 17 * 19 * 23 * 29 * 31 * 37.
 SECOND_TABLES = {17: arith._SQUARES_17, 19: arith._SQUARES_19, 23: arith._SQUARES_23,
                  29: arith._SQUARES_29, 31: arith._SQUARES_31, 37: arith._SQUARES_37}
-ALL_TABLES = {**RESIDUE_TABLES, **SECOND_TABLES}
 
-# The primes of the ten moduli.
-FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The third tables, read after one reduction mod 41 * 43 * ... * 97.
+THIRD_PRIMES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+THIRD_TABLES = {p: getattr(arith, f"_SQUARES_{p}") for p in THIRD_PRIMES}
+ALL_TABLES = {**RESIDUE_TABLES, **SECOND_TABLES, **THIRD_TABLES}
+
+# The primes of the 23 moduli.
+FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) + THIRD_PRIMES
 
 # Square-free and composite coefficients; the two-term searches pass
 # products such as w * U_m, so composite w must be exact too.
@@ -156,7 +160,7 @@ def naive_squares_mod(m: int) -> frozenset[int]:
 
 
 def lift(k: int, a: int) -> int:
-    """An integer that is a mod k and 1 mod the other nine filter moduli."""
+    """An integer that is a mod k and 1 mod the other 22 filter moduli."""
     total = math.prod(ALL_TABLES)
     idempotent = total // k * pow(total // k, -1, k)   # 1 mod k, 0 mod the rest
     return (1 + (a - 1) * idempotent) % total
@@ -164,10 +168,12 @@ def lift(k: int, a: int) -> int:
 
 class TestResidueFilter:
     def test_tables_are_the_squares(self):
-        # Both filters' tables: r is marked iff r is a square mod m.
+        # All three stages' tables: r is marked iff r is a square mod m.
         assert arith._RESIDUE_MODULUS == 64 * 63 * 65 * 11
         assert arith._RESIDUE_MODULUS_2 == 17 * 19 * 23 * 29 * 31 * 37 < 2**30
-        assert arith._SIEVE_MODULUS == math.prod(ALL_TABLES) < 2**50
+        assert arith._RESIDUE_MODULUS_3 == math.prod(THIRD_PRIMES) < 2**79
+        assert arith._SIEVE_MODULUS == math.prod(ALL_TABLES) == (
+            221_334_524_538_769_768_776_297_806_143_848_582_720) < 2**128
         for m, table in ALL_TABLES.items():
             assert len(table) == m
             assert [r for r in range(m) if table[r]] == sorted(naive_squares_mod(m))
@@ -208,7 +214,7 @@ class TestProductFilter:
     @pytest.mark.parametrize("k", sorted(ALL_TABLES))
     def test_each_modulus_tests_the_product(self, k):
         # Every pair of classes mod k, units or not, lifted to 1 mod the
-        # other nine moduli: the filter passes exactly when a * c is a
+        # other 22 moduli: the filter passes exactly when a * c is a
         # square mod k.
         squares = naive_squares_mod(k)
         lifted = [lift(k, a) % arith._SIEVE_MODULUS for a in range(k)]

@@ -27,9 +27,10 @@ from lucassquares.sequences import IndexedPair
 
 from _oracles import naive_search_one_term, naive_search_two_term, naive_u_seq, naive_v_seq
 
-# The primes of the two-term search's residue moduli: 64, 63, 65, 11 and
-# 17, 19, 23, 29, 31, 37.
-FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes of the search's residue moduli: 64, 63, 65, 11, the primes
+# 17 to 37 and the primes 41 to 97.
+FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def q(family="U", w=1, p_values=(1,), n_max=50, **kwargs):
@@ -258,13 +259,80 @@ class TestSearch:
         monkeypatch.setattr(seqmod, "residue_range", bumped)
         assert lost not in [row[:3] for row in found_rows(query)]
 
+    @pytest.mark.parametrize("query, lost", [
+        (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
+        (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
+    def test_search_decides_on_the_exact_stream(self, monkeypatch, query, lost):
+        # The exact values come from sequences.seq_range, read through the
+        # module, so a stream that is wrong at U_12 alone loses that solution
+        # although its residues still pass the sieve.
+        import lucassquares.sequences as seqmod
+        real = seqmod.seq_range
+
+        def bumped(params, n_lo, n_hi):
+            for pair in real(params, n_lo, n_hi):
+                yield IndexedPair(pair.n, pair.u + 1, pair.v) if pair.n == 12 else pair
+
+        assert lost in [row[:3] for row in found_rows(query)]
+        monkeypatch.setattr(seqmod, "seq_range", bumped)
+        assert lost not in [row[:3] for row in found_rows(query)]
+
+    @pytest.mark.parametrize("query", [
+        q(family="U", w=1, p_values=tuple(range(1, 13)), n_max=60),
+        q(family="U", w=2, p_values=tuple(range(1, 13)), n_max=60, n_parity="even"),
+        q(family="V", w=5, p_values=tuple(range(1, 13)), n_max=60, n_parity="odd"),
+        q(family="UU", w=2, p_values=tuple(range(1, 11)), n_max=40, m_max=20),
+        q(family="VV", w=1, p_values=tuple(range(1, 11)), n_max=40, m_max=20),
+        q(family="VV", w=3, p_values=(1, 2, 3), n_max=40, m_max=20, m_min=2,
+          n_parity="odd")])
+    def test_cells_read_exact_terms_only_up_to_the_last_one_needed(self, monkeypatch, query):
+        # Each cell opens one exact stream and reads it only as far as the
+        # largest index its exact tests need: an n whose product passes the
+        # sieve, or for two-term families an m whose residue is 1 or 2 (X_m
+        # may be the unit or the 2 that the divisibility laws set apart).
+        # A two-term candidate is an n with X_m | X_n, for X_m != 1.
+        import lucassquares.sequences as seqmod
+        real, reads = seqmod.seq_range, []
+
+        def counted(params, n_lo, n_hi):
+            # Not a generator itself, so a stream never read is still counted.
+            cell = [params.P, 0]
+            reads.append(cell)
+
+            def stream():
+                for pair in real(params, n_lo, n_hi):
+                    cell[1] += 1
+                    yield pair
+            return stream()
+
+        monkeypatch.setattr(seqmod, "seq_range", counted)
+        assert found_rows(query) == naive_findings(query)
+        modulus, passes = classifier.arith._SIEVE_MODULUS, classifier.arith._product_may_be_square
+        seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
+        want = []
+        for P in query.p_values:
+            xs = seq(P, 1, query.n_max + 1)
+            ns = [n for n in range(1, query.n_max + 1)
+                  if query.n_parity is None or (n % 2 == 1) == (query.n_parity == "odd")]
+            if query.m_max is None:
+                needed = [n for n in ns if passes(xs[n] % modulus, query.w)]
+            else:
+                ms = range(query.m_min, query.m_max + 1)
+                needed = [m for m in ms if xs[m] % modulus in (1, 2)]
+                needed += [n for m in ms if xs[m] != 1 for n in ns
+                           if n != m and xs[n] % xs[m] == 0
+                           and passes(xs[n] % modulus, query.w * xs[m] % modulus)]
+            want.append([P, max(needed, default=0)])
+        assert reads == want
+        assert min(count for _, count in reads) < query.n_max // 2
+
     def test_solutions_above_the_sieve_modulus(self):
-        # Solutions far above the sieve's modulus (< 2**50), so the sieve
+        # Solutions far above the sieve's modulus (< 2**128), so the sieve
         # reads reduced residues and not the values themselves:
         # U_2 = V_1 = P = w * x**2; U_4 = 3 * U_2 * x**2 when P**2 + 2 = 3 * x**2
         # (since U_4 = U_2 * V_2); V_3 = 3 * V_1 * x**2 when P = 3k with
         # x**2 - 3k**2 = 1 (since V_3 = V_1 * (P**2 + 3)).
-        big, x = 2**60, 10**9 + 7
+        big, x = 2**140, 2**64 + 13
         pell_m2, pell_p1 = (1, 1), (2, 1)  # P**2 - 3x**2 = -2 and x**2 - 3k**2 = 1
         while pell_m2[0] ** 2 < big:
             pell_m2 = (2 * pell_m2[0] + 3 * pell_m2[1], pell_m2[0] + 2 * pell_m2[1])
@@ -278,7 +346,8 @@ class TestSearch:
             rows = found_rows(query)
             assert rows and rows == naive_findings(query), query
             seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
-            assert any(seq(P, 1, n + 1)[n] > 2**50 for P, n, _, _ in rows)
+            assert any(seq(P, 1, n + 1)[n] > classifier.arith._SIEVE_MODULUS
+                       for P, n, _, _ in rows)
         assert (pell_m2[0], 4, 2, pell_m2[1]) in found_rows(queries[-2])
         assert (3 * pell_p1[1], 3, 1, pell_p1[0]) in found_rows(queries[-1])
 

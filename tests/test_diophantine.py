@@ -168,6 +168,20 @@ NON_INTEGER_CALLS = [
     (diophantine.family_cover, ("pell5", 1, 3, 2.5), "bound"),
     (diophantine.family_cover, ("pell3", None, True), "count"),
     (quartic_solutions, ("plus3", 20.0), "x_bound"),
+    # A bool or a float sign or c once passed the membership tests: True
+    # gave the +1 Pell family and -5.0 the c = -5 form family.
+    (pell5_family, (True, 2), "sign"),
+    (pell5_enumerate, (-1.0, 10), "sign"),
+    (form_family, (-5.0, 1), "c"),
+    (form_enumerate, (True, 10), "c"),
+    (PellSolution, (2, True), "v"),
+    (PellSolution, (2.0, 1), "u"),
+    (PellSolution, (9, 4, 2.0), "z"),
+    (FormSolution, (2, 1, -5.0), "c"),
+    (FormSolution, (4, 1.0, -1), "y"),
+    (FormSolution, (2, 1, -5, False), "z"),
+    (QuarticSolution, ("plus3", 1.0, 1), "x"),
+    (QuarticSolution, ("plus3", 1, True), "y"),
 ]
 
 

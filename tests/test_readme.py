@@ -2,6 +2,7 @@
 prints the lines shown under it, and its report table states the summaries
 the package reports."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -36,6 +37,10 @@ def _shell_examples():
 
 SHELL_EXAMPLES = _shell_examples()
 
+# The bytes of `verify all --profile full --format json`, the README's one
+# `--out` example: its SHA-256 and its size.
+FULL_JSON = ("a3fd2cfacb3c84a87d576c1af0bc0a789285ffafb296e5f5d0b876f48042d818", 65_232)
+
 
 def test_readme_has_python_blocks():
     assert BLOCKS
@@ -61,7 +66,10 @@ def test_shell_example_prints_what_the_readme_shows(argv, expected, capsys, tmp_
     code = main(argv)
     assert (code, capsys.readouterr().out) == (0, expected)
     if out_path is not None:
-        reports = json.loads(out_path.read_text(encoding="utf-8"))["reports"]
+        data = out_path.read_bytes()
+        assert argv[:6] == ["verify", "all", "--profile", "full", "--format", "json"]
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == FULL_JSON
+        reports = json.loads(data)["reports"]
         assert [r["theorem_id"] for r in reports] == list(REPORT_IDS)
         assert {r["verdict"] for r in reports} == {"consistent"}
 

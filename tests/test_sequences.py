@@ -286,9 +286,11 @@ class TestIndexedPair:
 
 
 class TestResidueRange:
-    # The search's sieve modulus, 64*63*65*11 * 17*19*23*29*31*37, and two
-    # small ones, one of them even.
-    MODULI = (2_882_880 * 247_110_827, 97, 2)
+    # The search's 128-bit sieve modulus, 64*63*65*11 * 17*19*...*37 *
+    # 41*43*...*97; its first two stages alone; and two small moduli, one
+    # of them even.
+    MODULI = (2_882_880 * 247_110_827 * 310_692_537_866_322_378_582_047,
+              2_882_880 * 247_110_827, 97, 2)
 
     @pytest.mark.parametrize("q", (1, -1))
     @pytest.mark.parametrize("n_lo", (0, 1, 2, 7, 1000))
