@@ -10,14 +10,19 @@ first rejects by quadratic residues mod 64, 63, 65 and 11, the filter of
 Cohen, *A Course in Computational Algebraic Number Theory* (1993), §1.7.2,
 also used by GMP's `mpz_perfect_square_p`.  A square is a residue mod every
 modulus, so the filter rejects no square.  Only values that pass all four
-tables (6 in 715 of random non-squares) pay for `math.isqrt`.  The same
-tables, plus six more for the primes 17 to 37 and thirteen for the primes
-41 to 97, let the search reject X_n = c * x**2 from the residue of X_n * c
-mod their product, a 128-bit modulus, before any exact arithmetic on X_n.
+tables (6 in 715 of random non-squares) pay for `math.isqrt`.
+
+The search sieves by the same test one modulus at a time, over the 23
+moduli of `_SIEVE_MODULI`: 64, 63, 65, 11 and the primes 17 to 97.  For
+each modulus q and multiplier class c, `_sieve_table` is a 256-byte
+`bytes.translate` table that maps X_n mod q to 1 when X_n * c can be a
+square mod q and to 0 when it cannot, so one `translate` call marks a whole
+stream of residue bytes.  The tables are built on first use and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +76,7 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
+@functools.cache
 def _square_residues(m: int) -> bytes:
     """Table t of length m with t[r] = 1 iff r is a square mod m."""
     squares = {x * x % m for x in range(m)}
@@ -81,18 +87,6 @@ def _square_residues(m: int) -> bytes:
 _RESIDUE_MODULUS = 2_882_880
 _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = map(_square_residues, (64, 63, 65, 11))
 
-# 17 * 19 * 23 * 29 * 31 * 37 < 2**30: the second reduction of the product filter.
-_RESIDUE_MODULUS_2 = 247_110_827
-_SQUARES_17, _SQUARES_19, _SQUARES_23, _SQUARES_29, _SQUARES_31, _SQUARES_37 = map(
-    _square_residues, (17, 19, 23, 29, 31, 37))
-
-
-# 41 * 43 * ... * 97 < 2**79: the third reduction of the product filter.
-_RESIDUE_MODULUS_3 = 310_692_537_866_322_378_582_047
-(_SQUARES_41, _SQUARES_43, _SQUARES_47, _SQUARES_53, _SQUARES_59, _SQUARES_61,
- _SQUARES_67, _SQUARES_71, _SQUARES_73, _SQUARES_79, _SQUARES_83, _SQUARES_89,
- _SQUARES_97) = map(_square_residues, (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
-
 
 def _is_residue(t: int) -> bool:
     """False if t, reduced mod 2,882,880, is a non-square mod 64, 63, 65 or 11."""
@@ -100,38 +94,31 @@ def _is_residue(t: int) -> bool:
                 and _SQUARES_65[t % 65] and _SQUARES_11[t % 11])
 
 
-def _is_residue_2(t: int) -> bool:
-    """False if t, reduced mod 247,110,827, is a non-square mod 17, ..., 37."""
-    return bool(_SQUARES_17[t % 17] and _SQUARES_19[t % 19] and _SQUARES_23[t % 23]
-                and _SQUARES_29[t % 29] and _SQUARES_31[t % 31] and _SQUARES_37[t % 37])
+# The search's sieve moduli, pairwise coprime, the ones that reject the most
+# first; their product is a 128-bit number.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37,
+                 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_PRIME_MODULI = frozenset(_SIEVE_MODULI[3:])
 
 
-def _is_residue_3(t: int) -> bool:
-    """False if t, reduced mod 41 * 43 * ... * 97, is a non-square mod one of them."""
-    return bool(_SQUARES_41[t % 41] and _SQUARES_43[t % 43] and _SQUARES_47[t % 47]
-                and _SQUARES_53[t % 53] and _SQUARES_59[t % 59] and _SQUARES_61[t % 61]
-                and _SQUARES_67[t % 67] and _SQUARES_71[t % 71] and _SQUARES_73[t % 73]
-                and _SQUARES_79[t % 79] and _SQUARES_83[t % 83] and _SQUARES_89[t % 89]
-                and _SQUARES_97[t % 97])
-
-
-# The three residue moduli at once, a 128-bit number: the modulus of the
-# search's residue stream.
-_SIEVE_MODULUS = _RESIDUE_MODULUS * _RESIDUE_MODULUS_2 * _RESIDUE_MODULUS_3
-
-
-def _product_may_be_square(a: int, c: int) -> bool:
-    """False only if A * C is not a square; a and c are A and C mod _SIEVE_MODULUS.
+@functools.cache
+def _sieve_table(q: int, c: int) -> bytes:
+    """The `bytes.translate` table of A -> [A * c is a square mod q], 0 <= c < q.
 
     The search tests A = X_n against C = w (one-term) or C = w * X_m
     (two-term).  A solution A = C * x**2 makes A * C = (C * x)**2, a square
-    mod every modulus whether or not C is a unit there, so False rejects n
-    before any exact arithmetic, with no quotient and no modular inverse.
-    The three stages run in turn, each only if the one before passes.
+    mod every modulus whether or not C is a unit there, so a 0 at A mod q
+    rejects n before any exact arithmetic.  Entry r < q is 1 or 0; the
+    entries from q to 255 are never read.  For a prime q the table depends
+    only on c's quadratic character, so every nonzero c shares the table
+    of 1 or of the least non-residue.
     """
-    t = a * c % _SIEVE_MODULUS
-    return (_is_residue(t % _RESIDUE_MODULUS) and _is_residue_2(t % _RESIDUE_MODULUS_2)
-            and _is_residue_3(t % _RESIDUE_MODULUS_3))
+    squares = _square_residues(q)
+    if q in _PRIME_MODULI and c:
+        least = 1 if squares[c] else squares.index(0, 1)
+        if c != least:
+            return _sieve_table(q, least)
+    return bytes(squares[r * c % q] for r in range(q)).ljust(256, b"\0")
 
 
 def _square_root(q: int) -> int | None:

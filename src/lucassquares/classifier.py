@@ -24,22 +24,24 @@ Conventions, applied uniformly in search and predictions:
   one-term family and the divisibility laws the classifications build on
   exclude that case.
 
-Each search cell walks one P.  It first reads every term's residue from
-`sequences.residue_range`, mod the 128-bit `arith._SIEVE_MODULUS`.  A
-solution X_n = c * x**2 makes X_n * c = (c * x)**2, with c = w for the
-one-term families and c = w * X_m for the two-term ones, so the search
-rejects n when that product is a non-square mod one of 64, 63, 65, 11 and
-the primes 17 to 97, by `arith._product_may_be_square`.  Only the
-survivors pay for `square_witness` or the exact division, whose remainder
-and square test still decide every finding.  Their exact terms come from
-one `sequences.seq_range` stream per cell, read only as far as the largest
-index a survivor needs; a two-term cell also reads each X_m whose residue
-is 1 or 2, the only residues of the unit and the 2 that the divisibility
-laws set apart.  The two-term search first prunes n to
-`identities.divisor_indices`, the divisibility laws' range (only V_1 = 2
-at P = 2 takes every n).  The divisibility sweep checks that same range
-function, and an independent no-pruning search backs this up in the test
-suite.
+Each search cell walks one P.  A solution X_n = c * x**2 makes X_n * c =
+(c * x)**2, with c = w for the one-term families and c = w * X_m for the
+two-term ones, so the search rejects n when that product is a non-square
+mod one of the 23 moduli of `arith._SIEVE_MODULI` (64, 63, 65, 11 and the
+primes 17 to 97).  It sieves all candidates of a cell, or of one m, at
+once: per modulus, `sequences.residue_stream` gives X_n mod q as one byte
+per n, `arith._sieve_table` translates those bytes to 1 (may be a square)
+or 0, and the bytes, read as one int, are ANDed into a survivor mask.
+Only the survivors pay for `square_witness` or the exact division, whose
+remainder and square test still decide every finding.  Their exact terms
+come from one `sequences.seq_range` stream per cell, read only as far as
+the largest index a survivor needs; a two-term cell also reads each X_m
+that is 1 or 2 mod every sieve modulus, the only residues of the unit and
+the 2 that the divisibility laws set apart.  The two-term search first
+prunes n to `identities.divisor_indices`, the divisibility laws' range
+(only V_1 = 2 at P = 2 takes every n).  The divisibility sweep checks that
+same range function, and an independent no-pruning search backs this up in
+the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -229,21 +231,45 @@ def _parity_ok(n: int, parity: str | None) -> bool:
     return parity is None or (n % 2 == 1) == (parity == "odd")
 
 
+def _survivors(streams: list[bytes], candidates: range, w: int,
+               m: int | None = None) -> list[int]:
+    """The n in `candidates` with X_n * c a residue mod every sieve modulus.
+
+    c = w for one-term families and c = w * X_m for two-term ones, and
+    streams[i] holds X_k mod `arith._SIEVE_MODULI[i]` at byte k.  Per
+    modulus, one `translate` marks each candidate's byte 1 or 0; read as a
+    little-endian int, that marks candidate j at bit 8j, and the marks are
+    ANDed into one mask, which stops the sieve when it is 0.
+    """
+    cut = slice(candidates.start, candidates.stop, candidates.step)
+    table, from_bytes = arith._sieve_table, int.from_bytes
+    mask = -1
+    for q, stream in zip(arith._SIEVE_MODULI, streams):
+        c = w if m is None else w * stream[m]
+        mask &= from_bytes(stream[cut].translate(table(q, c % q)), "little")
+        if not mask:
+            return []
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(candidates[(low.bit_length() - 1) >> 3])
+        mask ^= low
+    return out
+
+
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m).
 
-    Every candidate is sieved on its residues first.  The exact terms come
+    Every candidate is sieved on its residues first, by `_survivors`, from
+    one `sequences.residue_stream` per sieve modulus.  The exact terms come
     from one `seq_range` stream, read on demand: only as far as the largest
     index a survivor needs, so a cell with no survivor reads none.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
-    modulus = arith._SIEVE_MODULUS
-    may_be_square = arith._product_may_be_square
     take_u = family in ("U", "UU")
-    side = 0 if take_u else 1  # U_n or V_n of each residue pair
-    residues = [0]
-    residues += [res[side] for res in sequences.residue_range(params, 1, n_max, modulus)]
+    side = 0 if take_u else 1  # U_n or V_n of each stream pair
+    streams = [sequences.residue_stream(params, n_max, q)[side] for q in arith._SIEVE_MODULI]
     pairs = sequences.seq_range(params, 1, n_max)
     exact = [0]
 
@@ -257,29 +283,30 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
         step = 1 if n_parity is None else 2
-        for n in range(2 if n_parity == "even" else 1, n_max + 1, step):
-            if may_be_square(residues[n], w):
-                x = arith.square_witness(term(n), w)
-                if x:
-                    out.append(SquareClassFinding(family, P, n, None, w, x))
+        for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step), w):
+            x = arith.square_witness(term(n), w)
+            if x:
+                out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
     for m in range(query.m_min, query.m_max + 1):
-        # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m of
-        # residue 1 or 2 can be the unit or the 2 that the laws set apart.
-        residue = residues[m]
-        base = term(m) if residue in (1, 2) else None
+        # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m
+        # with the same residue 1 or 2 mod every sieve modulus (by CRT, mod
+        # their product) can be the unit or the 2 that the laws set apart.
+        first = streams[0][m]
+        same = first in (1, 2) and all(stream[m] == first for stream in streams)
+        base = term(m) if same else None
         if base == 1:
             continue
-        multiplier = w * residue % modulus
         if base == 2 and not take_u:
-            candidates = range(1, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
+            candidates = range(m, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
         else:
             candidates = identities.divisor_indices(m, n_max, not take_u)
-        for n in candidates:
-            if n == m or not _parity_ok(n, n_parity):
-                continue
-            if not may_be_square(residues[n], multiplier):
+        # Both ranges start at the diagonal n = m, which is excluded.  Its
+        # product w * X_m**2 passes every modulus that w passes, so left in,
+        # it would keep the survivor mask from ever emptying.
+        for n in _survivors(streams, candidates[1:], w, m):
+            if not _parity_ok(n, n_parity):
                 continue
             quotient, rem = divmod(term(n), term(m))
             if rem:

@@ -20,14 +20,17 @@ cross-check of the doubling path); `u_mod` and `v_mod` double
 congruences at indices like 10**6 never materialize the exact values.  The
 exact and modular paths use different formulas, so comparing them compares
 independent code.  `residue_range` is the modular twin of `seq_range`: the
-same recurrence on integers below a fixed modulus, which the search uses to
-sieve terms by their residues before any exact arithmetic.  Everything is arbitrary
-precision and pure.
+same recurrence on integers below a fixed modulus, which `seq --mod`
+prints.  `residue_stream` gives the residues modulo a small modulus as
+bytes, one per index, for the search's sieve: the stream is periodic, and
+one period per (modulus, P mod modulus, Q) is computed once and cached.
+Everything is arbitrary precision and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "pair_mod",
     "seq_range",
     "residue_range",
+    "residue_stream",
 ]
 
 # Indices must fit in a signed machine word; beyond that even the modular
@@ -259,10 +263,9 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
 
     The modular twin of `seq_range`: the same three-term recurrence on
     integers below the modulus, seeded by one modular doubling at n_lo.  It
-    yields bare tuples, in index order, so that a search can sieve every
-    term by its residues for the cost of a few operations on numbers of the
-    modulus's size (128 bits for the search's sieve), whatever the size of
-    the exact term.
+    yields bare tuples, in index order, each for the cost of a few
+    operations on numbers of the modulus's size, whatever the size of the
+    exact term.  `seq --mod` prints it; the search reads `residue_stream`.
     """
     _check_modular_args(n_lo, modulus)
     _check_index(n_hi)
@@ -279,3 +282,36 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
         for _ in range(n_lo, n_hi + 1):
             yield b, (c - a) % modulus
             a, b, c = b, c, (P * c - b) % modulus
+
+
+@cache
+def _residue_period(modulus: int, P: int, Q: int) -> tuple[bytes, bytes]:
+    """One period of (U_n mod modulus) and (V_n mod modulus) from n = 0, P < modulus.
+
+    Q = +-1 is a unit, so the step (U_n, U_{n+1}) -> (U_{n+1}, P*U_{n+1} +
+    Q*U_n) is invertible mod the modulus, and the pair returns to (0, 1):
+    both streams repeat with the period of U.  V_n = 2*U_{n+1} - P*U_n.
+    """
+    us, vs = bytearray(), bytearray()
+    a, b = 0, 1
+    while True:
+        us.append(a)
+        vs.append((2 * b - P * a) % modulus)
+        a, b = b, (P * b + Q * a) % modulus
+        if a == 0 and b == 1:
+            return bytes(us), bytes(vs)
+
+
+def residue_stream(params: SequenceParams, n_hi: int, modulus: int) -> tuple[bytes, bytes]:
+    """(U_n mod modulus, V_n mod modulus) for n = 0 .. n_hi, one byte per index.
+
+    The modulus is at most 256, so every residue fits a byte.  The streams
+    are one cached period of `_residue_period`, repeated and cut to n_hi + 1
+    bytes, so a search cell gets its residues without a step per index.
+    """
+    _check_modular_args(n_hi, modulus)
+    if modulus > 256:
+        raise ValueError(f"residue_stream takes a modulus <= 256, got {modulus}")
+    us, vs = _residue_period(modulus, params.P % modulus, params.Q)
+    repeats = n_hi // len(us) + 1
+    return (us * repeats)[:n_hi + 1], (vs * repeats)[:n_hi + 1]

@@ -7,6 +7,8 @@ agreement with the package is meaningful.  Nothing imports from lucassquares.
 
 from __future__ import annotations
 
+import functools
+
 
 def naive_u_seq(P: int, Q: int, count: int) -> list[int]:
     """U_0 .. U_{count-1} by the forward recurrence."""
@@ -177,3 +179,19 @@ def _legendre(a: int, p: int) -> int:
         return 0
     value = pow(a, (p - 1) // 2, p)
     return 1 if value == 1 else -1
+
+
+# The search's sieve moduli: 64, 63, 65, 11 and the primes 17 to 97.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37,
+                41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+@functools.cache
+def _squares_mod(q: int) -> frozenset[int]:
+    return frozenset(x * x % q for x in range(q))
+
+
+def naive_sieve_passes(value: int, c: int) -> bool:
+    """True iff value * c is a square mod every sieve modulus, with `%` on
+    the exact numbers and each modulus's squares listed as x*x % q."""
+    return all(value * c % q in _squares_mod(q) for q in SIEVE_MODULI)

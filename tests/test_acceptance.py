@@ -214,7 +214,8 @@ def test_c10_double_u_witness():
 def _bumped_sequences(p_star: int, n_star: int, which: str):
     """Shadow engine: one sequence value perturbed by +1, all access paths."""
     real = {name: getattr(seqmod, name)
-            for name in ("u", "v", "u_mod", "v_mod", "seq_range", "residue_range")}
+            for name in ("u", "v", "u_mod", "v_mod", "seq_range", "residue_range",
+                         "residue_stream")}
 
     def hit(params, n):
         return params.P == p_star and n == n_star
@@ -254,12 +255,22 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
                 v_res = (v_res + (1 if which == "v" else 0)) % modulus
             yield u_res, v_res
 
+    def shadow_residue_stream(params, n_hi, modulus):
+        streams = real["residue_stream"](params, n_hi, modulus)
+        if params.P != p_star or n_star > n_hi:
+            return streams
+        side = 0 if which == "u" else 1
+        bumped = bytearray(streams[side])
+        bumped[n_star] = (bumped[n_star] + 1) % modulus
+        return (bytes(bumped), streams[1]) if side == 0 else (streams[0], bytes(bumped))
+
     seqmod.u = shadow_u
     seqmod.v = shadow_v
     seqmod.u_mod = shadow_u_mod
     seqmod.v_mod = shadow_v_mod
     seqmod.seq_range = shadow_seq_range
     seqmod.residue_range = shadow_residue_range
+    seqmod.residue_stream = shadow_residue_stream
     try:
         yield
     finally:

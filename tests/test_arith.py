@@ -1,6 +1,7 @@
 """Square detection and Jacobi symbol against independent references."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from lucassquares import (
     SQUAREFREE_COEFFS,
     arith,
+    classifier,
     SquareClass,
     is_square,
     isqrt,
@@ -19,6 +21,7 @@ from lucassquares import (
     square_witness,
 )
 
+import _oracles
 from _oracles import bisect_isqrt, naive_isqrt, naive_jacobi, naive_square_witness
 
 
@@ -133,18 +136,12 @@ class TestSquareWitness:
 RESIDUE_TABLES = {64: arith._SQUARES_64, 63: arith._SQUARES_63,
                   65: arith._SQUARES_65, 11: arith._SQUARES_11}
 
-# The product filter's second tables, read after one reduction mod
-# 17 * 19 * 23 * 29 * 31 * 37.
-SECOND_TABLES = {17: arith._SQUARES_17, 19: arith._SQUARES_19, 23: arith._SQUARES_23,
-                 29: arith._SQUARES_29, 31: arith._SQUARES_31, 37: arith._SQUARES_37}
-
-# The third tables, read after one reduction mod 41 * 43 * ... * 97.
-THIRD_PRIMES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-THIRD_TABLES = {p: getattr(arith, f"_SQUARES_{p}") for p in THIRD_PRIMES}
-ALL_TABLES = {**RESIDUE_TABLES, **SECOND_TABLES, **THIRD_TABLES}
+# The search sieve's moduli, in the order the sieve applies them.
+SIEVE_MODULI = arith._SIEVE_MODULI
 
 # The primes of the 23 moduli.
-FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) + THIRD_PRIMES
+FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 # Square-free and composite coefficients; the two-term searches pass
 # products such as w * U_m, so composite w must be exact too.
@@ -160,22 +157,40 @@ def naive_squares_mod(m: int) -> frozenset[int]:
 
 
 def lift(k: int, a: int) -> int:
-    """An integer that is a mod k and 1 mod the other 22 filter moduli."""
-    total = math.prod(ALL_TABLES)
+    """An integer that is a mod k and 1 mod the other 22 sieve moduli."""
+    total = math.prod(SIEVE_MODULI)
     idempotent = total // k * pow(total // k, -1, k)   # 1 mod k, 0 mod the rest
     return (1 + (a - 1) * idempotent) % total
 
 
+def sieve(values: list[int], c: int) -> list[int]:
+    """The positions j at which the search's sieve passes values[j] * c.
+
+    One-byte-per-value streams of the values' residues, as the search reads
+    them, go through `classifier._survivors` with every position a candidate.
+    """
+    streams = [bytes(value % q for value in values) for q in SIEVE_MODULI]
+    return classifier._survivors(streams, range(len(values)), c)
+
+
 class TestResidueFilter:
     def test_tables_are_the_squares(self):
-        # All three stages' tables: r is marked iff r is a square mod m.
+        # The filter's four tables and the sieve's 23: r is marked iff r is
+        # a square mod m, and the sieve table of c = 1 is the squares table.
         assert arith._RESIDUE_MODULUS == 64 * 63 * 65 * 11
-        assert arith._RESIDUE_MODULUS_2 == 17 * 19 * 23 * 29 * 31 * 37 < 2**30
-        assert arith._RESIDUE_MODULUS_3 == math.prod(THIRD_PRIMES) < 2**79
-        assert arith._SIEVE_MODULUS == math.prod(ALL_TABLES) == (
+        assert SIEVE_MODULI == (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                53, 59, 61, 67, 71, 73, 79, 83, 89, 97) == _oracles.SIEVE_MODULI
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(SIEVE_MODULI, 2))
+        assert math.prod(SIEVE_MODULI) == (
             221_334_524_538_769_768_776_297_806_143_848_582_720) < 2**128
-        for m, table in ALL_TABLES.items():
+        assert {p for p in FILTER_PRIMES if any(q % p == 0 for q in SIEVE_MODULI)} == set(
+            FILTER_PRIMES)
+        for m, table in RESIDUE_TABLES.items():
             assert len(table) == m
+            assert [r for r in range(m) if table[r]] == sorted(naive_squares_mod(m))
+        for m in SIEVE_MODULI:
+            table = arith._sieve_table(m, 1)
+            assert len(table) == 256 and set(table) <= {0, 1}
             assert [r for r in range(m) if table[r]] == sorted(naive_squares_mod(m))
 
     @settings(max_examples=100, deadline=None)
@@ -211,27 +226,32 @@ class TestResidueFilter:
 
 
 class TestProductFilter:
-    @pytest.mark.parametrize("k", sorted(ALL_TABLES))
+    @pytest.mark.parametrize("k", SIEVE_MODULI)
     def test_each_modulus_tests_the_product(self, k):
-        # Every pair of classes mod k, units or not, lifted to 1 mod the
-        # other 22 moduli: the filter passes exactly when a * c is a
-        # square mod k.
+        # Every pair of classes mod k, units or not: the table of c marks a
+        # exactly when a * c is a square mod k.  Through the whole sieve,
+        # with a and c lifted to 1 mod the other 22 moduli, it passes
+        # exactly those a.
         squares = naive_squares_mod(k)
-        lifted = [lift(k, a) % arith._SIEVE_MODULUS for a in range(k)]
-        for a in range(k):
-            for c in range(k):
-                passed = arith._product_may_be_square(lifted[a], lifted[c])
-                assert passed == (a * c % k in squares), (k, a, c)
+        values = [lift(k, a) for a in range(k)]
+        for c in range(k):
+            table = arith._sieve_table(k, c)
+            assert len(table) == 256
+            assert [a for a in range(k) if table[a]] == [
+                a for a in range(k) if a * c % k in squares], (k, c)
+            assert sieve(values, lift(k, c)) == [
+                a for a in range(k) if a * c % k in squares], (k, c)
 
-    @pytest.mark.parametrize("k", sorted(ALL_TABLES))
+    @pytest.mark.parametrize("k", SIEVE_MODULI)
     def test_on_units_the_product_test_is_the_quotient_test(self, k):
         # For a unit b, a * b**-1 = (a * b) * (b**-1)**2, so where the
         # quotient's class is defined, testing the product loses nothing.
-        table = ALL_TABLES[k]
+        table = arith._sieve_table(k, 1)
         for b in range(1, k):
             if math.gcd(b, k) != 1:
                 continue
             inverse = pow(b, -1, k)
+            assert arith._sieve_table(k, b) == arith._sieve_table(k, inverse), (k, b)
             for a in range(k):
                 assert table[a * b % k] == table[a * inverse % k], (k, a, b)
 
@@ -247,8 +267,8 @@ class TestProductFilter:
         # the filter primes, so C is often no unit mod the moduli.
         b = cofactor * math.prod(p**e for p, e in zip(FILTER_PRIMES, exponents))
         c = w * b
-        modulus = arith._SIEVE_MODULUS
-        assert arith._product_may_be_square(c * x * x % modulus, c % modulus)
+        assert all(arith._sieve_table(q, c % q)[c * x * x % q] for q in SIEVE_MODULI)
+        assert sieve([c * x * x], c) == [0]
 
 
 class TestSquareClass:

@@ -1,5 +1,7 @@
 """Square-class search, predicted sets, verdicts, and the report harness."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,18 @@ from lucassquares import (
 from lucassquares import classifier, identities
 from lucassquares.sequences import IndexedPair
 
-from _oracles import naive_search_one_term, naive_search_two_term, naive_u_seq, naive_v_seq
+from _oracles import (
+    SIEVE_MODULI,
+    naive_search_one_term,
+    naive_search_two_term,
+    naive_sieve_passes,
+    naive_u_seq,
+    naive_v_seq,
+)
+
+# A square-free w divisible by every prime up to 31, so w * X_m is 0 mod
+# 11, 17, ..., 31 and no unit mod 64, 63 and 65.
+WIDE_W = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
 
 # The primes of the search's residue moduli: 64, 63, 65, 11, the primes
 # 17 to 37 and the primes 41 to 97.
@@ -246,17 +259,19 @@ class TestSearch:
         (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
         (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
     def test_search_sieves_by_the_residue_stream(self, monkeypatch, query, lost):
-        # The sieve reads sequences.residue_range through the module, so a
-        # stream that is wrong at U_12 alone hides that solution.
+        # The sieve reads sequences.residue_stream through the module, so
+        # streams that are wrong at U_12 alone hide that solution.
         import lucassquares.sequences as seqmod
-        real = seqmod.residue_range
+        real = seqmod.residue_stream
 
-        def bumped(params, n_lo, n_hi, modulus):
-            for n, (u_res, v_res) in enumerate(real(params, n_lo, n_hi, modulus), n_lo):
-                yield ((u_res + 1) % modulus if n == 12 else u_res), v_res
+        def bumped(params, n_hi, modulus):
+            us, vs = real(params, n_hi, modulus)
+            us = bytearray(us)
+            us[12] = (us[12] + 1) % modulus
+            return bytes(us), vs
 
         assert lost in [row[:3] for row in found_rows(query)]
-        monkeypatch.setattr(seqmod, "residue_range", bumped)
+        monkeypatch.setattr(seqmod, "residue_stream", bumped)
         assert lost not in [row[:3] for row in found_rows(query)]
 
     @pytest.mark.parametrize("query, lost", [
@@ -288,9 +303,10 @@ class TestSearch:
     def test_cells_read_exact_terms_only_up_to_the_last_one_needed(self, monkeypatch, query):
         # Each cell opens one exact stream and reads it only as far as the
         # largest index its exact tests need: an n whose product passes the
-        # sieve, or for two-term families an m whose residue is 1 or 2 (X_m
-        # may be the unit or the 2 that the divisibility laws set apart).
-        # A two-term candidate is an n with X_m | X_n, for X_m != 1.
+        # sieve, or for two-term families an m whose residue mod the sieve
+        # moduli's product is 1 or 2 (X_m may be the unit or the 2 that the
+        # divisibility laws set apart).  A two-term candidate is an n with
+        # X_m | X_n, for X_m != 1.
         import lucassquares.sequences as seqmod
         real, reads = seqmod.seq_range, []
 
@@ -307,7 +323,7 @@ class TestSearch:
 
         monkeypatch.setattr(seqmod, "seq_range", counted)
         assert found_rows(query) == naive_findings(query)
-        modulus, passes = classifier.arith._SIEVE_MODULUS, classifier.arith._product_may_be_square
+        modulus = math.prod(SIEVE_MODULI)
         seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
         want = []
         for P in query.p_values:
@@ -315,20 +331,91 @@ class TestSearch:
             ns = [n for n in range(1, query.n_max + 1)
                   if query.n_parity is None or (n % 2 == 1) == (query.n_parity == "odd")]
             if query.m_max is None:
-                needed = [n for n in ns if passes(xs[n] % modulus, query.w)]
+                needed = [n for n in ns if naive_sieve_passes(xs[n], query.w)]
             else:
                 ms = range(query.m_min, query.m_max + 1)
                 needed = [m for m in ms if xs[m] % modulus in (1, 2)]
                 needed += [n for m in ms if xs[m] != 1 for n in ns
                            if n != m and xs[n] % xs[m] == 0
-                           and passes(xs[n] % modulus, query.w * xs[m] % modulus)]
+                           and naive_sieve_passes(xs[n], query.w * xs[m])]
             want.append([P, max(needed, default=0)])
         assert reads == want
         assert min(count for _, count in reads) < query.n_max // 2
 
+    @pytest.mark.parametrize("query", [
+        q(family="U", w=1, p_values=tuple(range(1, 13)), n_max=80),
+        q(family="U", w=6, p_values=(1, 2, 4, 24), n_max=80, n_parity="even"),
+        q(family="V", w=5, p_values=(1, 5, 45), n_max=80, n_parity="odd"),
+        q(family="V", w=WIDE_W, p_values=(1, 2, 3, 30), n_max=80),
+        q(family="U", w=10**12 - 2, p_values=(1, 2, 7), n_max=80, n_parity="odd"),
+        q(family="UU", w=2, p_values=tuple(range(1, 11)), n_max=60, m_max=30, m_min=2),
+        q(family="UU", w=WIDE_W, p_values=(1, 5, 6), n_max=60, m_max=30, n_parity="odd"),
+        q(family="VV", w=3, p_values=(1, 2, 3, 12), n_max=60, m_max=30),
+        q(family="VV", w=10**12 - 2, p_values=(2, 5), n_max=60, m_max=30, n_parity="even")])
+    def test_survivors_are_the_naive_sieve(self, monkeypatch, query):
+        # Every sieve call gets the candidates the box and the divisibility
+        # laws allow (one-term ones of the box's parity, two-term ones past
+        # the diagonal n = m, of either parity), and returns exactly those n
+        # at which X_n * c, c = w or w * X_m, is a square mod every sieve
+        # modulus, by `%` on the exact values.
+        real_cell, real, calls, cell = classifier._search_cell, classifier._survivors, [], []
+
+        def in_cell(query, P):
+            cell[:] = [P]
+            return real_cell(query, P)
+
+        def recorded(streams, candidates, w, m=None):
+            out = real(streams, candidates, w, m)
+            calls.append((cell[0], m, list(candidates), out))
+            return out
+
+        monkeypatch.setattr(classifier, "_search_cell", in_cell)
+        monkeypatch.setattr(classifier, "_survivors", recorded)
+        assert found_rows(query) == naive_findings(query)
+        seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
+        ns = [n for n in range(1, query.n_max + 1)
+              if query.n_parity is None or (n % 2 == 1) == (query.n_parity == "odd")]
+        want, zeroed = [], set()
+        for P in query.p_values:
+            xs = seq(P, 1, query.n_max + 1)
+            if query.m_max is None:
+                want.append((P, None, ns, [n for n in ns if naive_sieve_passes(xs[n], query.w)]))
+                continue
+            for m in range(query.m_min, query.m_max + 1):
+                if xs[m] == 1:
+                    continue
+                c = query.w * xs[m]
+                zeroed |= {k for k in SIEVE_MODULI if c % k == 0 and query.w % k}
+                candidates = [n for n in range(m + 1, query.n_max + 1) if xs[n] % xs[m] == 0]
+                want.append((P, m, candidates,
+                             [n for n in candidates if naive_sieve_passes(xs[n], c)]))
+        assert calls == want
+        if query.m_max is not None:
+            # Some X_m is 0 mod a sieve modulus that w is prime to, so w * X_m
+            # is 0 there and that modulus passes every n.
+            assert zeroed
+        if query.family == "VV" and 2 in query.p_values and query.m_min == 1:
+            # V_1 = 2 at P = 2 divides every V_n.
+            assert (2, 1, list(range(2, query.n_max + 1))) in [call[:3] for call in calls]
+
+    def test_findings_do_not_depend_on_the_caches(self):
+        # The residue periods and sieve tables are cached on first use; a
+        # search from empty caches and one from warm caches agree.
+        import lucassquares.sequences as seqmod
+        queries = [q(family="U", w=2, p_values=tuple(range(1, 30)), n_max=200),
+                   q(family="VV", w=3, p_values=tuple(range(1, 13)), n_max=60, m_max=30)]
+        caches = (seqmod._residue_period, classifier.arith._sieve_table,
+                  classifier.arith._square_residues)
+        for cache in caches:
+            cache.cache_clear()
+        cold = [found_rows(query) for query in queries]
+        assert all(cache.cache_info().currsize for cache in caches)
+        warm = [found_rows(query) for query in queries]
+        assert cold == warm == [naive_findings(query) for query in queries]
+
     def test_solutions_above_the_sieve_modulus(self):
-        # Solutions far above the sieve's modulus (< 2**128), so the sieve
-        # reads reduced residues and not the values themselves:
+        # Solutions far above the product of the sieve's moduli (< 2**128),
+        # so the sieve reads reduced residues and not the values themselves:
         # U_2 = V_1 = P = w * x**2; U_4 = 3 * U_2 * x**2 when P**2 + 2 = 3 * x**2
         # (since U_4 = U_2 * V_2); V_3 = 3 * V_1 * x**2 when P = 3k with
         # x**2 - 3k**2 = 1 (since V_3 = V_1 * (P**2 + 3)).
@@ -346,7 +433,7 @@ class TestSearch:
             rows = found_rows(query)
             assert rows and rows == naive_findings(query), query
             seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
-            assert any(seq(P, 1, n + 1)[n] > classifier.arith._SIEVE_MODULUS
+            assert any(seq(P, 1, n + 1)[n] > math.prod(SIEVE_MODULI)
                        for P, n, _, _ in rows)
         assert (pell_m2[0], 4, 2, pell_m2[1]) in found_rows(queries[-2])
         assert (3 * pell_p1[1], 3, 1, pell_p1[0]) in found_rows(queries[-1])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,14 +16,16 @@ from lucassquares import (
     pair_at,
     pair_mod,
     residue_range,
+    residue_stream,
     seq_range,
     u,
     u_mod,
     v,
     v_mod,
 )
+from lucassquares import sequences
 
-from _oracles import mat_pow_u, naive_u, naive_u_seq, naive_v, naive_v_seq
+from _oracles import SIEVE_MODULI, mat_pow_u, naive_u, naive_u_seq, naive_v, naive_v_seq
 
 
 FIB = SequenceParams(1, 1)
@@ -286,9 +289,9 @@ class TestIndexedPair:
 
 
 class TestResidueRange:
-    # The search's 128-bit sieve modulus, 64*63*65*11 * 17*19*...*37 *
-    # 41*43*...*97; its first two stages alone; and two small moduli, one
-    # of them even.
+    # A 128-bit modulus, 64*63*65*11 * 17*19*...*37 * 41*43*...*97 (the
+    # product of the search's sieve moduli); its first ten factors alone;
+    # and two small moduli, one of them even.
     MODULI = (2_882_880 * 247_110_827 * 310_692_537_866_322_378_582_047,
               2_882_880 * 247_110_827, 97, 2)
 
@@ -321,6 +324,45 @@ class TestResidueRange:
             list(residue_range(FIB, 0, 3, 1))
         with pytest.raises(ValueError):
             list(residue_range(FIB, 0, INDEX_LIMIT, 7))
+
+
+class TestResidueStream:
+    @pytest.mark.parametrize("q", (1, -1))
+    def test_matches_residue_range_over_three_periods(self, q):
+        # Every sieve modulus and every class of P mod it: the stream,
+        # repeated from one cached period, is the recurrence's stream.
+        for modulus in SIEVE_MODULI:
+            for p in range(modulus, 2 * modulus):
+                params = SequenceParams(p, q)
+                period = len(sequences._residue_period(modulus, p % modulus, q)[0])
+                assert period <= 388
+                n_hi = 3 * period + 2
+                us, vs = residue_stream(params, n_hi, modulus)
+                assert len(us) == len(vs) == n_hi + 1
+                assert list(zip(us, vs)) == list(residue_range(params, 0, n_hi, modulus)), (
+                    modulus, p)
+
+    @pytest.mark.parametrize("q", (1, -1))
+    def test_matches_pair_mod_at_sampled_indices(self, q):
+        rng = random.Random(q)
+        for modulus in SIEVE_MODULI + (2, 256):
+            for p in (3, 4, 50, 99, 2 * modulus + 1):
+                params = SequenceParams(p, q)
+                us, vs = residue_stream(params, 1000, modulus)
+                for n in rng.sample(range(1001), 25) + [0, 1, 1000]:
+                    res = pair_mod(params, n, modulus)
+                    assert (us[n], vs[n]) == (res.u_res, res.v_res), (modulus, p, n)
+                # n_hi = 1 is shorter than one period unless P = 0 mod the
+                # modulus and Q = 1, where U repeats 0, 1 with period 2.
+                short = residue_stream(params, 1, modulus)
+                assert short == (us[:2], vs[:2]) == (bytes([0, 1 % modulus]),
+                                                     bytes([2 % modulus, p % modulus]))
+
+    def test_bad_arguments(self):
+        assert residue_stream(P5, 0, 7) == (b"\x00", b"\x02")
+        for n_hi, modulus in ((-1, 7), (5, 1), (5, 257), (INDEX_LIMIT, 7)):
+            with pytest.raises(ValueError):
+                residue_stream(P5, n_hi, modulus)
 
 
 class TestImmutability:
