@@ -17,7 +17,9 @@ moduli of `_SIEVE_MODULI`: 64, 63, 65, 11 and the primes 17 to 97.  For
 each modulus q and multiplier class c, `_sieve_table` is a 256-byte
 `bytes.translate` table that maps X_n mod q to 1 when X_n * c can be a
 square mod q and to 0 when it cannot, so one `translate` call marks a whole
-stream of residue bytes.  The tables are built on first use and cached.
+stream of residue bytes.  The tables are built on first use and cached,
+and so is `_sieve_row`, the tuple of the tables of c * x for every residue
+x, from which a two-term search picks each X_m's table by one index.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def _sieve_table(q: int, c: int) -> bytes:
         if c != least:
             return _sieve_table(q, least)
     return bytes(squares[r * c % q] for r in range(q)).ljust(256, b"\0")
+
+
+@functools.cache
+def _sieve_row(q: int, c: int) -> tuple[bytes, ...]:
+    """The tables of c * x for every residue x < q: row[x] == _sieve_table(q, c * x % q).
+
+    A two-term cell tests A = X_n against C = w * X_m, so it resolves one
+    row per modulus from c = w mod q and then picks each m's table by X_m's
+    residue byte.  The cache holds at most q rows per modulus, whatever w is.
+    """
+    return tuple(_sieve_table(q, c * x % q) for x in range(q))
 
 
 def _square_root(q: int) -> int | None:

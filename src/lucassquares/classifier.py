@@ -29,19 +29,23 @@ Each search cell walks one P.  A solution X_n = c * x**2 makes X_n * c =
 two-term ones, so the search rejects n when that product is a non-square
 mod one of the 23 moduli of `arith._SIEVE_MODULI` (64, 63, 65, 11 and the
 primes 17 to 97).  It sieves all candidates of a cell, or of one m, at
-once: per modulus, `sequences.residue_stream` gives X_n mod q as one byte
-per n, `arith._sieve_table` translates those bytes to 1 (may be a square)
-or 0, and the bytes, read as one int, are ANDed into a survivor mask.
-Only the survivors pay for `square_witness` or the exact division, whose
-remainder and square test still decide every finding.  Their exact terms
-come from one `sequences.seq_range` stream per cell, read only as far as
-the largest index a survivor needs; a two-term cell also reads each X_m
-that is 1 or 2 mod every sieve modulus, the only residues of the unit and
-the 2 that the divisibility laws set apart.  The two-term search first
-prunes n to `identities.divisor_indices`, the divisibility laws' range
-(only V_1 = 2 at P = 2 takes every n).  The divisibility sweep checks that
-same range function, and an independent no-pruning search backs this up in
-the test suite.
+once: per modulus, `sequences.residue_stream` gives X_n mod q of the one
+sequence the cell reads as one byte per n, a `bytes.translate` table maps
+those bytes to 1 (may be a square) or 0, and the bytes, read as one int,
+are ANDed into a survivor mask.  The tables are resolved once per cell: a
+one-term cell takes `arith._sieve_table(q, w mod q)`, and a two-term cell
+takes the cached row `arith._sieve_row(q, w mod q)` and picks each m's
+table from it by X_m's residue byte.  Only the survivors pay for
+`square_witness` or the exact division, whose remainder and square test
+still decide every finding.  Their exact terms come from one
+`sequences.seq_range` stream per cell, read only as far as the largest
+index a survivor needs; a two-term cell also reads each X_m that is 1 or 2
+mod every sieve modulus, the only residues of the unit and the 2 that the
+divisibility laws set apart.  The two-term search first prunes n to
+`identities.divisor_indices`, the divisibility laws' range (only V_1 = 2
+at P = 2 takes every n).  The divisibility sweep checks that same range
+function, and an independent no-pruning search backs this up in the test
+suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -231,22 +235,26 @@ def _parity_ok(n: int, parity: str | None) -> bool:
     return parity is None or (n % 2 == 1) == (parity == "odd")
 
 
-def _survivors(streams: list[bytes], candidates: range, w: int,
+def _survivors(streams: Iterable[bytes], candidates: range, tables: list,
                m: int | None = None) -> list[int]:
     """The n in `candidates` with X_n * c a residue mod every sieve modulus.
 
-    c = w for one-term families and c = w * X_m for two-term ones, and
-    streams[i] holds X_k mod `arith._SIEVE_MODULI[i]` at byte k.  Per
+    The i-th stream holds X_k mod q = `arith._SIEVE_MODULI[i]` at byte k,
+    and is taken only when the sieve reaches q.  One-term cells pass
+    tables[i] = `arith._sieve_table(q, w mod q)` (c = w); two-term cells
+    pass tables[i] = `arith._sieve_row(q, w mod q)` and m, and q's table
+    for c = w * X_m is that row at X_m's byte, one tuple index.  Per
     modulus, one `translate` marks each candidate's byte 1 or 0; read as a
     little-endian int, that marks candidate j at bit 8j, and the marks are
     ANDed into one mask, which stops the sieve when it is 0.
     """
     cut = slice(candidates.start, candidates.stop, candidates.step)
-    table, from_bytes = arith._sieve_table, int.from_bytes
+    from_bytes = int.from_bytes
     mask = -1
-    for q, stream in zip(arith._SIEVE_MODULI, streams):
-        c = w if m is None else w * stream[m]
-        mask &= from_bytes(stream[cut].translate(table(q, c % q)), "little")
+    for table, stream in zip(tables, streams):
+        if m is not None:
+            table = table[stream[m]]
+        mask &= from_bytes(stream[cut].translate(table), "little")
         if not mask:
             return []
     out = []
@@ -261,15 +269,21 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m).
 
     Every candidate is sieved on its residues first, by `_survivors`, from
-    one `sequences.residue_stream` per sieve modulus.  The exact terms come
-    from one `seq_range` stream, read on demand: only as far as the largest
-    index a survivor needs, so a cell with no survivor reads none.
+    one `sequences.residue_stream` of the cell's sequence per sieve
+    modulus.  The sieve tables are resolved once per cell: a one-term cell
+    takes each modulus's table of w, a two-term cell each modulus's cached
+    row of w, indexed per m by X_m's byte.  The exact terms come from one
+    `seq_range` stream, read on demand: only as far as the largest index a
+    survivor needs, so a cell with no survivor reads none.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
-    take_u = family in ("U", "UU")
-    side = 0 if take_u else 1  # U_n or V_n of each stream pair
-    streams = [sequences.residue_stream(params, n_max, q)[side] for q in arith._SIEVE_MODULI]
+    sequence = family[0]  # "U" for U and UU, "V" for V and VV
+    take_u = sequence == "U"
+    moduli = arith._SIEVE_MODULI
+    # Fetched as the sieve reaches each modulus: a one-term sieve whose mask
+    # empties early never asks for the remaining streams.
+    streams = (sequences.residue_stream(params, n_max, q, sequence) for q in moduli)
     pairs = sequences.seq_range(params, 1, n_max)
     exact = [0]
 
@@ -283,12 +297,16 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
         step = 1 if n_parity is None else 2
-        for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step), w):
+        tables = [arith._sieve_table(q, w % q) for q in moduli]
+        for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step),
+                            tables):
             x = arith.square_witness(term(n), w)
             if x:
                 out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
+    streams = list(streams)  # every m reads each stream's byte at m
+    rows = [arith._sieve_row(q, w % q) for q in moduli]
     for m in range(query.m_min, query.m_max + 1):
         # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m
         # with the same residue 1 or 2 mod every sieve modulus (by CRT, mod
@@ -305,7 +323,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         # Both ranges start at the diagonal n = m, which is excluded.  Its
         # product w * X_m**2 passes every modulus that w passes, so left in,
         # it would keep the survivor mask from ever emptying.
-        for n in _survivors(streams, candidates[1:], w, m):
+        for n in _survivors(streams, candidates[1:], rows, m):
             if not _parity_ok(n, n_parity):
                 continue
             quotient, rem = divmod(term(n), term(m))

@@ -21,9 +21,10 @@ congruences at indices like 10**6 never materialize the exact values.  The
 exact and modular paths use different formulas, so comparing them compares
 independent code.  `residue_range` is the modular twin of `seq_range`: the
 same recurrence on integers below a fixed modulus, which `seq --mod`
-prints.  `residue_stream` gives the residues modulo a small modulus as
-bytes, one per index, for the search's sieve: the stream is periodic, and
-one period per (modulus, P mod modulus, Q) is computed once and cached.
+prints.  `residue_stream` gives the residues of U or of V modulo a small
+modulus as bytes, one per index, for the search's sieve: each stream is
+periodic, and one period per (modulus, P mod modulus, Q, sequence) is
+computed once, by that sequence's own recurrence, and cached.
 Everything is arbitrary precision and pure.
 """
 
@@ -285,33 +286,36 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
 
 
 @cache
-def _residue_period(modulus: int, P: int, Q: int) -> tuple[bytes, bytes]:
-    """One period of (U_n mod modulus) and (V_n mod modulus) from n = 0, P < modulus.
+def _residue_period(modulus: int, P: int, Q: int, sequence: str) -> bytes:
+    """One period of U_n or V_n mod the modulus from n = 0, for P < modulus.
 
-    Q = +-1 is a unit, so the step (U_n, U_{n+1}) -> (U_{n+1}, P*U_{n+1} +
-    Q*U_n) is invertible mod the modulus, and the pair returns to (0, 1):
-    both streams repeat with the period of U.  V_n = 2*U_{n+1} - P*U_n.
+    Each sequence runs its own recurrence X_{n+2} = P*X_{n+1} + Q*X_n from
+    its own start, (0, 1) for U and (2, P) for V.  Q = +-1 is a unit, so
+    the step is invertible mod the modulus and the pair returns to its
+    start: the stream is purely periodic.
     """
-    us, vs = bytearray(), bytearray()
-    a, b = 0, 1
-    while True:
-        us.append(a)
-        vs.append((2 * b - P * a) % modulus)
+    a0, b0 = (0, 1) if sequence == "U" else (2 % modulus, P)
+    out = bytearray((a0,))
+    a, b = b0, (P * b0 + Q * a0) % modulus
+    while a != a0 or b != b0:  # two int tests: twice as fast as a tuple test
+        out.append(a)
         a, b = b, (P * b + Q * a) % modulus
-        if a == 0 and b == 1:
-            return bytes(us), bytes(vs)
+    return bytes(out)
 
 
-def residue_stream(params: SequenceParams, n_hi: int, modulus: int) -> tuple[bytes, bytes]:
-    """(U_n mod modulus, V_n mod modulus) for n = 0 .. n_hi, one byte per index.
+def residue_stream(params: SequenceParams, n_hi: int, modulus: int, sequence: str) -> bytes:
+    """X_n mod modulus for n = 0 .. n_hi, one byte per index, X = U or V.
 
-    The modulus is at most 256, so every residue fits a byte.  The streams
-    are one cached period of `_residue_period`, repeated and cut to n_hi + 1
-    bytes, so a search cell gets its residues without a step per index.
+    `sequence` is "U" or "V" and the modulus is at most 256, so every
+    residue fits a byte.  The stream is one cached period of that sequence
+    alone, per (modulus, P mod modulus, Q, sequence), repeated and cut to
+    n_hi + 1 bytes, so a search cell gets its residues without a step per
+    index.
     """
     _check_modular_args(n_hi, modulus)
     if modulus > 256:
         raise ValueError(f"residue_stream takes a modulus <= 256, got {modulus}")
-    us, vs = _residue_period(modulus, params.P % modulus, params.Q)
-    repeats = n_hi // len(us) + 1
-    return (us * repeats)[:n_hi + 1], (vs * repeats)[:n_hi + 1]
+    if sequence not in ("U", "V"):
+        raise ValueError(f"sequence must be 'U' or 'V', got {sequence!r}")
+    period = _residue_period(modulus, params.P % modulus, params.Q, sequence)
+    return (period * (n_hi // len(period) + 1))[:n_hi + 1]

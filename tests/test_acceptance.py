@@ -255,14 +255,13 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
                 v_res = (v_res + (1 if which == "v" else 0)) % modulus
             yield u_res, v_res
 
-    def shadow_residue_stream(params, n_hi, modulus):
-        streams = real["residue_stream"](params, n_hi, modulus)
-        if params.P != p_star or n_star > n_hi:
-            return streams
-        side = 0 if which == "u" else 1
-        bumped = bytearray(streams[side])
+    def shadow_residue_stream(params, n_hi, modulus, sequence):
+        stream = real["residue_stream"](params, n_hi, modulus, sequence)
+        if params.P != p_star or n_star > n_hi or sequence != which.upper():
+            return stream
+        bumped = bytearray(stream)
         bumped[n_star] = (bumped[n_star] + 1) % modulus
-        return (bytes(bumped), streams[1]) if side == 0 else (streams[0], bytes(bumped))
+        return bytes(bumped)
 
     seqmod.u = shadow_u
     seqmod.v = shadow_v

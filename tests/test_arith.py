@@ -167,10 +167,12 @@ def sieve(values: list[int], c: int) -> list[int]:
     """The positions j at which the search's sieve passes values[j] * c.
 
     One-byte-per-value streams of the values' residues, as the search reads
-    them, go through `classifier._survivors` with every position a candidate.
+    them, go through `classifier._survivors` with every position a candidate
+    and the tables of c, as a one-term cell resolves them.
     """
     streams = [bytes(value % q for value in values) for q in SIEVE_MODULI]
-    return classifier._survivors(streams, range(len(values)), c)
+    tables = [arith._sieve_table(q, c % q) for q in SIEVE_MODULI]
+    return classifier._survivors(streams, range(len(values)), tables)
 
 
 class TestResidueFilter:
@@ -254,6 +256,16 @@ class TestProductFilter:
             assert arith._sieve_table(k, b) == arith._sieve_table(k, inverse), (k, b)
             for a in range(k):
                 assert table[a * b % k] == table[a * inverse % k], (k, a, b)
+
+    @pytest.mark.parametrize("w", (1, 2, 5, 10**12 - 2))
+    def test_rows_are_the_tables_of_each_residue(self, w):
+        # A two-term cell reads the table of w * X_m as the row of w at
+        # X_m's residue byte: every byte x < q picks the table of w * x.
+        for k in SIEVE_MODULI:
+            row = arith._sieve_row(k, w % k)
+            assert len(row) == k
+            for x in range(k):
+                assert row[x] == arith._sieve_table(k, w * x % k), (k, w, x)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7),

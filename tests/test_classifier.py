@@ -264,11 +264,11 @@ class TestSearch:
         import lucassquares.sequences as seqmod
         real = seqmod.residue_stream
 
-        def bumped(params, n_hi, modulus):
-            us, vs = real(params, n_hi, modulus)
-            us = bytearray(us)
-            us[12] = (us[12] + 1) % modulus
-            return bytes(us), vs
+        def bumped(params, n_hi, modulus, sequence):
+            stream = bytearray(real(params, n_hi, modulus, sequence))
+            if sequence == "U":
+                stream[12] = (stream[12] + 1) % modulus
+            return bytes(stream)
 
         assert lost in [row[:3] for row in found_rows(query)]
         monkeypatch.setattr(seqmod, "residue_stream", bumped)
@@ -364,8 +364,8 @@ class TestSearch:
             cell[:] = [P]
             return real_cell(query, P)
 
-        def recorded(streams, candidates, w, m=None):
-            out = real(streams, candidates, w, m)
+        def recorded(streams, candidates, tables, m=None):
+            out = real(streams, candidates, tables, m)
             calls.append((cell[0], m, list(candidates), out))
             return out
 
@@ -399,19 +399,34 @@ class TestSearch:
             assert (2, 1, list(range(2, query.n_max + 1))) in [call[:3] for call in calls]
 
     def test_findings_do_not_depend_on_the_caches(self):
-        # The residue periods and sieve tables are cached on first use; a
-        # search from empty caches and one from warm caches agree.
+        # The residue periods, sieve tables and two-term sieve rows are
+        # cached on first use; a search from empty caches and one from warm
+        # caches agree.
         import lucassquares.sequences as seqmod
         queries = [q(family="U", w=2, p_values=tuple(range(1, 30)), n_max=200),
                    q(family="VV", w=3, p_values=tuple(range(1, 13)), n_max=60, m_max=30)]
         caches = (seqmod._residue_period, classifier.arith._sieve_table,
-                  classifier.arith._square_residues)
+                  classifier.arith._sieve_row, classifier.arith._square_residues)
         for cache in caches:
             cache.cache_clear()
         cold = [found_rows(query) for query in queries]
         assert all(cache.cache_info().currsize for cache in caches)
         warm = [found_rows(query) for query in queries]
         assert cold == warm == [naive_findings(query) for query in queries]
+
+    @pytest.mark.parametrize("first, second", [("V", "U"), ("U", "V"), ("VV", "UU"),
+                                               ("UU", "VV")])
+    def test_periods_are_cached_per_sequence(self, first, second):
+        # The U and V periods of one (modulus, P mod modulus, Q) differ, so
+        # from empty caches a search of one sequence followed by a search of
+        # the other at the same P values must not reuse the first's periods.
+        import lucassquares.sequences as seqmod
+        kwargs = {"m_max": 30} if len(first) == 2 else {}
+        queries = [q(family=family, w=w, p_values=tuple(range(1, 13)), n_max=60, **kwargs)
+                   for family in (first, second) for w in (1, 2, 3)]
+        seqmod._residue_period.cache_clear()
+        for query in queries:
+            assert found_rows(query) == naive_findings(query), query
 
     def test_solutions_above_the_sieve_modulus(self):
         # Solutions far above the product of the sieve's moduli (< 2**128),

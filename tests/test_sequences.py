@@ -329,18 +329,21 @@ class TestResidueRange:
 class TestResidueStream:
     @pytest.mark.parametrize("q", (1, -1))
     def test_matches_residue_range_over_three_periods(self, q):
-        # Every sieve modulus and every class of P mod it: the stream,
-        # repeated from one cached period, is the recurrence's stream.
-        for modulus in SIEVE_MODULI:
-            for p in range(modulus, 2 * modulus):
-                params = SequenceParams(p, q)
-                period = len(sequences._residue_period(modulus, p % modulus, q)[0])
-                assert period <= 388
-                n_hi = 3 * period + 2
-                us, vs = residue_stream(params, n_hi, modulus)
-                assert len(us) == len(vs) == n_hi + 1
-                assert list(zip(us, vs)) == list(residue_range(params, 0, n_hi, modulus)), (
-                    modulus, p)
+        # Every sieve modulus and every class of P mod it, U and V apart:
+        # each stream, repeated from one cached period of its own
+        # recurrence, is the recurrence's stream of that sequence for three
+        # of its own periods.
+        for side, sequence in enumerate("UV"):
+            for modulus in SIEVE_MODULI:
+                for p in range(modulus, 2 * modulus):
+                    params = SequenceParams(p, q)
+                    period = len(sequences._residue_period(modulus, p % modulus, q, sequence))
+                    assert period <= 388
+                    n_hi = 3 * period + 2
+                    got = residue_stream(params, n_hi, modulus, sequence)
+                    assert len(got) == n_hi + 1
+                    want = [pair[side] for pair in residue_range(params, 0, n_hi, modulus)]
+                    assert list(got) == want, (sequence, modulus, p)
 
     @pytest.mark.parametrize("q", (1, -1))
     def test_matches_pair_mod_at_sampled_indices(self, q):
@@ -348,21 +351,27 @@ class TestResidueStream:
         for modulus in SIEVE_MODULI + (2, 256):
             for p in (3, 4, 50, 99, 2 * modulus + 1):
                 params = SequenceParams(p, q)
-                us, vs = residue_stream(params, 1000, modulus)
+                us = residue_stream(params, 1000, modulus, "U")
+                vs = residue_stream(params, 1000, modulus, "V")
                 for n in rng.sample(range(1001), 25) + [0, 1, 1000]:
                     res = pair_mod(params, n, modulus)
                     assert (us[n], vs[n]) == (res.u_res, res.v_res), (modulus, p, n)
                 # n_hi = 1 is shorter than one period unless P = 0 mod the
                 # modulus and Q = 1, where U repeats 0, 1 with period 2.
-                short = residue_stream(params, 1, modulus)
+                short = (residue_stream(params, 1, modulus, "U"),
+                         residue_stream(params, 1, modulus, "V"))
                 assert short == (us[:2], vs[:2]) == (bytes([0, 1 % modulus]),
                                                      bytes([2 % modulus, p % modulus]))
 
     def test_bad_arguments(self):
-        assert residue_stream(P5, 0, 7) == (b"\x00", b"\x02")
+        assert residue_stream(P5, 0, 7, "U") == b"\x00"
+        assert residue_stream(P5, 0, 7, "V") == b"\x02"
         for n_hi, modulus in ((-1, 7), (5, 1), (5, 257), (INDEX_LIMIT, 7)):
             with pytest.raises(ValueError):
-                residue_stream(P5, n_hi, modulus)
+                residue_stream(P5, n_hi, modulus, "U")
+        for sequence in ("W", "u", "UV", None):
+            with pytest.raises(ValueError, match="sequence must be 'U' or 'V'"):
+                residue_stream(P5, 5, 7, sequence)
 
 
 class TestImmutability:
