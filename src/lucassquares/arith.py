@@ -17,9 +17,10 @@ moduli of `_SIEVE_MODULI`: 64, 63, 65, 11 and the primes 17 to 97.  For
 each modulus q and multiplier class c, `_sieve_table` is a 256-byte
 `bytes.translate` table that maps X_n mod q to 1 when X_n * c can be a
 square mod q and to 0 when it cannot, so one `translate` call marks a whole
-stream of residue bytes.  The tables are built on first use and cached,
-and so is `_sieve_row`, the tuple of the tables of c * x for every residue
-x, from which a two-term search picks each X_m's table by one index.
+stream of residue bytes.  For a prime q, `_character_table` maps X_n mod
+q to the quadratic character of X_n * c as one byte, so a two-term search
+tests a whole run of pairs (X_m, X_n) at once.  The tables are built on
+first use and cached.
 """
 
 from __future__ import annotations
@@ -124,14 +125,17 @@ def _sieve_table(q: int, c: int) -> bytes:
 
 
 @functools.cache
-def _sieve_row(q: int, c: int) -> tuple[bytes, ...]:
-    """The tables of c * x for every residue x < q: row[x] == _sieve_table(q, c * x % q).
+def _character_table(q: int, c: int) -> bytes:
+    """The `bytes.translate` table of A -> the character of A * c mod a prime q.
 
-    A two-term cell tests A = X_n against C = w * X_m, so it resolves one
-    row per modulus from c = w mod q and then picks each m's table by X_m's
-    residue byte.  The cache holds at most q rows per modulus, whatever w is.
+    Entry r < q is 0, 1 or 2 as r * c is 0, a nonzero square or a
+    non-square mod q.  So w * X_m * X_n is a square mod q iff the bytes of
+    X_m under the table of w and of X_n under that of 1 do not XOR to 3,
+    just as `_sieve_table(q, w * X_m % q)[X_n % q]` says.
     """
-    return tuple(_sieve_table(q, c * x % q) for x in range(q))
+    squares = _square_residues(q)
+    return bytes(2 - squares[r * c % q] if r * c % q else 0
+                 for r in range(q)).ljust(256, b"\0")
 
 
 def _square_root(q: int) -> int | None:

@@ -28,24 +28,25 @@ Each search cell walks one P.  A solution X_n = c * x**2 makes X_n * c =
 (c * x)**2, with c = w for the one-term families and c = w * X_m for the
 two-term ones, so the search rejects n when that product is a non-square
 mod one of the 23 moduli of `arith._SIEVE_MODULI` (64, 63, 65, 11 and the
-primes 17 to 97).  It sieves all candidates of a cell, or of one m, at
-once: per modulus, `sequences.residue_stream` gives X_n mod q of the one
-sequence the cell reads as one byte per n, a `bytes.translate` table maps
-those bytes to 1 (may be a square) or 0, and the bytes, read as one int,
-are ANDed into a survivor mask.  The tables are resolved once per cell: a
-one-term cell takes `arith._sieve_table(q, w mod q)`, and a two-term cell
-takes the cached row `arith._sieve_row(q, w mod q)` and picks each m's
-table from it by X_m's residue byte.  Only the survivors pay for
-`square_witness` or the exact division, whose remainder and square test
-still decide every finding.  Their exact terms come from one
-`sequences.seq_range` stream per cell, read only as far as the largest
-index a survivor needs; a two-term cell also reads each X_m that is 1 or 2
-mod every sieve modulus, the only residues of the unit and the 2 that the
-divisibility laws set apart.  The two-term search first prunes n to
-`identities.divisor_indices`, the divisibility laws' range (only V_1 = 2
-at P = 2 takes every n).  The divisibility sweep checks that same range
-function, and an independent no-pruning search backs this up in the test
-suite.
+primes 17 to 97).  It sieves in bulk: per modulus,
+`sequences.residue_stream` gives X_n mod q as one byte per n, a
+`bytes.translate` table maps those bytes to 1 (may be a square) or 0, and
+the bytes, read as one int, are ANDed into a survivor mask.  A one-term
+cell sieves all its n so, by the tables `arith._sieve_table(q, w mod q)`,
+and a two-term cell each m <= s = max(3, isqrt(n_max)), by the tables of
+w * X_m.  The pairs (m, k*m) with m > s are sieved one multiplier k at a
+time, about sqrt(n_max) runs in place of one per m (Dirichlet's hyperbola
+method, Tenenbaum 1995, §I.3.2): a prime modulus tests a whole run by the
+quadratic characters of w * X_m and X_n (`arith._character_table`), and
+64, 63 and 65 test the pairs left.  Only the survivors pay for
+`square_witness` or the exact division, which still decide every
+finding.  Their exact terms come from one `seq_range` stream per cell,
+read only as far as the largest index a survivor needs; a two-term cell
+also reads each X_m (m <= s) that is 1 or 2 mod every sieve modulus, the
+only residues of the unit and the 2 that the laws set apart.  Two-term
+candidates are the divisibility laws' `identities.divisor_indices` (only
+V_1 = 2 at P = 2 takes every n), which the divisibility sweep checks, and
+an independent no-pruning search backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -60,7 +61,7 @@ below read the records and never branch on a report id.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 
@@ -235,46 +236,68 @@ def _parity_ok(n: int, parity: str | None) -> bool:
     return parity is None or (n % 2 == 1) == (parity == "odd")
 
 
-def _survivors(streams: Iterable[bytes], candidates: range, tables: list,
-               m: int | None = None) -> list[int]:
+def _marked(mask: int) -> Iterator[int]:
+    """The j with bit 8j set in `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield (low.bit_length() - 1) >> 3
+        mask ^= low
+
+
+def _survivors(streams: Iterable[bytes], candidates: range,
+               tables: Iterable[bytes]) -> list[int]:
     """The n in `candidates` with X_n * c a residue mod every sieve modulus.
 
     The i-th stream holds X_k mod q = `arith._SIEVE_MODULI[i]` at byte k,
-    and is taken only when the sieve reaches q.  One-term cells pass
-    tables[i] = `arith._sieve_table(q, w mod q)` (c = w); two-term cells
-    pass tables[i] = `arith._sieve_row(q, w mod q)` and m, and q's table
-    for c = w * X_m is that row at X_m's byte, one tuple index.  Per
-    modulus, one `translate` marks each candidate's byte 1 or 0; read as a
-    little-endian int, that marks candidate j at bit 8j, and the marks are
-    ANDed into one mask, which stops the sieve when it is 0.
+    and the i-th table is `arith._sieve_table(q, c mod q)`; both are taken
+    only when the sieve reaches q.  Per modulus, one `translate` marks each
+    candidate's byte 1 or 0; read as a little-endian int, that marks
+    candidate j at bit 8j, and the marks are ANDed into one mask, which
+    stops the sieve when it is 0.
     """
     cut = slice(candidates.start, candidates.stop, candidates.step)
     from_bytes = int.from_bytes
     mask = -1
     for table, stream in zip(tables, streams):
-        if m is not None:
-            table = table[stream[m]]
         mask &= from_bytes(stream[cut].translate(table), "little")
         if not mask:
             return []
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(candidates[(low.bit_length() - 1) >> 3])
-        mask ^= low
-    return out
+    return [candidates[j] for j in _marked(mask)]
+
+
+def _multiple_survivors(characters: list[tuple[bytes, bytes]], streams: list[bytes],
+                        k: int, lo: int, hi: int, w: int) -> list[int]:
+    """The m in lo..hi with X_{k*m} * w * X_m a residue mod every sieve modulus.
+
+    `characters` holds, per prime sieve modulus q prime to w (any other q
+    passes every pair), the stream of X_n mod q translated by the
+    `arith._character_table` of w and of 1.  Cut at m = lo..hi and at
+    n = k*m, read as little-endian ints, they XOR to 3 at byte j iff pair j
+    fails mod q.  The pairs left are tested mod 64, 63 and 65 on `streams`.
+    """
+    from_bytes = int.from_bytes
+    mask = from_bytes(b"\1" * (hi - lo + 1), "little")
+    for by_w, by_1 in characters:
+        x = (from_bytes(by_w[lo:hi + 1], "little")
+             ^ from_bytes(by_1[k * lo:k * hi + 1:k], "little"))
+        mask &= ~(x & (x >> 1))
+        if not mask:
+            return []
+    return [m for m in (lo + j for j in _marked(mask))
+            if all(arith._sieve_table(q, w * stream[m] % q)[stream[k * m]]
+                   for q, stream in zip(arith._SIEVE_MODULI[:3], streams))]
 
 
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m).
 
-    Every candidate is sieved on its residues first, by `_survivors`, from
-    one `sequences.residue_stream` of the cell's sequence per sieve
-    modulus.  The sieve tables are resolved once per cell: a one-term cell
-    takes each modulus's table of w, a two-term cell each modulus's cached
-    row of w, indexed per m by X_m's byte.  The exact terms come from one
-    `seq_range` stream, read on demand: only as far as the largest index a
-    survivor needs, so a cell with no survivor reads none.
+    Every candidate is sieved on its residues first, from one
+    `sequences.residue_stream` per sieve modulus: by `_survivors` for all n
+    of a one-term cell and each m <= s = max(3, isqrt(n_max)) of a two-term
+    cell, and by `_multiple_survivors` for the pairs (m, k*m) with m > s,
+    one run per multiplier k.  The exact terms come from one `seq_range`
+    stream, read on demand: only as far as the largest index a survivor
+    needs, so a cell with no survivor reads none.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
@@ -306,8 +329,9 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         return out
 
     streams = list(streams)  # every m reads each stream's byte at m
-    rows = [arith._sieve_row(q, w % q) for q in moduli]
-    for m in range(query.m_min, query.m_max + 1):
+    split = max(3, arith.isqrt(n_max))
+    passed = []  # the (n, m) that pass the sieve
+    for m in range(query.m_min, min(query.m_max, split) + 1):
         # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m
         # with the same residue 1 or 2 mod every sieve modulus (by CRT, mod
         # their product) can be the unit or the 2 that the laws set apart.
@@ -323,15 +347,27 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         # Both ranges start at the diagonal n = m, which is excluded.  Its
         # product w * X_m**2 passes every modulus that w passes, so left in,
         # it would keep the survivor mask from ever emptying.
-        for n in _survivors(streams, candidates[1:], rows, m):
-            if not _parity_ok(n, n_parity):
-                continue
-            quotient, rem = divmod(term(n), term(m))
-            if rem:
-                continue
-            x = arith.square_witness(quotient, w)
-            if x:
-                out.append(SquareClassFinding(family, P, n, m, w, x))
+        tables = (arith._sieve_table(q, w * stream[m] % q) for q, stream in zip(moduli, streams))
+        passed += [(n, m) for n in _survivors(streams, candidates[1:], tables)]
+    # Past the split X_m >= 3 (U_m >= F_m, V_m >= L_m): no unit or 2 to set
+    # apart.  Each multiplier k = n / m <= n_max // lo has a nonempty run.
+    lo = max(query.m_min, split + 1)
+    if lo <= query.m_max:
+        characters = [(stream.translate(arith._character_table(q, w % q)),
+                       stream.translate(arith._character_table(q, 1)))
+                      for q, stream in zip(moduli[3:], streams[3:]) if w % q]
+        for k in identities.divisor_indices(1, n_max // lo, not take_u)[1:]:
+            passed += [(k * m, m) for m in _multiple_survivors(
+                characters, streams, k, lo, min(query.m_max, n_max // k), w)]
+    for n, m in passed:
+        if not _parity_ok(n, n_parity):
+            continue
+        quotient, rem = divmod(term(n), term(m))
+        if rem:
+            continue
+        x = arith.square_witness(quotient, w)
+        if x:
+            out.append(SquareClassFinding(family, P, n, m, w, x))
     out.sort(key=_finding_key)
     return out
 

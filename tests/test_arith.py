@@ -22,7 +22,7 @@ from lucassquares import (
 )
 
 import _oracles
-from _oracles import bisect_isqrt, naive_isqrt, naive_jacobi, naive_square_witness
+from _oracles import bisect_isqrt, naive_isqrt, naive_jacobi, naive_square_witness, naive_u_seq
 
 
 NON_INTEGER_CALLS = [
@@ -257,15 +257,41 @@ class TestProductFilter:
             for a in range(k):
                 assert table[a * b % k] == table[a * inverse % k], (k, a, b)
 
+    @pytest.mark.parametrize("k", SIEVE_MODULI[3:])
+    def test_character_bytes_pass_what_the_tables_pass(self, k):
+        # For a prime k, every w mod k and every pair (a, b) of residues of
+        # (X_m, X_n): the two-term sieve's bulk step on the character bytes
+        # of w * a and of b passes the pair exactly when the table of w * a
+        # passes b.  Pair (a, b) sits at m = k*k + a*k + b, its X_n at n = 2m.
+        square = k * k
+        stream = bytearray(4 * square)
+        for a in range(k):
+            for b in range(k):
+                m = square + a * k + b
+                stream[m], stream[2 * m] = a, b
+        for w in range(k):
+            characters = [(stream.translate(arith._character_table(k, w)),
+                           stream.translate(arith._character_table(k, 1)))]
+            for a in range(k):
+                lo = square + a * k
+                passed = classifier._multiple_survivors(characters, [], 2, lo, lo + k - 1, w)
+                table = arith._sieve_table(k, w * a % k)
+                assert [m - lo for m in passed] == [b for b in range(k) if table[b]], (k, w, a)
+
     @pytest.mark.parametrize("w", (1, 2, 5, 10**12 - 2))
-    def test_rows_are_the_tables_of_each_residue(self, w):
-        # A two-term cell reads the table of w * X_m as the row of w at
-        # X_m's residue byte: every byte x < q picks the table of w * x.
-        for k in SIEVE_MODULI:
-            row = arith._sieve_row(k, w % k)
-            assert len(row) == k
-            for x in range(k):
-                assert row[x] == arith._sieve_table(k, w * x % k), (k, w, x)
+    def test_pairs_left_pass_what_the_composite_tables_pass(self, w):
+        # After the prime moduli, each pair (X_m, X_{k*m}) left is tested
+        # mod 64, 63 and 65: given no prime modulus, the two-term sieve's
+        # run passes exactly the pairs whose product with w is a square mod
+        # all three.
+        xs = naive_u_seq(7, 1, 301)
+        streams = [bytes(x % q for x in xs) for q in SIEVE_MODULI[:3]]
+        for k in (2, 3, 5):
+            passed = classifier._multiple_survivors([], streams, k, 10, 300 // k, w)
+            want = [m for m in range(10, 300 // k + 1)
+                    if all(w * xs[m] * xs[k * m] % q in naive_squares_mod(q)
+                           for q in (64, 63, 65))]
+            assert passed == want and 0 < len(want) < 300 // k - 9, (w, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7),

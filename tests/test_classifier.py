@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lucassquares import (
@@ -84,6 +84,21 @@ def small_boxes(draw):
     return q(family=family, w=w, p_values=p_values, n_max=n_max, **kwargs)
 
 
+@st.composite
+def two_term_boxes(draw):
+    """A two-term box whose m range may lie below, above or across
+    sqrt(n_max), where the search turns from one sieve per m to one per
+    multiplier n / m."""
+    family = draw(st.sampled_from(("UU", "VV")))
+    p_values = tuple(sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=3))))
+    n_max = draw(st.integers(1, 90))
+    m_min, m_max = sorted(draw(st.lists(st.integers(1, n_max), min_size=2, max_size=2)))
+    parity = draw(st.sampled_from((None, "odd", "even")))
+    w = draw(st.sampled_from(SQUAREFREE_COEFFS + (WIDE_W,)))
+    return q(family=family, w=w, p_values=p_values, n_max=n_max, m_max=m_max,
+             m_min=m_min, n_parity=parity)
+
+
 def naive_findings(query):
     """The unpruned oracle's (P, n, m, x) rows for `query`, parity applied."""
     rows = []
@@ -101,6 +116,44 @@ def naive_findings(query):
 
 def found_rows(query):
     return [(f.P, f.n, f.m, f.x) for f in search(query)]
+
+
+def divisions_reached(mp, query):
+    """Search `query` and list the (P, m, n) of each exact division of a term.
+
+    The terms read from `seq_range` carry their (P, n), so a one-term X_n
+    divided by w in `square_witness` records (P, None, n) and a two-term X_n
+    divided by X_m records (P, m, n), whatever shape the sieve before them
+    takes.  The findings must still be the unpruned oracle's.
+    """
+    import lucassquares.sequences as seqmod
+    real, reached = seqmod.seq_range, []
+
+    class Term(int):
+        def __divmod__(self, other):
+            reached.append((self.P, getattr(other, "n", None), self.n))
+            return int.__divmod__(self, other)
+
+    def tagged(params, n_lo, n_hi):
+        for pair in real(params, n_lo, n_hi):
+            u, v = Term(pair.u), Term(pair.v)
+            u.P = v.P = params.P
+            u.n = v.n = pair.n
+            yield IndexedPair(pair.n, u, v)
+
+    mp.setattr(seqmod, "seq_range", tagged)
+    assert found_rows(query) == naive_findings(query)
+    return sorted(reached, key=str)
+
+
+def allowed_pairs(query, P):
+    """The (m, n) the divisibility laws leave in a two-term box at P, with
+    X_m, X_n and the box's parity: n > m, X_m != 1 and X_m | X_n."""
+    xs = (naive_u_seq if query.family == "UU" else naive_v_seq)(P, 1, query.n_max + 1)
+    return xs, [(m, n) for m in range(query.m_min, query.m_max + 1) if xs[m] != 1
+                for n in range(m + 1, query.n_max + 1)
+                if xs[n] % xs[m] == 0 and (query.n_parity is None
+                                           or (n % 2 == 1) == (query.n_parity == "odd"))]
 
 
 class TestQueryValidation:
@@ -353,60 +406,86 @@ class TestSearch:
         q(family="VV", w=3, p_values=(1, 2, 3, 12), n_max=60, m_max=30),
         q(family="VV", w=10**12 - 2, p_values=(2, 5), n_max=60, m_max=30, n_parity="even")])
     def test_survivors_are_the_naive_sieve(self, monkeypatch, query):
-        # Every sieve call gets the candidates the box and the divisibility
-        # laws allow (one-term ones of the box's parity, two-term ones past
-        # the diagonal n = m, of either parity), and returns exactly those n
-        # at which X_n * c, c = w or w * X_m, is a square mod every sieve
-        # modulus, by `%` on the exact values.
-        real_cell, real, calls, cell = classifier._search_cell, classifier._survivors, [], []
-
-        def in_cell(query, P):
-            cell[:] = [P]
-            return real_cell(query, P)
-
-        def recorded(streams, candidates, tables, m=None):
-            out = real(streams, candidates, tables, m)
-            calls.append((cell[0], m, list(candidates), out))
-            return out
-
-        monkeypatch.setattr(classifier, "_search_cell", in_cell)
-        monkeypatch.setattr(classifier, "_survivors", recorded)
-        assert found_rows(query) == naive_findings(query)
-        seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
-        ns = [n for n in range(1, query.n_max + 1)
-              if query.n_parity is None or (n % 2 == 1) == (query.n_parity == "odd")]
+        # Whatever shape the sieve takes, the candidates that reach exact
+        # arithmetic, each once, are exactly those the box and the
+        # divisibility laws allow (n of the box's parity, and for two-term
+        # families n past the diagonal n = m with X_m | X_n) at which
+        # X_n * c, c = w or w * X_m, is a square mod every sieve modulus, by
+        # `%` on the exact values.
+        reached = divisions_reached(monkeypatch, query)
         want, zeroed = [], set()
         for P in query.p_values:
-            xs = seq(P, 1, query.n_max + 1)
             if query.m_max is None:
-                want.append((P, None, ns, [n for n in ns if naive_sieve_passes(xs[n], query.w)]))
+                xs = (naive_u_seq if query.family == "U" else naive_v_seq)(
+                    P, 1, query.n_max + 1)
+                want += [(P, None, n) for n in range(1, query.n_max + 1)
+                         if (query.n_parity is None
+                             or (n % 2 == 1) == (query.n_parity == "odd"))
+                         and naive_sieve_passes(xs[n], query.w)]
                 continue
-            for m in range(query.m_min, query.m_max + 1):
-                if xs[m] == 1:
-                    continue
-                c = query.w * xs[m]
-                zeroed |= {k for k in SIEVE_MODULI if c % k == 0 and query.w % k}
-                candidates = [n for n in range(m + 1, query.n_max + 1) if xs[n] % xs[m] == 0]
-                want.append((P, m, candidates,
-                             [n for n in candidates if naive_sieve_passes(xs[n], c)]))
-        assert calls == want
+            xs, pairs = allowed_pairs(query, P)
+            zeroed |= {k for m in range(query.m_min, query.m_max + 1) if xs[m] != 1
+                       for k in SIEVE_MODULI if query.w * xs[m] % k == 0 and query.w % k}
+            want += [(P, m, n) for m, n in pairs
+                     if naive_sieve_passes(xs[n], query.w * xs[m])]
+        assert reached == sorted(want, key=str)
         if query.m_max is not None:
             # Some X_m is 0 mod a sieve modulus that w is prime to, so w * X_m
             # is 0 there and that modulus passes every n.
             assert zeroed
-        if query.family == "VV" and 2 in query.p_values and query.m_min == 1:
-            # V_1 = 2 at P = 2 divides every V_n.
-            assert (2, 1, list(range(2, query.n_max + 1))) in [call[:3] for call in calls]
+        if query.family == "VV" and query.w == 3:
+            # V_1 = 2 at P = 2 divides every V_n: V_2 = 6 = 3 * V_1 reaches
+            # the exact division although n / m = 2 is even.
+            assert (2, 1, 2) in reached
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_term_boxes())
+    @example(q(family="UU", w=1, p_values=(1, 2), n_max=90, m_max=60, m_min=9))
+    @example(q(family="VV", w=3, p_values=(2, 3), n_max=64, m_max=40, n_parity="odd"))
+    def test_an_open_sieve_passes_every_pair_the_laws_allow(self, query):
+        # With tables that pass every residue, every pair of the box that
+        # the divisibility laws allow reaches the exact division, once: the
+        # split at sqrt(n_max) and the multipliers past it neither drop nor
+        # repeat a pair, nor add one.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier.arith, "_sieve_table", lambda q, c: b"\1" * 256)
+            mp.setattr(classifier.arith, "_character_table", lambda q, c: bytes(256))
+            reached = divisions_reached(mp, query)
+        want = [(P, m, n) for P in query.p_values for m, n in allowed_pairs(query, P)[1]]
+        assert reached == sorted(want, key=str)
+
+    @pytest.mark.parametrize("n_max", (20, 60))
+    @pytest.mark.parametrize("modulus", [k for k in SIEVE_MODULI if k != 65])
+    def test_each_modulus_rejects_two_term_pairs(self, monkeypatch, modulus, n_max):
+        # U_12 = 2 * U_6 * 99**2 at P = 5, and 2 * U_6 = 7280 is 0 mod 65
+        # only.  Moving U_12's residue mod one other modulus to a class whose
+        # product with 7280 is a non-square there loses the solution, both
+        # where the search sieves m = 6 alone (n_max = 60, split 7) and where
+        # it sieves m = 6 in the run of multiplier 2 (n_max = 20, split 4).
+        import lucassquares.sequences as seqmod
+        real = seqmod.residue_stream
+        squares = {x * x % modulus for x in range(modulus)}
+        assert 2 * naive_u_seq(5, 1, 7)[6] == 7280 and 7280 % modulus
+        moved = next(r for r in range(modulus) if 7280 * r % modulus not in squares)
+
+        def bumped(params, n_hi, k, sequence):
+            stream = real(params, n_hi, k, sequence)
+            return stream[:12] + bytes((moved,)) + stream[13:] if k == modulus else stream
+
+        query = q(family="UU", w=2, p_values=(5,), n_max=n_max, m_max=10, m_min=2)
+        assert (5, 12, 6) in [row[:3] for row in found_rows(query)]
+        monkeypatch.setattr(seqmod, "residue_stream", bumped)
+        assert (5, 12, 6) not in [row[:3] for row in found_rows(query)]
 
     def test_findings_do_not_depend_on_the_caches(self):
-        # The residue periods, sieve tables and two-term sieve rows are
-        # cached on first use; a search from empty caches and one from warm
-        # caches agree.
+        # The residue periods, sieve tables and the two-term search's
+        # character tables are cached on first use; a search from empty
+        # caches and one from warm caches agree.
         import lucassquares.sequences as seqmod
         queries = [q(family="U", w=2, p_values=tuple(range(1, 30)), n_max=200),
                    q(family="VV", w=3, p_values=tuple(range(1, 13)), n_max=60, m_max=30)]
         caches = (seqmod._residue_period, classifier.arith._sieve_table,
-                  classifier.arith._sieve_row, classifier.arith._square_residues)
+                  classifier.arith._character_table, classifier.arith._square_residues)
         for cache in caches:
             cache.cache_clear()
         cold = [found_rows(query) for query in queries]
@@ -512,6 +591,28 @@ class TestSearch:
         assert started == ([2] if jobs == 2 and len(query.p_values) > 1 else [])
         assert [(f.P, f.n, f.m, f.x) for f in found] == naive_findings(query)
         assert all((f.family, f.w) == (query.family, query.w) for f in found)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_term_boxes())
+    @example(q(family="UU", w=2, p_values=(1, 5), n_max=90, m_max=45, m_min=2))
+    @example(q(family="VV", w=6, p_values=(2, 5), n_max=90, m_max=90, n_parity="even"))
+    @example(q(family="VV", w=WIDE_W, p_values=(2, 29, 30), n_max=81, m_max=40, m_min=9))
+    def test_two_term_search_matches_unpruned_naive(self, query):
+        # m ranges below, above and across the split at sqrt(n_max), any
+        # parity, and a w that is 0 mod the sieve primes up to 31.
+        assert found_rows(query) == naive_findings(query)
+
+    def test_terms_past_the_split_are_neither_unit_nor_2(self):
+        # The two-term search sieves every m > max(3, isqrt(n_max)) by its
+        # multiplier n / m, with no case for a unit X_m or for V_1 = 2.  That
+        # needs X_m >= 3 there: U_m >= F_m >= 3 for m >= 4 and V_m >= L_m >= 3
+        # for m >= 2, as both sequences increase from index 1 on.
+        for P in range(1, 100):
+            us, vs = naive_u_seq(P, 1, 101), naive_v_seq(P, 1, 101)
+            assert all(a <= b for a, b in zip(us[1:], us[2:]))
+            assert all(a <= b for a, b in zip(vs[1:], vs[2:]))
+            assert us[4] >= 3 and vs[2] >= 3, P
+        assert naive_u_seq(1, 1, 4)[3] == 2 and naive_v_seq(2, 1, 2)[1] == 2
 
     def test_divisibility_sweep_guards_the_search_rule(self, monkeypatch):
         # The search prunes by identities.divisor_indices and the sweep
