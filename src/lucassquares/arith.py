@@ -14,13 +14,14 @@ tables (6 in 715 of random non-squares) pay for `math.isqrt`.
 
 The search sieves by the same test one modulus at a time, over the 23
 moduli of `_SIEVE_MODULI`: 64, 63, 65, 11 and the primes 17 to 97.  For
-each modulus q and multiplier class c, `_sieve_table` is a 256-byte
-`bytes.translate` table that maps X_n mod q to 1 when X_n * c can be a
-square mod q and to 0 when it cannot, so one `translate` call marks a whole
-stream of residue bytes.  For a prime q, `_character_table` maps X_n mod
-q to the quadratic character of X_n * c as one byte, so a two-term search
-tests a whole run of pairs (X_m, X_n) at once.  The tables are built on
-first use and cached.
+each modulus q and class c = w mod q, `_sieve_table` is a 256-byte
+`bytes.translate` table that maps X_n mod q to 1 when X_n * w can be a
+square mod q and to 0 when it cannot, so one `translate` call marks a
+whole one-term stream of residue bytes.  For a prime q, `_character_table`
+maps X_n mod q to the quadratic character of X_n * c as one byte, so a
+two-term search tests a whole run of pairs (X_m, X_n) at once; it tests
+the few pairs left mod 64, 63 and 65 by `_square_residues`.  The tables
+are built on first use and cached.
 """
 
 from __future__ import annotations
@@ -101,26 +102,19 @@ def _is_residue(t: int) -> bool:
 # first; their product is a 128-bit number.
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37,
                  41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-_PRIME_MODULI = frozenset(_SIEVE_MODULI[3:])
 
 
 @functools.cache
 def _sieve_table(q: int, c: int) -> bytes:
     """The `bytes.translate` table of A -> [A * c is a square mod q], 0 <= c < q.
 
-    The search tests A = X_n against C = w (one-term) or C = w * X_m
-    (two-term).  A solution A = C * x**2 makes A * C = (C * x)**2, a square
-    mod every modulus whether or not C is a unit there, so a 0 at A mod q
-    rejects n before any exact arithmetic.  Entry r < q is 1 or 0; the
-    entries from q to 255 are never read.  For a prime q the table depends
-    only on c's quadratic character, so every nonzero c shares the table
-    of 1 or of the least non-residue.
+    The one-term search tests A = X_n against C = w.  A solution
+    A = C * x**2 makes A * C = (C * x)**2, a square mod every modulus
+    whether or not C is a unit there, so a 0 at A mod q rejects n before any
+    exact arithmetic.  Entry r < q is 1 or 0; the entries from q to 255 are
+    never read.
     """
     squares = _square_residues(q)
-    if q in _PRIME_MODULI and c:
-        least = 1 if squares[c] else squares.index(0, 1)
-        if c != least:
-            return _sieve_table(q, least)
     return bytes(squares[r * c % q] for r in range(q)).ljust(256, b"\0")
 
 
@@ -131,7 +125,7 @@ def _character_table(q: int, c: int) -> bytes:
     Entry r < q is 0, 1 or 2 as r * c is 0, a nonzero square or a
     non-square mod q.  So w * X_m * X_n is a square mod q iff the bytes of
     X_m under the table of w and of X_n under that of 1 do not XOR to 3,
-    just as `_sieve_table(q, w * X_m % q)[X_n % q]` says.
+    just as `_sieve_table(q, w * X_m % q)[X_n % q]` would say.
     """
     squares = _square_residues(q)
     return bytes(2 - squares[r * c % q] if r * c % q else 0

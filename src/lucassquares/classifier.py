@@ -29,24 +29,23 @@ Each search cell walks one P.  A solution X_n = c * x**2 makes X_n * c =
 two-term ones, so the search rejects n when that product is a non-square
 mod one of the 23 moduli of `arith._SIEVE_MODULI` (64, 63, 65, 11 and the
 primes 17 to 97).  It sieves in bulk: per modulus,
-`sequences.residue_stream` gives X_n mod q as one byte per n, a
-`bytes.translate` table maps those bytes to 1 (may be a square) or 0, and
-the bytes, read as one int, are ANDed into a survivor mask.  A one-term
-cell sieves all its n so, by the tables `arith._sieve_table(q, w mod q)`,
-and a two-term cell each m <= s = max(3, isqrt(n_max)), by the tables of
-w * X_m.  The pairs (m, k*m) with m > s are sieved one multiplier k at a
-time, about sqrt(n_max) runs in place of one per m (Dirichlet's hyperbola
-method, Tenenbaum 1995, §I.3.2): a prime modulus tests a whole run by the
-quadratic characters of w * X_m and X_n (`arith._character_table`), and
-64, 63 and 65 test the pairs left.  Only the survivors pay for
-`square_witness` or the exact division, which still decide every
-finding.  Their exact terms come from one `seq_range` stream per cell,
-read only as far as the largest index a survivor needs; a two-term cell
-also reads each X_m (m <= s) that is 1 or 2 mod every sieve modulus, the
-only residues of the unit and the 2 that the laws set apart.  Two-term
-candidates are the divisibility laws' `identities.divisor_indices` (only
-V_1 = 2 at P = 2 takes every n), which the divisibility sweep checks, and
-an independent no-pruning search backs this up in the test suite.
+`sequences.residue_stream` gives X_n mod q as one byte per n.  A one-term
+cell maps all those bytes by one `bytes.translate` table of w,
+`arith._sieve_table(q, w mod q)`, to 1 (may be a square) or 0, and ANDs
+them, read as one int, into a survivor mask.  A two-term cell sieves its
+pairs (m, n) in runs: one per m <= s = max(3, isqrt(n_max)), against all
+its n, and one per multiplier k = n / m past s, about 2 * sqrt(n_max) runs
+in all (Dirichlet's hyperbola method, Tenenbaum 1995, §I.3.2).  In a run
+each prime modulus tests every pair at once by the quadratic characters of
+w * X_m and X_n (`arith._character_table`), and 64, 63 and 65 test the
+pairs left.  Only the survivors pay for `square_witness` or the exact
+division, which still decide every finding.  Their exact terms come from
+one `seq_range` stream per cell, read only as far as the largest index a
+survivor needs.  Two-term candidates are the divisibility laws'
+`identities.divisor_indices` (only V_1 = 2 at P = 2 takes every n), which
+the divisibility sweep checks, and the closed forms U_1 = 1 and
+U_2 = V_1 = P place the unit and that 2; an independent no-pruning search
+backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -265,26 +264,30 @@ def _survivors(streams: Iterable[bytes], candidates: range,
     return [candidates[j] for j in _marked(mask)]
 
 
-def _multiple_survivors(characters: list[tuple[bytes, bytes]], streams: list[bytes],
-                        k: int, lo: int, hi: int, w: int) -> list[int]:
-    """The m in lo..hi with X_{k*m} * w * X_m a residue mod every sieve modulus.
+def _pair_survivors(characters: list[tuple[bytes, bytes]], streams: list[bytes],
+                    ms: range, ns: range, w: int) -> list[tuple[int, int]]:
+    """The pairs (m, n) of a run with w * X_m * X_n a residue mod every sieve modulus.
 
+    A run pairs ms[j] with ns[j], or its one m with every n of `ns`.
     `characters` holds, per prime sieve modulus q prime to w (any other q
     passes every pair), the stream of X_n mod q translated by the
-    `arith._character_table` of w and of 1.  Cut at m = lo..hi and at
-    n = k*m, read as little-endian ints, they XOR to 3 at byte j iff pair j
-    fails mod q.  The pairs left are tested mod 64, 63 and 65 on `streams`.
+    `arith._character_table` of w and of 1.  Cut at `ms` and at `ns`, read
+    as little-endian ints, they XOR to 3 at byte j iff pair j fails mod q.
+    The pairs left are tested mod 64, 63 and 65 on `streams`.
     """
     from_bytes = int.from_bytes
-    mask = from_bytes(b"\1" * (hi - lo + 1), "little")
+    repeats = len(ns) // len(ms)  # one m against every n, else 1
+    m_cut, n_cut = slice(ms.start, ms.stop, ms.step), slice(ns.start, ns.stop, ns.step)
+    mask = from_bytes(b"\1" * len(ns), "little")
     for by_w, by_1 in characters:
-        x = (from_bytes(by_w[lo:hi + 1], "little")
-             ^ from_bytes(by_1[k * lo:k * hi + 1:k], "little"))
+        x = (from_bytes(by_w[m_cut] * repeats, "little")
+             ^ from_bytes(by_1[n_cut], "little"))
         mask &= ~(x & (x >> 1))
         if not mask:
             return []
-    return [m for m in (lo + j for j in _marked(mask))
-            if all(arith._sieve_table(q, w * stream[m] % q)[stream[k * m]]
+    pairs = [(ms[j // repeats], ns[j]) for j in _marked(mask)]
+    return [(m, n) for m, n in pairs
+            if all(arith._square_residues(q)[w * stream[m] * stream[n] % q]
                    for q, stream in zip(arith._SIEVE_MODULI[:3], streams))]
 
 
@@ -293,9 +296,9 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
 
     Every candidate is sieved on its residues first, from one
     `sequences.residue_stream` per sieve modulus: by `_survivors` for all n
-    of a one-term cell and each m <= s = max(3, isqrt(n_max)) of a two-term
-    cell, and by `_multiple_survivors` for the pairs (m, k*m) with m > s,
-    one run per multiplier k.  The exact terms come from one `seq_range`
+    of a one-term cell, and by `_pair_survivors` for the pairs (m, n) of a
+    two-term cell, one run per m <= s = max(3, isqrt(n_max)) and one per
+    multiplier k = n / m past s.  The exact terms come from one `seq_range`
     stream, read on demand: only as far as the largest index a survivor
     needs, so a cell with no survivor reads none.
     """
@@ -328,46 +331,42 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
                 out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
-    streams = list(streams)  # every m reads each stream's byte at m
+    streams = list(streams)  # every run reads each stream
+    characters = [(stream.translate(arith._character_table(q, w % q)),
+                   stream.translate(arith._character_table(q, 1)))
+                  for q, stream in zip(moduli[3:], streams[3:]) if w % q]
     split = max(3, arith.isqrt(n_max))
-    passed = []  # the (n, m) that pass the sieve
+    runs = []  # (ms, ns): one m each up to the split, one multiplier each past it
+    # By the closed forms U_1 = 1 and U_2 = V_1 = P, and U_m >= F_m, V_m >= L_m
+    # past them, the unit and the 2 that the laws set apart are U_1, U_2 at
+    # P = 1 and V_1 at P <= 2.
+    first = (1, P) if take_u else (P,)
     for m in range(query.m_min, min(query.m_max, split) + 1):
-        # X_m >= 1, and only a 1 or a 2 is its own residue, so only an m
-        # with the same residue 1 or 2 mod every sieve modulus (by CRT, mod
-        # their product) can be the unit or the 2 that the laws set apart.
-        first = streams[0][m]
-        same = first in (1, 2) and all(stream[m] == first for stream in streams)
-        base = term(m) if same else None
+        base = first[m - 1] if m <= len(first) else None
         if base == 1:
             continue
+        # Both ranges start at the diagonal n = m, which is excluded.
         if base == 2 and not take_u:
-            candidates = range(m, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
+            ns = range(m, n_max + 1)  # V_1 = 2 at P = 2 divides every V_n
         else:
-            candidates = identities.divisor_indices(m, n_max, not take_u)
-        # Both ranges start at the diagonal n = m, which is excluded.  Its
-        # product w * X_m**2 passes every modulus that w passes, so left in,
-        # it would keep the survivor mask from ever emptying.
-        tables = (arith._sieve_table(q, w * stream[m] % q) for q, stream in zip(moduli, streams))
-        passed += [(n, m) for n in _survivors(streams, candidates[1:], tables)]
-    # Past the split X_m >= 3 (U_m >= F_m, V_m >= L_m): no unit or 2 to set
-    # apart.  Each multiplier k = n / m <= n_max // lo has a nonempty run.
+            ns = identities.divisor_indices(m, n_max, not take_u)
+        runs.append((range(m, m + 1), ns[1:]))
+    # Each multiplier k = n / m <= n_max // lo has a nonempty run.
     lo = max(query.m_min, split + 1)
     if lo <= query.m_max:
-        characters = [(stream.translate(arith._character_table(q, w % q)),
-                       stream.translate(arith._character_table(q, 1)))
-                      for q, stream in zip(moduli[3:], streams[3:]) if w % q]
         for k in identities.divisor_indices(1, n_max // lo, not take_u)[1:]:
-            passed += [(k * m, m) for m in _multiple_survivors(
-                characters, streams, k, lo, min(query.m_max, n_max // k), w)]
-    for n, m in passed:
-        if not _parity_ok(n, n_parity):
-            continue
-        quotient, rem = divmod(term(n), term(m))
-        if rem:
-            continue
-        x = arith.square_witness(quotient, w)
-        if x:
-            out.append(SquareClassFinding(family, P, n, m, w, x))
+            hi = min(query.m_max, n_max // k)
+            runs.append((range(lo, hi + 1), range(k * lo, k * hi + 1, k)))
+    for ms, ns in runs:
+        for m, n in _pair_survivors(characters, streams, ms, ns, w):
+            if not _parity_ok(n, n_parity):
+                continue
+            quotient, rem = divmod(term(n), term(m))
+            if rem:
+                continue
+            x = arith.square_witness(quotient, w)
+            if x:
+                out.append(SquareClassFinding(family, P, n, m, w, x))
     out.sort(key=_finding_key)
     return out
 

@@ -88,29 +88,11 @@ class IndexedPair:
     Satisfies v**2 - (P**2 + 4*Q) * u**2 = 4 * (-Q)**n for the parameters
     it was produced under (the producer knows P and Q; the pair itself
     stores only the values).
-
-    `seq_range` builds one pair per term and the shift sweep reads their
-    fields millions of times, so both must be cheap.  Slots keep the reads
-    fast, and the hand-written `__init__` fills them through the slot
-    descriptors in about 0.6 of the time of the generated frozen one, which
-    makes one `object.__setattr__` call per field.  (Filling the instance
-    dict, as `CheckOutcome` does, builds as fast, but on Python 3.11 every
-    later read is slower.)  It takes the same arguments, and `repr`, `==`,
-    `hash`, `replace`, pickling and the frozen `__setattr__` are the
-    dataclass ones.
     """
 
     n: int
     u: int
     v: int
-
-    def __init__(self, n: int, u: int, v: int) -> None:
-        _set_n(self, n)
-        _set_u(self, u)
-        _set_v(self, v)
-
-
-_set_n, _set_u, _set_v = (IndexedPair.__dict__[name].__set__ for name in ("n", "u", "v"))
 
 
 @dataclass(frozen=True)

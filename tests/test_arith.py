@@ -262,7 +262,8 @@ class TestProductFilter:
         # For a prime k, every w mod k and every pair (a, b) of residues of
         # (X_m, X_n): the two-term sieve's bulk step on the character bytes
         # of w * a and of b passes the pair exactly when the table of w * a
-        # passes b.  Pair (a, b) sits at m = k*k + a*k + b, its X_n at n = 2m.
+        # passes b, in a run of many m and in a run of one m.  Pair (a, b)
+        # sits at m = k*k + a*k + b, its X_n at n = 2m.
         square = k * k
         stream = bytearray(4 * square)
         for a in range(k):
@@ -274,24 +275,39 @@ class TestProductFilter:
                            stream.translate(arith._character_table(k, 1)))]
             for a in range(k):
                 lo = square + a * k
-                passed = classifier._multiple_survivors(characters, [], 2, lo, lo + k - 1, w)
                 table = arith._sieve_table(k, w * a % k)
-                assert [m - lo for m in passed] == [b for b in range(k) if table[b]], (k, w, a)
+                want = [b for b in range(k) if table[b]]
+                ns = range(2 * lo, 2 * lo + 2 * k, 2)
+                passed = classifier._pair_survivors(characters, [], range(lo, lo + k), ns, w)
+                assert [m - lo for m, _ in passed] == want, (k, w, a)
+                assert all(n == 2 * m for m, n in passed)
+                # X_lo = a, and X_n = b at the n of the run above.
+                passed = classifier._pair_survivors(characters, [], range(lo, lo + 1), ns, w)
+                assert [(n - 2 * lo) // 2 for _, n in passed] == want, (k, w, a)
+                assert all(m == lo for m, _ in passed)
 
     @pytest.mark.parametrize("w", (1, 2, 5, 10**12 - 2))
     def test_pairs_left_pass_what_the_composite_tables_pass(self, w):
-        # After the prime moduli, each pair (X_m, X_{k*m}) left is tested
-        # mod 64, 63 and 65: given no prime modulus, the two-term sieve's
-        # run passes exactly the pairs whose product with w is a square mod
-        # all three.
+        # After the prime moduli, each pair (X_m, X_n) left is tested mod
+        # 64, 63 and 65: given no prime modulus, the two-term sieve's run
+        # passes exactly the pairs whose product with w is a square mod all
+        # three, in a run of the multiples k*m and in a run of one m.
         xs = naive_u_seq(7, 1, 301)
         streams = [bytes(x % q for x in xs) for q in SIEVE_MODULI[:3]]
+
+        def passes(m, n):
+            return all(w * xs[m] * xs[n] % q in naive_squares_mod(q) for q in (64, 63, 65))
+
         for k in (2, 3, 5):
-            passed = classifier._multiple_survivors([], streams, k, 10, 300 // k, w)
-            want = [m for m in range(10, 300 // k + 1)
-                    if all(w * xs[m] * xs[k * m] % q in naive_squares_mod(q)
-                           for q in (64, 63, 65))]
-            assert passed == want and 0 < len(want) < 300 // k - 9, (w, k)
+            ms, ns = range(10, 300 // k + 1), range(10 * k, 300 // k * k + 1, k)
+            passed = classifier._pair_survivors([], streams, ms, ns, w)
+            want = [(m, k * m) for m in ms if passes(m, k * m)]
+            assert passed == want and 0 < len(want) < len(ms), (w, k)
+        for m in (10, 17):
+            ns = range(m + 1, 301)
+            passed = classifier._pair_survivors([], streams, range(m, m + 1), ns, w)
+            want = [(m, n) for n in ns if passes(m, n)]
+            assert passed == want and 0 < len(want) < len(ns), (w, m)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7),

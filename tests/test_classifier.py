@@ -308,6 +308,26 @@ class TestSearch:
             want = naive_search_two_term(family, p, w, 50, 25)
             assert sorted((f.P, f.n, f.m, f.x) for f in got) == want
 
+    def test_the_closed_forms_place_the_unit_and_the_2(self):
+        # The two-term search reads no X_m to find the unit divisors and the
+        # V_1 = 2 at P = 2 that the divisibility laws set apart: it takes
+        # them from U_1 = 1 and U_2 = V_1 = P.  Over exact values, U_m = 1
+        # only at m = 1 and at m = 2 when P = 1, and V_m <= 2 only at m = 1
+        # with P <= 2.
+        for P in range(1, 301):
+            us, vs = naive_u_seq(P, 1, 61), naive_v_seq(P, 1, 61)
+            assert [m for m in range(1, 61) if us[m] == 1] == ([1, 2] if P == 1 else [1])
+            assert [m for m in range(1, 61) if vs[m] <= 2] == ([1] if P <= 2 else [])
+
+    def test_two_term_cells_build_no_sieve_table(self):
+        # Two-term cells test pairs by character bytes and by the squares
+        # mod 64, 63 and 65; the per-class tables serve one-term cells only.
+        classifier.arith._sieve_table.cache_clear()
+        for family in ("UU", "VV"):
+            query = q(family=family, w=2, p_values=tuple(range(1, 13)), n_max=60, m_max=30)
+            assert found_rows(query) == naive_findings(query)
+        assert classifier.arith._sieve_table.cache_info().currsize == 0
+
     @pytest.mark.parametrize("query, lost", [
         (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
         (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
@@ -356,10 +376,9 @@ class TestSearch:
     def test_cells_read_exact_terms_only_up_to_the_last_one_needed(self, monkeypatch, query):
         # Each cell opens one exact stream and reads it only as far as the
         # largest index its exact tests need: an n whose product passes the
-        # sieve, or for two-term families an m whose residue mod the sieve
-        # moduli's product is 1 or 2 (X_m may be the unit or the 2 that the
-        # divisibility laws set apart).  A two-term candidate is an n with
-        # X_m | X_n, for X_m != 1.
+        # sieve.  A two-term candidate is an n with X_m | X_n, for X_m != 1;
+        # the unit and the 2 that the divisibility laws set apart come from
+        # closed forms, so no X_m is read for them.
         import lucassquares.sequences as seqmod
         real, reads = seqmod.seq_range, []
 
@@ -376,7 +395,6 @@ class TestSearch:
 
         monkeypatch.setattr(seqmod, "seq_range", counted)
         assert found_rows(query) == naive_findings(query)
-        modulus = math.prod(SIEVE_MODULI)
         seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
         want = []
         for P in query.p_values:
@@ -387,8 +405,7 @@ class TestSearch:
                 needed = [n for n in ns if naive_sieve_passes(xs[n], query.w)]
             else:
                 ms = range(query.m_min, query.m_max + 1)
-                needed = [m for m in ms if xs[m] % modulus in (1, 2)]
-                needed += [n for m in ms if xs[m] != 1 for n in ns
+                needed = [n for m in ms if xs[m] != 1 for n in ns
                            if n != m and xs[n] % xs[m] == 0
                            and naive_sieve_passes(xs[n], query.w * xs[m])]
             want.append([P, max(needed, default=0)])
@@ -448,34 +465,38 @@ class TestSearch:
         # split at sqrt(n_max) and the multipliers past it neither drop nor
         # repeat a pair, nor add one.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifier.arith, "_sieve_table", lambda q, c: b"\1" * 256)
             mp.setattr(classifier.arith, "_character_table", lambda q, c: bytes(256))
+            mp.setattr(classifier.arith, "_square_residues", lambda q: b"\1" * q)
             reached = divisions_reached(mp, query)
         want = [(P, m, n) for P in query.p_values for m, n in allowed_pairs(query, P)[1]]
         assert reached == sorted(want, key=str)
 
     @pytest.mark.parametrize("n_max", (20, 60))
-    @pytest.mark.parametrize("modulus", [k for k in SIEVE_MODULI if k != 65])
+    @pytest.mark.parametrize("modulus", SIEVE_MODULI)
     def test_each_modulus_rejects_two_term_pairs(self, monkeypatch, modulus, n_max):
-        # U_12 = 2 * U_6 * 99**2 at P = 5, and 2 * U_6 = 7280 is 0 mod 65
-        # only.  Moving U_12's residue mod one other modulus to a class whose
-        # product with 7280 is a non-square there loses the solution, both
-        # where the search sieves m = 6 alone (n_max = 60, split 7) and where
+        # U_12 = 2 * U_3 * 6**2 = 2 * U_6 * 3**2 at P = 1, with 2 * U_3 = 4
+        # and 2 * U_6 = 16 prime to every modulus but 64.  Moving U_12's
+        # residue mod one modulus to a class whose product with 4 and with
+        # 16 is a non-square there loses both solutions, both where the
+        # search sieves m = 3 and m = 6 alone (n_max = 60, split 7) and where
         # it sieves m = 6 in the run of multiplier 2 (n_max = 20, split 4).
         import lucassquares.sequences as seqmod
         real = seqmod.residue_stream
         squares = {x * x % modulus for x in range(modulus)}
-        assert 2 * naive_u_seq(5, 1, 7)[6] == 7280 and 7280 % modulus
-        moved = next(r for r in range(modulus) if 7280 * r % modulus not in squares)
+        xs = naive_u_seq(1, 1, 13)
+        assert (2 * xs[3], 2 * xs[6]) == (4, 16) and xs[12] == 4 * 6**2 == 16 * 3**2
+        moved = next(r for r in range(modulus)
+                     if 4 * r % modulus not in squares and 16 * r % modulus not in squares)
 
         def bumped(params, n_hi, k, sequence):
             stream = real(params, n_hi, k, sequence)
             return stream[:12] + bytes((moved,)) + stream[13:] if k == modulus else stream
 
-        query = q(family="UU", w=2, p_values=(5,), n_max=n_max, m_max=10, m_min=2)
-        assert (5, 12, 6) in [row[:3] for row in found_rows(query)]
+        query = q(family="UU", w=2, p_values=(1,), n_max=n_max, m_max=10, m_min=2)
+        lost = [(1, 12, 3), (1, 12, 6)]
+        assert all(pair in [row[:3] for row in found_rows(query)] for pair in lost)
         monkeypatch.setattr(seqmod, "residue_stream", bumped)
-        assert (5, 12, 6) not in [row[:3] for row in found_rows(query)]
+        assert not any(pair in [row[:3] for row in found_rows(query)] for pair in lost)
 
     def test_findings_do_not_depend_on_the_caches(self):
         # The residue periods, sieve tables and the two-term search's
@@ -603,10 +624,10 @@ class TestSearch:
         assert found_rows(query) == naive_findings(query)
 
     def test_terms_past_the_split_are_neither_unit_nor_2(self):
-        # The two-term search sieves every m > max(3, isqrt(n_max)) by its
-        # multiplier n / m, with no case for a unit X_m or for V_1 = 2.  That
-        # needs X_m >= 3 there: U_m >= F_m >= 3 for m >= 4 and V_m >= L_m >= 3
-        # for m >= 2, as both sequences increase from index 1 on.
+        # The two-term search sets apart a unit X_m or V_1 = 2 only at m <= 2,
+        # so none may sit past the split max(3, isqrt(n_max)), nor anywhere
+        # past m = 3: U_m >= F_m >= 3 for m >= 4 and V_m >= L_m >= 3 for
+        # m >= 2, as both sequences increase from index 1 on.
         for P in range(1, 100):
             us, vs = naive_u_seq(P, 1, 101), naive_v_seq(P, 1, 101)
             assert all(a <= b for a, b in zip(us[1:], us[2:]))
