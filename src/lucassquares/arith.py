@@ -18,10 +18,11 @@ each modulus q and class c = w mod q, `_sieve_table` is a 256-byte
 `bytes.translate` table that maps X_n mod q to 1 when X_n * w can be a
 square mod q and to 0 when it cannot, so one `translate` call marks a
 whole one-term stream of residue bytes.  For a prime q, `_character_table`
-maps X_n mod q to the quadratic character of X_n * c as one byte, so a
-two-term search tests a whole run of pairs (X_m, X_n) at once; it tests
-the few pairs left mod 64, 63 and 65 by `_square_residues`.  The tables
-are built on first use and cached.
+maps X_n mod q to its quadratic character as one byte; a two-term search
+packs those of every prime into one 64-bit lane per n and so tests a whole
+run of pairs (X_m, X_n) at once, and it tests the few pairs left mod 64,
+63 and 65 by `_square_residues`.  The tables are built on first use and
+cached.
 """
 
 from __future__ import annotations
@@ -118,18 +119,22 @@ def _sieve_table(q: int, c: int) -> bytes:
     return bytes(squares[r * c % q] for r in range(q)).ljust(256, b"\0")
 
 
-@functools.cache
-def _character_table(q: int, c: int) -> bytes:
-    """The `bytes.translate` table of A -> the character of A * c mod a prime q.
+# Maps each byte of `_square_residues` to a character: 1 (square) stays 1
+# and 0 (non-square) becomes 2.
+_SQUARE_TO_CHARACTER = bytes((2, 1)).ljust(256, b"\0")
 
-    Entry r < q is 0, 1 or 2 as r * c is 0, a nonzero square or a
-    non-square mod q.  So w * X_m * X_n is a square mod q iff the bytes of
-    X_m under the table of w and of X_n under that of 1 do not XOR to 3,
-    just as `_sieve_table(q, w * X_m % q)[X_n % q]` would say.
+
+@functools.cache
+def _character_table(q: int) -> bytes:
+    """The `bytes.translate` table of A -> the quadratic character of A mod a prime q.
+
+    Entry r < q is 0, 1 or 2 as r is 0, a nonzero square or a non-square
+    mod q.  For a unit c, the character of A * c is that of A with 1 and 2
+    swapped when c is a non-square, so w * X_m * X_n is a square mod q iff
+    the characters of w * X_m and of X_n do not XOR to 3, just as
+    `_sieve_table(q, w * X_m % q)[X_n % q]` would say.
     """
-    squares = _square_residues(q)
-    return bytes(2 - squares[r * c % q] if r * c % q else 0
-                 for r in range(q)).ljust(256, b"\0")
+    return (b"\0" + _square_residues(q)[1:].translate(_SQUARE_TO_CHARACTER)).ljust(256, b"\0")
 
 
 def _square_root(q: int) -> int | None:

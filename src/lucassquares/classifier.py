@@ -35,17 +35,19 @@ cell maps all those bytes by one `bytes.translate` table of w,
 them, read as one int, into a survivor mask.  A two-term cell sieves its
 pairs (m, n) in runs: one per m <= s = max(3, isqrt(n_max)), against all
 its n, and one per multiplier k = n / m past s, about 2 * sqrt(n_max) runs
-in all (Dirichlet's hyperbola method, Tenenbaum 1995, §I.3.2).  In a run
-each prime modulus tests every pair at once by the quadratic characters of
-w * X_m and X_n (`arith._character_table`), and 64, 63 and 65 test the
-pairs left.  Only the survivors pay for `square_witness` or the exact
-division, which still decide every finding.  Their exact terms come from
-one `seq_range` stream per cell, read only as far as the largest index a
-survivor needs.  Two-term candidates are the divisibility laws'
-`identities.divisor_indices` (only V_1 = 2 at P = 2 takes every n), which
-the divisibility sweep checks, and the closed forms U_1 = 1 and
-U_2 = V_1 = P place the unit and that 2; an independent no-pruning search
-backs this up in the test suite.
+in all (Dirichlet's hyperbola method, Tenenbaum 1995, §I.3.2).  The
+quadratic characters of X_n mod the primes 11 to 97 share one 64-bit lane
+per n, 2 bits a prime (`arith._character_table`), and those of w * X_n are
+derived from them, so a run tests all its pairs mod all those primes in
+one bulk step on Python ints, SIMD within a register (Fisher and Dietz,
+LCPC 1998); 64, 63 and 65 test the pairs left.  Only the survivors pay
+for `square_witness` or the exact division, which still decide every
+finding.  Their exact terms come from one `seq_range` stream per cell,
+read only as far as the largest index a survivor needs.  Two-term
+candidates are the divisibility laws' `identities.divisor_indices` (only
+V_1 = 2 at P = 2 takes every n), which the divisibility sweep checks, and
+the closed forms U_1 = 1 and U_2 = V_1 = P place the unit and that 2; an
+independent no-pruning search backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -63,6 +65,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 from . import arith, diophantine, identities, sequences
 from .arith import _require_int
@@ -235,11 +238,14 @@ def _parity_ok(n: int, parity: str | None) -> bool:
     return parity is None or (n % 2 == 1) == (parity == "odd")
 
 
-def _marked(mask: int) -> Iterator[int]:
-    """The j with bit 8j set in `mask`, in increasing order."""
+def _marked(mask: int, shift: int) -> Iterator[int]:
+    """The j with a bit of `mask` set in [j << shift, (j + 1) << shift), in increasing order.
+
+    Shift 3 reads byte marks (bit 8j), shift 6 lane marks (bit 64j + 63).
+    """
     while mask:
         low = mask & -mask
-        yield (low.bit_length() - 1) >> 3
+        yield (low.bit_length() - 1) >> shift
         mask ^= low
 
 
@@ -261,31 +267,96 @@ def _survivors(streams: Iterable[bytes], candidates: range,
         mask &= from_bytes(stream[cut].translate(table), "little")
         if not mask:
             return []
-    return [candidates[j] for j in _marked(mask)]
+    return [candidates[j] for j in _marked(mask, 3)]
 
 
-def _pair_survivors(characters: list[tuple[bytes, bytes]], streams: list[bytes],
+# A run is tested in parts of at most this many lanes, so that its int
+# temporaries stay small however long the run is.
+_PART = 1024
+_TOPS = int.from_bytes((2**63).to_bytes(8, "little") * _PART, "little")  # bit 63 of each lane
+
+
+class _Lanes(NamedTuple):
+    """A two-term cell's characters mod the prime sieve moduli, one 8-byte lane per n."""
+
+    of_x: memoryview  # X_n's, format "Q", little-endian
+    of_wx: bytes      # w * X_n's, read only in contiguous runs of lanes
+    fields: int       # the low bit of every field, in each of `_PART` lanes
+
+
+def _character_lanes(primes: list[tuple[int, bytes]], w: int) -> _Lanes:
+    """The quadratic characters of X_n and of w * X_n mod the primes, one 64-bit lane per n.
+
+    `primes` holds, per prime sieve modulus q, the stream of X_n mod q.  In
+    the order given, each q prime to w owns the next 2-bit field of every
+    lane (any other q passes every pair and owns none), which holds
+    `arith._character_table(q)[X_n mod q]`: 0, 1 or 2 for zero, a nonzero
+    square or a non-square.  The 20 primes 11 to 97 fill at most bits 0 to
+    39.  The lanes of w * X_n are not packed again: they are those of X_n
+    with 1 and 2 swapped in the fields where w is a non-square, by a few
+    whole-array int operations.
+    """
+    from_bytes = int.from_bytes
+    count = len(primes[0][1])
+    owners = [(q, stream) for q, stream in primes if w % q]
+    packed = bytearray(8 * count)
+    for at in range(0, len(owners), 4):  # four fields to a byte
+        byte = 0
+        for i, (q, stream) in enumerate(owners[at:at + 4]):
+            byte |= from_bytes(stream.translate(arith._character_table(q)), "little") << 2 * i
+        packed[at // 4::8] = byte.to_bytes(count, "little")
+    swapped = sum(1 << 2 * i for i, (q, _) in enumerate(owners)
+                  if not arith._square_residues(q)[w % q])
+    if swapped:
+        lanes = from_bytes(packed, "little")
+        # The low bit of each field to swap: one where w is a non-square, X_n not 0.
+        nonzero = (lanes | lanes >> 1) & from_bytes(swapped.to_bytes(8, "little") * count, "little")
+        of_wx = (lanes ^ nonzero ^ nonzero << 1).to_bytes(8 * count, "little")
+    else:
+        of_wx = bytes(packed)
+    return _Lanes(memoryview(packed).cast("Q"), of_wx,
+                  sum(1 << 2 * i for i in range(len(owners))) * (_TOPS >> 63))
+
+
+def _prime_passes(lanes: _Lanes, ms: range, ns: range) -> int:
+    """The pairs of a run whose w * X_m * X_n is a residue mod every prime of `lanes`.
+
+    A run pairs ms[j] with ns[j], or its one m with every n of `ns`, for at
+    most `_PART` pairs; `ms` is contiguous.  The w * X_m lanes (one
+    repeated, or a slice) XOR the X_n lanes (a strided slice) to 3 in a
+    field iff the pair fails mod that prime; `bad` keeps the low bit of each
+    such field.  A lane's `bad` is below 2**63, so 2**63 - bad, which is
+    ~(bad + 2**63 - 1) in the lane, has bit 63 set iff no field is bad, and
+    no borrow crosses lanes.  Pair j passes iff bit 64j + 63 of the result
+    is set.
+    """
+    of_x, of_wx, fields = lanes
+    from_bytes = int.from_bytes
+    count = len(ns)
+    x = (from_bytes(of_wx[8 * ms.start:8 * ms.stop] * (count // len(ms)), "little")
+         ^ from_bytes(of_x[ns.start:ns.stop:ns.step], "little"))
+    bad = x & (x >> 1) & fields
+    top = _TOPS >> 64 * (_PART - count)  # bit 63 of `count` lanes
+    return (top - bad) & top
+
+
+def _pair_survivors(lanes: _Lanes, streams: list[bytes],
                     ms: range, ns: range, w: int) -> list[tuple[int, int]]:
     """The pairs (m, n) of a run with w * X_m * X_n a residue mod every sieve modulus.
 
-    A run pairs ms[j] with ns[j], or its one m with every n of `ns`.
-    `characters` holds, per prime sieve modulus q prime to w (any other q
-    passes every pair), the stream of X_n mod q translated by the
-    `arith._character_table` of w and of 1.  Cut at `ms` and at `ns`, read
-    as little-endian ints, they XOR to 3 at byte j iff pair j fails mod q.
-    The pairs left are tested mod 64, 63 and 65 on `streams`.
+    The prime moduli test the run by `_prime_passes` on the cell's
+    `_character_lanes`, a longer run in parts of `_PART` pairs; the pairs
+    left are tested mod 64, 63 and 65 on `streams`.
     """
-    from_bytes = int.from_bytes
+    if len(ns) > _PART:  # then a one-m run has len(ms) == 1 < len(ns)
+        return [pair for at in range(0, len(ns), _PART)
+                for pair in _pair_survivors(lanes, streams, ms if len(ms) == 1
+                                            else ms[at:at + _PART], ns[at:at + _PART], w)]
+    passes = _prime_passes(lanes, ms, ns)
+    if not passes:  # as for nearly every run
+        return []
     repeats = len(ns) // len(ms)  # one m against every n, else 1
-    m_cut, n_cut = slice(ms.start, ms.stop, ms.step), slice(ns.start, ns.stop, ns.step)
-    mask = from_bytes(b"\1" * len(ns), "little")
-    for by_w, by_1 in characters:
-        x = (from_bytes(by_w[m_cut] * repeats, "little")
-             ^ from_bytes(by_1[n_cut], "little"))
-        mask &= ~(x & (x >> 1))
-        if not mask:
-            return []
-    pairs = [(ms[j // repeats], ns[j]) for j in _marked(mask)]
+    pairs = [(ms[j // repeats], ns[j]) for j in _marked(passes, 6)]
     return [(m, n) for m, n in pairs
             if all(arith._square_residues(q)[w * stream[m] * stream[n] % q]
                    for q, stream in zip(arith._SIEVE_MODULI[:3], streams))]
@@ -298,17 +369,19 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     `sequences.residue_stream` per sieve modulus: by `_survivors` for all n
     of a one-term cell, and by `_pair_survivors` for the pairs (m, n) of a
     two-term cell, one run per m <= s = max(3, isqrt(n_max)) and one per
-    multiplier k = n / m past s.  The exact terms come from one `seq_range`
-    stream, read on demand: only as far as the largest index a survivor
-    needs, so a cell with no survivor reads none.
+    multiplier k = n / m past s, on the cell's `_character_lanes`: 16 bytes
+    per n for the characters of X_n and w * X_n mod every prime modulus.
+    The exact terms come from one `seq_range` stream, read on demand: only
+    as far as the largest index a survivor needs, so a cell with no
+    survivor reads none.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
     sequence = family[0]  # "U" for U and UU, "V" for V and VV
     take_u = sequence == "U"
     moduli = arith._SIEVE_MODULI
-    # Fetched as the sieve reaches each modulus: a one-term sieve whose mask
-    # empties early never asks for the remaining streams.
+    # Fetched as the sieve reaches each modulus, and so are a one-term cell's
+    # tables: a sieve whose mask empties early asks for no more of either.
     streams = (sequences.residue_stream(params, n_max, q, sequence) for q in moduli)
     pairs = sequences.seq_range(params, 1, n_max)
     exact = [0]
@@ -323,7 +396,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
         step = 1 if n_parity is None else 2
-        tables = [arith._sieve_table(q, w % q) for q in moduli]
+        tables = (arith._sieve_table(q, w % q) for q in moduli)
         for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step),
                             tables):
             x = arith.square_witness(term(n), w)
@@ -332,9 +405,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         return out
 
     streams = list(streams)  # every run reads each stream
-    characters = [(stream.translate(arith._character_table(q, w % q)),
-                   stream.translate(arith._character_table(q, 1)))
-                  for q, stream in zip(moduli[3:], streams[3:]) if w % q]
+    lanes = _character_lanes(list(zip(moduli[3:], streams[3:])), w)
     split = max(3, arith.isqrt(n_max))
     runs = []  # (ms, ns): one m each up to the split, one multiplier each past it
     # By the closed forms U_1 = 1 and U_2 = V_1 = P, and U_m >= F_m, V_m >= L_m
@@ -358,7 +429,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
             hi = min(query.m_max, n_max // k)
             runs.append((range(lo, hi + 1), range(k * lo, k * hi + 1, k)))
     for ms, ns in runs:
-        for m, n in _pair_survivors(characters, streams, ms, ns, w):
+        for m, n in _pair_survivors(lanes, streams, ms, ns, w):
             if not _parity_ok(n, n_parity):
                 continue
             quotient, rem = divmod(term(n), term(m))

@@ -260,10 +260,11 @@ class TestProductFilter:
     @pytest.mark.parametrize("k", SIEVE_MODULI[3:])
     def test_character_bytes_pass_what_the_tables_pass(self, k):
         # For a prime k, every w mod k and every pair (a, b) of residues of
-        # (X_m, X_n): the two-term sieve's bulk step on the character bytes
+        # (X_m, X_n): the two-term sieve's bulk step on the character lanes
         # of w * a and of b passes the pair exactly when the table of w * a
         # passes b, in a run of many m and in a run of one m.  Pair (a, b)
-        # sits at m = k*k + a*k + b, its X_n at n = 2m.
+        # sits at m = k*k + a*k + b, its X_n at n = 2m.  Each run's pass
+        # mask is compared whole: pair j passes iff bit 64j + 63 is set.
         square = k * k
         stream = bytearray(4 * square)
         for a in range(k):
@@ -271,20 +272,110 @@ class TestProductFilter:
                 m = square + a * k + b
                 stream[m], stream[2 * m] = a, b
         for w in range(k):
-            characters = [(stream.translate(arith._character_table(k, w)),
-                           stream.translate(arith._character_table(k, 1)))]
+            lanes = classifier._character_lanes([(k, bytes(stream))], w)
             for a in range(k):
                 lo = square + a * k
                 table = arith._sieve_table(k, w * a % k)
-                want = [b for b in range(k) if table[b]]
+                want = sum(1 << 64 * b + 63 for b in range(k) if table[b])
                 ns = range(2 * lo, 2 * lo + 2 * k, 2)
-                passed = classifier._pair_survivors(characters, [], range(lo, lo + k), ns, w)
-                assert [m - lo for m, _ in passed] == want, (k, w, a)
-                assert all(n == 2 * m for m, n in passed)
+                assert classifier._prime_passes(lanes, range(lo, lo + k), ns) == want, (k, w, a)
                 # X_lo = a, and X_n = b at the n of the run above.
-                passed = classifier._pair_survivors(characters, [], range(lo, lo + 1), ns, w)
-                assert [(n - 2 * lo) // 2 for _, n in passed] == want, (k, w, a)
-                assert all(m == lo for m, _ in passed)
+                assert classifier._prime_passes(lanes, range(lo, lo + 1), ns) == want, (k, w, a)
+
+    @pytest.mark.parametrize("w", (1, 2, 5, 3 * 11 * 97, 10**12 - 2,
+                                   2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31))
+    def test_character_lanes_decode_field_by_field(self, w):
+        # Each prime k from 11 to 97 that w is prime to owns the next 2-bit
+        # field of every lane, in order, and holds the character of X_n mod
+        # k there: 0, 1 or 2 for zero, a nonzero square or a non-square.
+        # The w * X_n lanes hold the same fields with 1 and 2 swapped where
+        # w is a non-square mod k.  No other bit of a lane is set.
+        primes = SIEVE_MODULI[3:]
+        rng = random.Random(w)
+        streams = [bytes([0, 1] + [rng.randrange(k) for _ in range(198)]) for k in primes]
+        lanes = classifier._character_lanes(list(zip(primes, streams)), w)
+        owners = [(k, stream) for k, stream in zip(primes, streams) if w % k]
+        for k, _ in owners:
+            squares = naive_squares_mod(k)
+            assert arith._character_table(k) == bytes(
+                0 if r == 0 else 1 if r in squares else 2 for r in range(k)).ljust(256, b"\0")
+        width = 2 * len(owners)
+        assert (lanes.of_x.format, len(lanes.of_x), len(lanes.of_wx)) == ("Q", 200, 8 * 200)
+        assert lanes.fields == sum(1 << 64 * n + 2 * i for n in range(classifier._PART)
+                                   for i in range(len(owners)))
+        assert classifier._TOPS == sum(1 << 64 * n + 63 for n in range(classifier._PART))
+        for n in range(200):
+            of_x = int.from_bytes(lanes.of_x[n:n + 1], "little")
+            of_wx = int.from_bytes(lanes.of_wx[8 * n:8 * n + 8], "little")
+            assert of_x >> width == of_wx >> width == 0, (w, n)
+            for i, (k, stream) in enumerate(owners):
+                character = arith._character_table(k)[stream[n]]
+                flipped = w % k not in naive_squares_mod(k)
+                assert of_x >> 2 * i & 3 == character, (w, n, k)
+                assert of_wx >> 2 * i & 3 == ((3 - character) % 3 if flipped else character), (
+                    w, n, k)
+
+    def test_the_lane_test_keeps_each_lane_to_itself(self):
+        # With w = 1, X_m 0 mod the primes at even places of 11..97 (11, 19,
+        # 29, ...) and a non-square mod the others, pair j fails iff X_n is
+        # a nonzero square mod one of the others.  A lane with only the top
+        # field (97) bad, only the lowest one that can be (17) or every
+        # field bad fails, and the good lanes between them pass: X_n = X_m,
+        # whose fields XOR to 0, and X_n a nonzero square at even places
+        # and 0 at odd ones, whose fields XOR to 1 and 2 by turns.
+        primes = SIEVE_MODULI[3:]
+        non_square = {k: min(r for r in range(1, k) if r not in naive_squares_mod(k))
+                      for k in primes}
+        x_m = {k: non_square[k] if i % 2 else 0 for i, k in enumerate(primes)}
+        shapes = {"good 0": x_m, "good 1, 2": {k: 0 if i % 2 else 1 for i, k in enumerate(primes)},
+                  "top": {**x_m, 97: 1}, "low": {**x_m, 17: 1},
+                  "all": dict.fromkeys(primes, 1)}
+        order = ["all", "good 0", "top", "good 1, 2", "good 1, 2", "low", "good 0", "all",
+                 "top", "all", "good 1, 2"]
+        # X_m at 1..11; X_n at n = 12 + 2j is order[j].
+        values = [x_m] * 12 + [shapes[shape] for shape in order for _ in "ab"]
+        streams = [bytes(value[k] for value in values) for k in primes]
+        lanes = classifier._character_lanes(list(zip(primes, streams)), 1)
+        good = [j for j, shape in enumerate(order) if shape.startswith("good")]
+        want = sum(1 << 64 * j + 63 for j in good)
+        ns = range(12, 34, 2)
+        assert classifier._prime_passes(lanes, range(1, 12), ns) == want
+        assert classifier._prime_passes(lanes, range(5, 6), ns) == want
+        assert classifier._pair_survivors(lanes, [], range(1, 12), ns, 1) == [
+            (j + 1, ns[j]) for j in good]
+        assert classifier._pair_survivors(lanes, [], range(5, 6), ns, 1) == [
+            (5, ns[j]) for j in good]
+
+    @pytest.mark.parametrize("w", (1, 2, 10**12 - 2))
+    def test_long_runs_are_sieved_in_parts(self, w):
+        # A run longer than `_PART` pairs is tested a part at a time, and
+        # passes exactly the pairs whose product with w is a square mod all
+        # 23 moduli, by `%` on the residues, in a run of one m and in a run
+        # of the multiples 2m.  X_k is c_k * s**2 with c_k one of 1 and w,
+        # so that w * X_m * X_n is w**2 times a square when c_m != c_n, and
+        # its residue is random one time in 20, so that pairs pass and fail
+        # in every part.
+        rng = random.Random(w)
+        size = 5 * classifier._PART
+        classes = [rng.choice((1, w)) for _ in range(size)]
+        streams = {q: bytes(rng.randrange(q) if rng.random() < 0.05
+                            else c * rng.randrange(q) ** 2 % q for c in classes)
+                   for q in SIEVE_MODULI}
+        lanes = classifier._character_lanes([(q, streams[q]) for q in SIEVE_MODULI[3:]], w)
+
+        def passes(m, n):
+            return all(w * stream[m] * stream[n] % q in naive_squares_mod(q)
+                       for q, stream in streams.items())
+
+        for ms, ns in ((range(1, 2), range(2, size)),
+                       (range(5, size // 2), range(10, size // 2 * 2, 2))):
+            assert len(ns) > 2 * classifier._PART
+            passed = classifier._pair_survivors(lanes, list(streams.values())[:3], ms, ns, w)
+            want = [(m, n) for m, n in zip(ms if len(ms) > 1 else [ms[0]] * len(ns), ns)
+                    if passes(m, n)]
+            assert passed == want, (w, ms)
+            parts = {(n - ns[0]) // ns.step // classifier._PART for _, n in want}
+            assert parts == set(range(-(-len(ns) // classifier._PART))) and len(want) < len(ns)
 
     @pytest.mark.parametrize("w", (1, 2, 5, 10**12 - 2))
     def test_pairs_left_pass_what_the_composite_tables_pass(self, w):
@@ -294,18 +385,20 @@ class TestProductFilter:
         # three, in a run of the multiples k*m and in a run of one m.
         xs = naive_u_seq(7, 1, 301)
         streams = [bytes(x % q for x in xs) for q in SIEVE_MODULI[:3]]
+        # X_n = 0 mod 11 for every n: every pair passes the one prime.
+        lanes = classifier._character_lanes([(11, bytes(301))], w)
 
         def passes(m, n):
             return all(w * xs[m] * xs[n] % q in naive_squares_mod(q) for q in (64, 63, 65))
 
         for k in (2, 3, 5):
             ms, ns = range(10, 300 // k + 1), range(10 * k, 300 // k * k + 1, k)
-            passed = classifier._pair_survivors([], streams, ms, ns, w)
+            passed = classifier._pair_survivors(lanes, streams, ms, ns, w)
             want = [(m, k * m) for m in ms if passes(m, k * m)]
             assert passed == want and 0 < len(want) < len(ms), (w, k)
         for m in (10, 17):
             ns = range(m + 1, 301)
-            passed = classifier._pair_survivors([], streams, range(m, m + 1), ns, w)
+            passed = classifier._pair_survivors(lanes, streams, range(m, m + 1), ns, w)
             want = [(m, n) for n in ns if passes(m, n)]
             assert passed == want and 0 < len(want) < len(ns), (w, m)
 

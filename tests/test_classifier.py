@@ -465,7 +465,7 @@ class TestSearch:
         # split at sqrt(n_max) and the multipliers past it neither drop nor
         # repeat a pair, nor add one.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifier.arith, "_character_table", lambda q, c: bytes(256))
+            mp.setattr(classifier.arith, "_character_table", lambda q: bytes(256))
             mp.setattr(classifier.arith, "_square_residues", lambda q: b"\1" * q)
             reached = divisions_reached(mp, query)
         want = [(P, m, n) for P in query.p_values for m, n in allowed_pairs(query, P)[1]]
