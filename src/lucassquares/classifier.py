@@ -42,12 +42,14 @@ derived from them, so a run tests all its pairs mod all those primes in
 one bulk step on Python ints, SIMD within a register (Fisher and Dietz,
 LCPC 1998); 64, 63 and 65 test the pairs left.  Only the survivors pay
 for `square_witness` or the exact division, which still decide every
-finding.  Their exact terms come from one `seq_range` stream per cell,
-read only as far as the largest index a survivor needs.  Two-term
-candidates are the divisibility laws' `identities.divisor_indices` (only
-V_1 = 2 at P = 2 takes every n), which the divisibility sweep checks, and
-the closed forms U_1 = 1 and U_2 = V_1 = P place the unit and that 2; an
-independent no-pruning search backs this up in the test suite.
+finding.  A one-term cell reads its exact terms from one `seq_range`
+stream, only as far as the largest survivor; a two-term cell evaluates
+X_m and X_n by doubling, `sequences.pair_at`, at its survivors' indices
+alone, each index once.  Two-term candidates are the divisibility laws'
+`identities.divisor_indices` (only V_1 = 2 at P = 2 takes every n), which
+the divisibility sweep checks, and the closed forms U_1 = 1 and
+U_2 = V_1 = P place the unit and that 2; an independent no-pruning search
+backs this up in the test suite.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -371,9 +373,14 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     two-term cell, one run per m <= s = max(3, isqrt(n_max)) and one per
     multiplier k = n / m past s, on the cell's `_character_lanes`: 16 bytes
     per n for the characters of X_n and w * X_n mod every prime modulus.
-    The exact terms come from one `seq_range` stream, read on demand: only
-    as far as the largest index a survivor needs, so a cell with no
-    survivor reads none.
+    A cell with no survivor reads no exact term.  A two-term cell gets
+    X_m and X_n from `sequences.pair_at`, by doubling, at the survivors'
+    indices only, with a per-cell dict so that a repeated m or n is
+    evaluated once: it holds no prefix of the sequence.  A one-term cell
+    still reads one `seq_range` stream, on demand, only as far as its
+    largest survivor; the benchmark's classify-1term self-check pins that
+    stream (one `seq_range` call per cell), and once that check counts
+    work done rather than calls, the same `pair_at` reader replaces it.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
@@ -383,18 +390,18 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     # Fetched as the sieve reaches each modulus, and so are a one-term cell's
     # tables: a sieve whose mask empties early asks for no more of either.
     streams = (sequences.residue_stream(params, n_max, q, sequence) for q in moduli)
-    pairs = sequences.seq_range(params, 1, n_max)
-    exact = [0]
-
-    def term(k: int) -> int:
-        """Exact X_k, read from the stream up to k if not read yet."""
-        if k >= len(exact):
-            read = islice(pairs, k + 1 - len(exact))
-            exact.extend(pair.u if take_u else pair.v for pair in read)
-        return exact[k]
-
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
+        pairs = sequences.seq_range(params, 1, n_max)
+        exact = [0]
+
+        def term(k: int) -> int:
+            """Exact X_k, read from the stream up to k if not read yet."""
+            if k >= len(exact):
+                read = islice(pairs, k + 1 - len(exact))
+                exact.extend(pair.u if take_u else pair.v for pair in read)
+            return exact[k]
+
         step = 1 if n_parity is None else 2
         tables = (arith._sieve_table(q, w % q) for q in moduli)
         for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step),
@@ -428,11 +435,20 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         for k in identities.divisor_indices(1, n_max // lo, not take_u)[1:]:
             hi = min(query.m_max, n_max // k)
             runs.append((range(lo, hi + 1), range(k * lo, k * hi + 1, k)))
+    values: dict[int, int] = {}  # X_k at the survivors' indices, each evaluated once
+
+    def value(k: int) -> int:
+        """Exact X_k by doubling, evaluated on the first request for k."""
+        if k not in values:
+            pair = sequences.pair_at(params, k)
+            values[k] = pair.u if take_u else pair.v
+        return values[k]
+
     for ms, ns in runs:
         for m, n in _pair_survivors(lanes, streams, ms, ns, w):
             if not _parity_ok(n, n_parity):
                 continue
-            quotient, rem = divmod(term(n), term(m))
+            quotient, rem = divmod(value(n), value(m))
             if rem:
                 continue
             x = arith.square_witness(quotient, w)

@@ -495,6 +495,12 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # A search cell holds residue bytes for every index up to --nmax, and
+        # `seq` every row of its span, so it is the box that did not fit.
+        print("error: out of memory: the box is too large to hold; ask for a smaller "
+              "--nmax, fewer P values or a shorter span", file=sys.stderr)
+        return EXIT_USAGE
     return result.exit_code
 
 

@@ -212,19 +212,24 @@ def test_c10_double_u_witness():
 
 @contextmanager
 def _bumped_sequences(p_star: int, n_star: int, which: str):
-    """Shadow engine: one sequence value perturbed by +1, all access paths."""
+    """Shadow engine: one sequence value perturbed by +1, all access paths.
+
+    `sequences.u` and `sequences.v` read the module's `pair_at`, so they
+    see its shadow and are not shadowed again.
+    """
     real = {name: getattr(seqmod, name)
-            for name in ("u", "v", "u_mod", "v_mod", "seq_range", "residue_range",
+            for name in ("pair_at", "u_mod", "v_mod", "seq_range", "residue_range",
                          "residue_stream")}
 
     def hit(params, n):
         return params.P == p_star and n == n_star
 
-    def shadow_u(params, n):
-        return real["u"](params, n) + (1 if which == "u" and hit(params, n) else 0)
-
-    def shadow_v(params, n):
-        return real["v"](params, n) + (1 if which == "v" and hit(params, n) else 0)
+    def shadow_pair_at(params, n):
+        pair = real["pair_at"](params, n)
+        if not hit(params, n):
+            return pair
+        return IndexedPair(n, pair.u + (1 if which == "u" else 0),
+                           pair.v + (1 if which == "v" else 0))
 
     def shadow_u_mod(params, n, modulus):
         value = real["u_mod"](params, n, modulus)
@@ -239,13 +244,11 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
         return value
 
     def shadow_seq_range(params, n_lo, n_hi):
-        for pair in real["seq_range"](params, n_lo, n_hi):
-            if hit(params, pair.n):
-                yield IndexedPair(pair.n,
-                                  pair.u + (1 if which == "u" else 0),
-                                  pair.v + (1 if which == "v" else 0))
-            else:
-                yield pair
+        # The real stream starts from the module's `pair_at`, which would
+        # carry a bump at n_lo into every later term, so each index is
+        # evaluated on its own.
+        for n in range(n_lo, n_hi + 1):
+            yield shadow_pair_at(params, n)
 
     def shadow_residue_range(params, n_lo, n_hi, modulus):
         stream = real["residue_range"](params, n_lo, n_hi, modulus)
@@ -263,8 +266,7 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
         bumped[n_star] = (bumped[n_star] + 1) % modulus
         return bytes(bumped)
 
-    seqmod.u = shadow_u
-    seqmod.v = shadow_v
+    seqmod.pair_at = shadow_pair_at
     seqmod.u_mod = shadow_u_mod
     seqmod.v_mod = shadow_v_mod
     seqmod.seq_range = shadow_seq_range
@@ -291,6 +293,9 @@ def test_c11_fault_injection():
             ]
         tripped = [r.theorem_id for r in reports if r.verdict == "counterexample"]
         assert tripped, f"no check reacted to bumping {which} at (P={p_star}, n={n_star})"
+        if (p_star, n_star, which) == (5, 12, "u"):
+            # U_12(5, 1) = 2 * U_6 * 99**2 is the box's own finding.
+            assert "u-2um-square" in tripped
     # With the shadow engine removed everything is consistent again.
     assert sweep_product_identities(p_max=8, idx_max=10).verdict == "consistent"
     _finish("11 fault injection", 10, start)

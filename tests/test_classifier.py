@@ -121,27 +121,32 @@ def found_rows(query):
 def divisions_reached(mp, query):
     """Search `query` and list the (P, m, n) of each exact division of a term.
 
-    The terms read from `seq_range` carry their (P, n), so a one-term X_n
-    divided by w in `square_witness` records (P, None, n) and a two-term X_n
-    divided by X_m records (P, m, n), whatever shape the sieve before them
-    takes.  The findings must still be the unpruned oracle's.
+    The terms read from `seq_range` or from `pair_at` carry their (P, n), so
+    a one-term X_n divided by w in `square_witness` records (P, None, n) and
+    a two-term X_n divided by X_m records (P, m, n), whatever shape the
+    sieve before them takes and whichever reader gives the exact terms.  The
+    findings must still be the unpruned oracle's.
     """
     import lucassquares.sequences as seqmod
-    real, reached = seqmod.seq_range, []
+    real_range, real_at, reached = seqmod.seq_range, seqmod.pair_at, []
 
     class Term(int):
         def __divmod__(self, other):
             reached.append((self.P, getattr(other, "n", None), self.n))
             return int.__divmod__(self, other)
 
-    def tagged(params, n_lo, n_hi):
-        for pair in real(params, n_lo, n_hi):
-            u, v = Term(pair.u), Term(pair.v)
-            u.P = v.P = params.P
-            u.n = v.n = pair.n
-            yield IndexedPair(pair.n, u, v)
+    def tag(P, pair):
+        u, v = Term(pair.u), Term(pair.v)
+        u.P = v.P = P
+        u.n = v.n = pair.n
+        return IndexedPair(pair.n, u, v)
 
-    mp.setattr(seqmod, "seq_range", tagged)
+    def tagged_range(params, n_lo, n_hi):
+        for pair in real_range(params, n_lo, n_hi):
+            yield tag(params.P, pair)
+
+    mp.setattr(seqmod, "seq_range", tagged_range)
+    mp.setattr(seqmod, "pair_at", lambda params, n: tag(params.P, real_at(params, n)))
     assert found_rows(query) == naive_findings(query)
     return sorted(reached, key=str)
 
@@ -319,6 +324,23 @@ class TestSearch:
             assert [m for m in range(1, 61) if us[m] == 1] == ([1, 2] if P == 1 else [1])
             assert [m for m in range(1, 61) if vs[m] <= 2] == ([1] if P <= 2 else [])
 
+    def test_a_large_two_term_cell_holds_no_prefix_of_the_sequence(self):
+        # Pairs pass the sieve up to n near 20,000 here, while the one
+        # finding is at n = 12.  The cell evaluates X_m and X_n at those
+        # pairs alone, so its peak is the residue streams and lanes, about
+        # 1.4 MiB, not every exact term up to its last survivor (42 MiB).
+        # The warm-up fills the cached residue periods and character tables.
+        import tracemalloc
+        search(q(family="UU", w=2, p_values=(5,), n_max=60, m_max=30))
+        tracemalloc.start()
+        try:
+            found = search(q(family="UU", w=2, p_values=(5,), n_max=20000, m_max=10000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [SquareClassFinding("UU", 5, 12, 6, 2, 99)]
+        assert peak < 8 * 2**20
+
     def test_two_term_cells_build_no_sieve_table(self):
         # Two-term cells test pairs by character bytes and by the squares
         # mod 64, 63 and 65; the per-class tables serve one-term cells only.
@@ -351,18 +373,26 @@ class TestSearch:
         (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
         (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
     def test_search_decides_on_the_exact_stream(self, monkeypatch, query, lost):
-        # The exact values come from sequences.seq_range, read through the
-        # module, so a stream that is wrong at U_12 alone loses that solution
-        # although its residues still pass the sieve.
+        # The exact values come from sequences.seq_range in a one-term cell
+        # and from sequences.pair_at at a two-term cell's survivors, read
+        # through the module, so a reader that is wrong at U_12 alone loses
+        # that solution although its residues still pass the sieve.
         import lucassquares.sequences as seqmod
-        real = seqmod.seq_range
+        real_range, real_at = seqmod.seq_range, seqmod.pair_at
 
-        def bumped(params, n_lo, n_hi):
-            for pair in real(params, n_lo, n_hi):
+        def bumped_range(params, n_lo, n_hi):
+            for pair in real_range(params, n_lo, n_hi):
                 yield IndexedPair(pair.n, pair.u + 1, pair.v) if pair.n == 12 else pair
 
+        def bumped_at(params, n):
+            pair = real_at(params, n)
+            return IndexedPair(n, pair.u + 1, pair.v) if n == 12 else pair
+
         assert lost in [row[:3] for row in found_rows(query)]
-        monkeypatch.setattr(seqmod, "seq_range", bumped)
+        if query.m_max is None:
+            monkeypatch.setattr(seqmod, "seq_range", bumped_range)
+        else:
+            monkeypatch.setattr(seqmod, "pair_at", bumped_at)
         assert lost not in [row[:3] for row in found_rows(query)]
 
     @pytest.mark.parametrize("query", [
@@ -374,13 +404,20 @@ class TestSearch:
         q(family="VV", w=3, p_values=(1, 2, 3), n_max=40, m_max=20, m_min=2,
           n_parity="odd")])
     def test_cells_read_exact_terms_only_up_to_the_last_one_needed(self, monkeypatch, query):
-        # Each cell opens one exact stream and reads it only as far as the
-        # largest index its exact tests need: an n whose product passes the
-        # sieve.  A two-term candidate is an n with X_m | X_n, for X_m != 1;
-        # the unit and the 2 that the divisibility laws set apart come from
-        # closed forms, so no X_m is read for them.
+        # A one-term cell opens one exact stream and reads it only as far as
+        # the largest index its exact tests need: an n whose product passes
+        # the sieve.  A two-term cell opens no stream: it hands `pair_at`
+        # the m and the n of each pair that passes the sieve, each index
+        # once.  A two-term candidate is a pair with X_m | X_n, for
+        # X_m != 1; the unit and the 2 that the divisibility laws set apart
+        # come from closed forms, so no X_m is read for them.
         import lucassquares.sequences as seqmod
         real, reads = seqmod.seq_range, []
+        real_at, evaluated = seqmod.pair_at, []
+
+        def counted_at(params, n):
+            evaluated.append((params.P, n))
+            return real_at(params, n)
 
         def counted(params, n_lo, n_hi):
             # Not a generator itself, so a stream never read is still counted.
@@ -394,6 +431,7 @@ class TestSearch:
             return stream()
 
         monkeypatch.setattr(seqmod, "seq_range", counted)
+        monkeypatch.setattr(seqmod, "pair_at", counted_at)
         assert found_rows(query) == naive_findings(query)
         seq = naive_u_seq if query.family in ("U", "UU") else naive_v_seq
         want = []
@@ -403,14 +441,21 @@ class TestSearch:
                   if query.n_parity is None or (n % 2 == 1) == (query.n_parity == "odd")]
             if query.m_max is None:
                 needed = [n for n in ns if naive_sieve_passes(xs[n], query.w)]
+                want.append([P, max(needed, default=0)])
             else:
                 ms = range(query.m_min, query.m_max + 1)
-                needed = [n for m in ms if xs[m] != 1 for n in ns
-                           if n != m and xs[n] % xs[m] == 0
-                           and naive_sieve_passes(xs[n], query.w * xs[m])]
-            want.append([P, max(needed, default=0)])
-        assert reads == want
-        assert min(count for _, count in reads) < query.n_max // 2
+                want += sorted({(P, k) for m in ms if xs[m] != 1 for n in ns
+                                if n != m and xs[n] % xs[m] == 0
+                                and naive_sieve_passes(xs[n], query.w * xs[m])
+                                for k in (m, n)})
+        if query.m_max is None:
+            assert reads == want
+            assert min(count for _, count in reads) < query.n_max // 2
+        else:
+            assert reads == []
+            assert sorted(evaluated) == want
+            per_p = [sum(P == p for p, _ in evaluated) for P in query.p_values]
+            assert min(per_p) < query.n_max // 2
 
     @pytest.mark.parametrize("query", [
         q(family="U", w=1, p_values=tuple(range(1, 13)), n_max=80),

@@ -337,6 +337,18 @@ class TestSearch:
                                "--multiple-of", "0", "--nmax", "30")
         assert code == 1 and "--multiple-of" in err
 
+    def test_out_of_memory_is_an_error_line_naming_the_box(self, capsys, monkeypatch):
+        # The search is replaced, so the 10**10-index box is never allocated.
+        def exhausted(query, jobs=1):
+            raise MemoryError
+
+        monkeypatch.setattr(classifier, "search", exhausted)
+        code, out, err = run_cli(capsys, "search", "UU", "2", "--P", "5",
+                                 "--nmax", "10000000000", "--mmax", "5")
+        assert (code, out) == (1, "")
+        assert err == ("error: out of memory: the box is too large to hold; ask for a "
+                       "smaller --nmax, fewer P values or a shorter span\n")
+
     def test_jobs_must_be_positive(self, capsys):
         for argv in (("search", "V", "5", "--P", "5", "--nmax", "30", "--jobs", "0"),
                      ("verify", "v-5square", "--jobs", "-3")):
