@@ -461,9 +461,9 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
 def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """Complete list of findings in the box, sorted by (P, n, m).
 
-    Deterministic regardless of `jobs`: cells are one P each and results
-    are merged in canonical order.  The pool gets at most one worker per P
-    and per CPU; when that leaves one worker, the cells run in this process.
+    Deterministic regardless of `jobs`: one P per cell, merged in canonical
+    order.  A pool gets at most one worker per P and CPU (with one, cells run
+    in-process); it costs about 0.02 s to start, so pays on large boxes only.
     """
     _require_int("jobs", jobs)
     if jobs < 1:
@@ -1116,21 +1116,19 @@ def default_query(theorem_id: str, profile: str | Profile = "quick",
                             m_max=m_max, m_min=entry.m_min)
 
 
-def verify_report(report_id: str, profile: str | Profile = "quick",
-                  jobs: int = 1) -> TheoremReport:
-    """Run one report by id on the profile's default box or grid;
-    `verify_theorem` runs a classification on any other box."""
+def verify_report(report_id: str, profile: str | Profile = "quick") -> TheoremReport:
+    """Run one report by id on the profile's default box or grid, in-process;
+    `verify_theorem` runs a classification on any other box or worker pool."""
     prof = _profile(profile)
     if report_id in CLASSIFICATION_IDS:
-        return verify_theorem(report_id, default_query(report_id, prof), jobs=jobs)
+        return verify_theorem(report_id, default_query(report_id, prof))
     if report_id not in SWEEP_IDS:
         raise ValueError(f"unknown report id {report_id!r}; "
                          f"valid: {', '.join(REPORT_IDS)}")
     return _SWEEPS[report_id].run(prof)
 
 
-def verify_all(profile: str | Profile = "quick", jobs: int = 1,
-               ) -> list[TheoremReport]:
-    """Run every classification and every identity sweep: 17 reports."""
+def verify_all(profile: str | Profile = "quick") -> list[TheoremReport]:
+    """Run every classification and every identity sweep in-process: 17 reports."""
     prof = _profile(profile)
-    return [verify_report(report_id, prof, jobs=jobs) for report_id in REPORT_IDS]
+    return [verify_report(report_id, prof) for report_id in REPORT_IDS]

@@ -322,7 +322,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--parity", choices=("odd", "even"),
                         help="restrict searched n to one parity")
     search.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (default 1)")
+                        help="worker processes over the P values (default 1)")
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run verification reports")
@@ -337,7 +337,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--parity", choices=("odd", "even"),
                         help="restrict searched n to one parity")
     verify.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (default 1)")
+                        help="worker processes for a classification report's search "
+                             "(default 1); 'all' and the sweeps refuse it")
 
     return parser
 
@@ -425,15 +426,7 @@ def _report_table_rows(report: TheoremReport) -> list[list[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
-    overrides_given = any(value is not None for value in
-                          (args.p_list, args.p_max, args.p_odd_max,
-                           args.multiple_of, args.nmax, args.mmax,
-                           args.mmin, args.parity))
-    if args.target == "all":
-        if overrides_given:
-            raise CliError("box overrides apply to a single report, not 'all'")
-        reports = classifier.verify_all(args.profile, jobs=args.jobs)
-    elif args.target in CLASSIFICATION_IDS:
+    if args.target in CLASSIFICATION_IDS:
         query = classifier.default_query(args.target, args.profile)
         given = {"p_values": _resolve_p_values(args, required=False),
                  "n_max": args.nmax, "m_max": args.mmax, "m_min": args.mmin,
@@ -441,11 +434,19 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         query = replace(query, **{field: value for field, value in given.items()
                                   if value is not None})
         reports = [classifier.verify_theorem(args.target, query, jobs=args.jobs)]
-    elif args.target in REPORT_IDS:
-        if overrides_given:
-            raise CliError("box overrides apply to classification reports only; "
+    elif args.target == "all" or args.target in REPORT_IDS:
+        if any(value is not None for value in (args.p_list, args.p_max, args.p_odd_max,
+                                               args.multiple_of, args.nmax, args.mmax,
+                                               args.mmin, args.parity)):
+            raise CliError("box overrides apply to a single report, not 'all'"
+                           if args.target == "all" else
+                           "box overrides apply to classification reports only; "
                            f"{args.target} runs at the profile's grid sizes")
-        reports = [classifier.verify_report(args.target, args.profile, jobs=args.jobs)]
+        if args.jobs > 1:
+            raise CliError("--jobs applies to search and to classification reports; "
+                           f"{args.target!r} runs in one process")
+        reports = (classifier.verify_all(args.profile) if args.target == "all"
+                   else [classifier.verify_report(args.target, args.profile)])
     else:
         raise CliError(f"unknown report {args.target!r}; "
                        f"valid: all, {', '.join(REPORT_IDS)}")

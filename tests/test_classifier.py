@@ -930,6 +930,13 @@ class TestHarness:
         with pytest.raises(ValueError):
             verify_all("toothorough")
 
+    def test_battery_entries_take_no_jobs(self):
+        # Only `search` and `verify_theorem` pool; the battery runs in-process.
+        with pytest.raises(TypeError):
+            verify_all("quick", jobs=2)
+        with pytest.raises(TypeError):
+            verify_report("quartic-equations", "quick", jobs=2)
+
     def test_verify_all_calls_through_module_attributes(self, monkeypatch):
         # The bench tracer and the fault-injection tests wrap these names.
         names = ("verify_theorem", "sweep_shift_congruences", "sweep_product_identities",

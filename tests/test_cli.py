@@ -393,6 +393,18 @@ class TestVerify:
     def test_all_rejects_box_overrides(self, capsys):
         assert run_cli(capsys, "verify", "all", "--nmax", "50")[0] == 1
 
+    @pytest.mark.parametrize("target", ["all", *classifier.SWEEP_IDS])
+    def test_jobs_is_refused_where_no_box_is_searched(self, capsys, target):
+        code, out, err = run_cli(capsys, "verify", target, "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--jobs" in err
+
+    def test_all_at_one_job_gives_the_quick_digest(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--jobs", "1",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == QUICK_JSON_SHA256
+
     def test_zero_p_max_is_not_ignored(self, capsys):
         for flag in ("--P-max", "--P-odd-max"):
             code, out, err = run_cli(capsys, "verify", "v-square", flag, "0")
