@@ -37,10 +37,9 @@ from .classifier import (
     TheoremReport,
     p_range,
 )
-from .identities import CheckOutcome
 from .sequences import SequenceParams
 
-__all__ = ["main", "report_to_dict", "report_from_dict"]
+__all__ = ["main", "report_to_dict"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,43 +82,10 @@ def _stringify(obj):
     return obj
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _optional_int(value) -> int | None:
-    return None if value is None else _as_int(value)
-
-
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(_as_int(value) for value in values)
-
-
-def _same(value):
-    return value
-
-
-# Field type, as annotated -> the decoder of its plain-data form.
-_DECODERS = {"str": _same, "str | None": _same, "bool": bool, "int": _as_int,
-             "int | None": _optional_int, "tuple[int, ...]": _int_tuple}
-
-
 def _to_dict(obj) -> dict:
     """A query, finding or check outcome as a dict of its fields (tuples as lists)."""
     return {f.name: list(value) if isinstance(value, tuple) else value
             for f in fields(obj) for value in (getattr(obj, f.name),)}
-
-
-def _from_dict(cls, data: dict):
-    """Inverse of _to_dict.  Every field is required except free text that
-    defaults to "" (a check's `note`)."""
-    return cls(**{f.name: _DECODERS[f.type](data[f.name]) for f in fields(cls)
-                  if f.name in data or f.default != ""})
-
-
-_VERDICTS = (classifier.CONSISTENT, classifier.COUNTEREXAMPLE, classifier.OUT_OF_SCOPE)
 
 
 def report_to_dict(report: TheoremReport) -> dict:
@@ -133,25 +99,6 @@ def report_to_dict(report: TheoremReport) -> dict:
         "verdict": report.verdict,
         "notes": report.notes,
     }
-
-
-def report_from_dict(data: dict) -> TheoremReport:
-    """Inverse of report_to_dict; accepts decimal-string or native ints."""
-    def entry(item: dict):
-        return _from_dict(CheckOutcome if "check_id" in item else SquareClassFinding, item)
-
-    if data["theorem_id"] not in REPORT_IDS:
-        raise ValueError(f"unknown report id {data['theorem_id']!r}")
-    if data["verdict"] not in _VERDICTS:
-        raise ValueError(f"unknown verdict {data['verdict']!r}; valid: {', '.join(_VERDICTS)}")
-    return TheoremReport(
-        theorem_id=data["theorem_id"],
-        query=None if data["query"] is None else _from_dict(SquareClassQuery, data["query"]),
-        predicted=tuple(entry(item) for item in data["predicted"]),
-        found=tuple(entry(item) for item in data["found"]),
-        verdict=data["verdict"],
-        notes=data.get("notes", ""),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +234,8 @@ def _build_parser() -> _Parser:
     seq.add_argument("-P", type=int, required=True, help="recurrence parameter P")
     seq.add_argument("-Q", type=int, default=1, help="recurrence parameter Q (default 1)")
     seq.add_argument("-n", required=True, metavar="N|LO..HI",
-                     help="index or inclusive index range")
+                     help="index or inclusive index range; a range that starts "
+                          "below 0 needs '=', as in -n=-2..2")
     seq.add_argument("--mod", type=int, metavar="M",
                      help="reduce modulo M (requires nonnegative indices)")
 
@@ -296,15 +244,17 @@ def _build_parser() -> _Parser:
     solve.add_argument("equation", choices=("pell5", "form", "pell3", "quartic"),
                        help="pell5: u**2-5v**2 = +-1; form: x**2-4xy-y**2 in {-5,-1}; "
                             "pell3: b**2-3c**2 = 1; quartic: x**4+ax**2+b = 5y**2")
-    solve.add_argument("--sign", type=int, choices=(1, -1), default=1,
+    # No defaults here: _cmd_solve refuses another equation's option, then
+    # applies the defaults of _SOLVE_OPTIONS.
+    solve.add_argument("--sign", type=int, choices=(1, -1),
                        help="right-hand side for pell5 (default 1)")
-    solve.add_argument("--c", type=int, choices=(-5, -1), default=-1,
+    solve.add_argument("--c", type=int, choices=(-5, -1),
                        help="right-hand side for form (default -1)")
-    solve.add_argument("--count", type=int, default=5,
+    solve.add_argument("--count", type=int,
                        help="number of family members to generate (default 5)")
     solve.add_argument("--variant", choices=tuple(diophantine.QUARTIC_VARIANTS),
-                       default="plus3", help="quartic variant (default plus3)")
-    solve.add_argument("--xmax", type=int, default=2000,
+                       help="quartic variant (default plus3)")
+    solve.add_argument("--xmax", type=int,
                        help="x bound for the quartic scan (default 2000)")
     solve.add_argument("--enum-bound", type=int, dest="enum_bound",
                        help="explicit bound for the enumeration cross-check")
@@ -366,7 +316,23 @@ def _cmd_seq(args: argparse.Namespace) -> _Result:
     return _Result(["n", "u", "v"], rows, payload)
 
 
+# Each solve option: the equations that take it and its default.
+_SOLVE_OPTIONS = (("--sign", ("pell5",), 1),
+                  ("--c", ("form",), -1),
+                  ("--count", ("pell5", "form", "pell3"), 5),
+                  ("--enum-bound", ("pell5", "form", "pell3"), None),
+                  ("--variant", ("quartic",), "plus3"),
+                  ("--xmax", ("quartic",), 2000))
+
+
 def _cmd_solve(args: argparse.Namespace) -> _Result:
+    for option, equations, default in _SOLVE_OPTIONS:
+        dest = option[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.equation not in equations:
+            raise CliError(f"solve {args.equation} does not take {option}; "
+                           f"it applies to {', '.join(equations)}")
     if args.count < 1:
         raise CliError(f"--count must be >= 1, got {args.count}")
 
@@ -415,6 +381,9 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
     rows = [list(finding.values()) for finding in findings]
     payload = {"command": "search", "query": _to_dict(query), "findings": findings}
     return _Result([f.name for f in fields(SquareClassFinding)], rows, payload)
+
+
+_VERDICTS = (classifier.CONSISTENT, classifier.COUNTEREXAMPLE, classifier.OUT_OF_SCOPE)
 
 
 def _report_table_rows(report: TheoremReport) -> list[list[str]]:
