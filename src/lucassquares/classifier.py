@@ -42,10 +42,11 @@ derived from them, so a run tests all its pairs mod all those primes in
 one bulk step on Python ints, SIMD within a register (Fisher and Dietz,
 LCPC 1998); 64, 63 and 65 test the pairs left.  Only the survivors pay
 for `square_witness` or the exact division, which still decide every
-finding.  A one-term cell reads its exact terms from one `seq_range`
-stream, only as far as the largest survivor; a two-term cell evaluates
-X_m and X_n by doubling, `sequences.pair_at`, at its survivors' indices
-alone, each index once.  Two-term candidates are the divisibility laws'
+finding.  A one-term cell skips along one `seq_range` stream (the
+benchmark's classify-1term self-check pins one per cell) to each survivor,
+keeping only the term under test; a two-term cell evaluates X_m and X_n by
+doubling, `sequences.pair_at`, at its survivors' indices alone, each index
+once.  Two-term candidates are the divisibility laws'
 `identities.divisor_indices` (only V_1 = 2 at P = 2 takes every n), which
 the divisibility sweep checks, and the closed forms U_1 = 1 and
 U_2 = V_1 = P place the unit and that 2; an independent no-pruning search
@@ -377,10 +378,11 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     X_m and X_n from `sequences.pair_at`, by doubling, at the survivors'
     indices only, with a per-cell dict so that a repeated m or n is
     evaluated once: it holds no prefix of the sequence.  A one-term cell
-    still reads one `seq_range` stream, on demand, only as far as its
-    largest survivor; the benchmark's classify-1term self-check pins that
-    stream (one `seq_range` call per cell), and once that check counts
-    work done rather than calls, the same `pair_at` reader replaces it.
+    skips along one `seq_range` stream to each survivor in turn, so it
+    reads only as far as the largest and keeps only the term under test.
+    The benchmark's classify-1term self-check pins that stream (one
+    `seq_range` call per cell); once it counts work done rather than calls,
+    the same `pair_at` reader can replace it.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
@@ -393,20 +395,14 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
         pairs = sequences.seq_range(params, 1, n_max)
-        exact = [0]
-
-        def term(k: int) -> int:
-            """Exact X_k, read from the stream up to k if not read yet."""
-            if k >= len(exact):
-                read = islice(pairs, k + 1 - len(exact))
-                exact.extend(pair.u if take_u else pair.v for pair in read)
-            return exact[k]
-
+        read = 0  # the last index taken from the stream
         step = 1 if n_parity is None else 2
         tables = (arith._sieve_table(q, w % q) for q in moduli)
         for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step),
                             tables):
-            x = arith.square_witness(term(n), w)
+            pair = next(islice(pairs, n - 1 - read, None))  # skips the terms in between
+            read = n
+            x = arith.square_witness(pair.u if take_u else pair.v, w)
             if x:
                 out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
@@ -888,17 +884,19 @@ def _sweep_report(theorem_id: str, outcomes: Iterable[CheckOutcome],
     nothing would read as a verified law.
     """
     failures: list[CheckOutcome] = []
-    total = 0
+    total = failed = 0
     for total, outcome in enumerate(outcomes, 1):
         if not outcome.passed:
-            failures.append(outcome)
+            failed += 1
+            if failed <= 50:
+                failures.append(outcome)
     if not total:
         raise ValueError(f"{theorem_id}: the grid {grid_text} holds no checks")
-    verdict = CONSISTENT if not failures else COUNTEREXAMPLE
-    notes = f"{grid_text}: {total} checks, {len(failures)} failed"
-    if len(failures) > 50:
+    verdict = CONSISTENT if not failed else COUNTEREXAMPLE
+    notes = f"{grid_text}: {total} checks, {failed} failed"
+    if failed > 50:
         notes += " (first 50 recorded)"
-    return TheoremReport(theorem_id, None, (), tuple(failures[:50]), verdict, notes)
+    return TheoremReport(theorem_id, None, (), tuple(failures), verdict, notes)
 
 
 def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,

@@ -316,25 +316,26 @@ def _cmd_seq(args: argparse.Namespace) -> _Result:
     return _Result(["n", "u", "v"], rows, payload)
 
 
-# Each solve option: the equations that take it and its default.
-_SOLVE_OPTIONS = (("--sign", ("pell5",), 1),
-                  ("--c", ("form",), -1),
-                  ("--count", ("pell5", "form", "pell3"), 5),
-                  ("--enum-bound", ("pell5", "form", "pell3"), None),
-                  ("--variant", ("quartic",), "plus3"),
-                  ("--xmax", ("quartic",), 2000))
+# Each solve option: the equations that take it, its default and least value.
+_SOLVE_OPTIONS = (("--sign", ("pell5",), 1, None),
+                  ("--c", ("form",), -1, None),
+                  ("--count", ("pell5", "form", "pell3"), 5, 1),
+                  ("--enum-bound", ("pell5", "form", "pell3"), None, 0),
+                  ("--variant", ("quartic",), "plus3", None),
+                  ("--xmax", ("quartic",), 2000, 1))
 
 
 def _cmd_solve(args: argparse.Namespace) -> _Result:
-    for option, equations, default in _SOLVE_OPTIONS:
+    for option, equations, default, least in _SOLVE_OPTIONS:
         dest = option[2:].replace("-", "_")
-        if getattr(args, dest) is None:
+        value = getattr(args, dest)
+        if value is None:
             setattr(args, dest, default)
         elif args.equation not in equations:
             raise CliError(f"solve {args.equation} does not take {option}; "
                            f"it applies to {', '.join(equations)}")
-    if args.count < 1:
-        raise CliError(f"--count must be >= 1, got {args.count}")
+        elif least is not None and value < least:
+            raise CliError(f"{option} must be >= {least}, got {value}")
 
     if args.equation == "quartic":
         solutions = diophantine.quartic_solutions(args.variant, args.xmax)

@@ -341,6 +341,33 @@ class TestSearch:
         assert found == [SquareClassFinding("UU", 5, 12, 6, 2, 99)]
         assert peak < 8 * 2**20
 
+    def test_a_one_term_cell_holds_no_term_it_has_passed(self, monkeypatch):
+        # The one survivor of this box is n = 6,144, so the cell reads its
+        # stream that far; it keeps only the term under test, not the
+        # 6,143 terms before it (about 13.5 MiB).  The warm-up, which also
+        # fills the cached residue periods and tables, pins that survivor.
+        import tracemalloc
+        from lucassquares.sequences import SequenceParams, pair_at
+        query = q(family="U", w=2, p_values=(46,), n_max=6200)
+        real, tested = classifier.arith.square_witness, []
+
+        def recorded(value, w):
+            tested.append(value)
+            return real(value, w)
+
+        monkeypatch.setattr(classifier.arith, "square_witness", recorded)
+        assert search(query) == []
+        assert tested == [pair_at(SequenceParams(46, 1), 6144).u]
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            found = search(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak < 2**20
+
     def test_two_term_cells_build_no_sieve_table(self):
         # Two-term cells test pairs by character bytes and by the squares
         # mod 64, 63 and 65; the per-class tables serve one-term cells only.
@@ -969,6 +996,24 @@ class TestHarness:
         report = classifier.sweep_product_identities(p_max=5, idx_max=10)
         assert report.verdict == "counterexample"
         assert any(not outcome.passed for outcome in report.found)
+
+    def test_a_sweep_keeps_only_the_failures_it_records(self):
+        # Every check fails, and only the first 50 are reported, so the
+        # others are counted and dropped: holding all 100,000 takes about
+        # 33 MiB.
+        import tracemalloc
+        failing = (identities.CheckOutcome("shift-u", (i,), False, i, i + 1)
+                   for i in range(100_000))
+        tracemalloc.start()
+        try:
+            report = classifier._sweep_report("shift-congruences", failing, "a grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "counterexample"
+        assert report.notes == "a grid: 100000 checks, 100000 failed (first 50 recorded)"
+        assert [outcome.inputs for outcome in report.found] == [(i,) for i in range(50)]
+        assert peak < 2**20
 
 
 class TestShiftSweepPaths:

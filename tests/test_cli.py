@@ -95,6 +95,15 @@ FOREIGN_SOLVE_OPTIONS = [
     (("form", "--xmax", "5"), "--xmax"),
 ]
 
+# `solve` argv with a number below its option's least value, and the error
+# line, which names the option given.
+LOW_SOLVE_OPTIONS = [
+    (("pell5", "--enum-bound", "-3"), "error: --enum-bound must be >= 0, got -3\n"),
+    (("form", "--enum-bound", "-3"), "error: --enum-bound must be >= 0, got -3\n"),
+    (("pell3", "--enum-bound", "-3"), "error: --enum-bound must be >= 0, got -3\n"),
+    (("quartic", "--xmax", "0"), "error: --xmax must be >= 1, got 0\n"),
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -271,6 +280,11 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: solve {argv[0]} does not take {option};")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", LOW_SOLVE_OPTIONS,
+                             ids=[" ".join(argv) for argv, _ in LOW_SOLVE_OPTIONS])
+    def test_a_low_value_names_its_option(self, capsys, argv, message):
+        assert run_cli(capsys, "solve", *argv) == (1, "", message)
 
     def test_defaults_are_in_the_payload(self, capsys):
         for equation, key, value in (("pell5", "sign", "1"), ("form", "c", "-1")):
