@@ -83,9 +83,14 @@ def isqrt(n: int) -> int:
 
 @functools.cache
 def _square_residues(m: int) -> bytes:
-    """Table t of length m with t[r] = 1 iff r is a square mod m."""
-    squares = {x * x % m for x in range(m)}
-    return bytes(r in squares for r in range(m))
+    """Table t of length m with t[r] = 1 iff r is a square mod m.
+
+    x and m - x have the same square, so x runs up to m // 2 only.
+    """
+    table = bytearray(m)
+    for x in range(m // 2 + 1):
+        table[x * x % m] = 1
+    return bytes(table)
 
 
 # 64 * 63 * 65 * 11: one reduction by it leaves every table's residue intact.
@@ -114,9 +119,14 @@ def _sieve_table(q: int, c: int) -> bytes:
     whether or not C is a unit there, so a 0 at A mod q rejects n before any
     exact arithmetic.  Entry r < q is 1 or 0; the entries from q to 255 are
     never read.
+
+    The table is sliced, not stepped: byte r * c of the squares table
+    repeated c times is squares[r * c % q], so `(squares * c)[::c]` holds
+    entries 0 to q - 1.  For c = 0 every entry is squares[0] = 1.
     """
     squares = _square_residues(q)
-    return bytes(squares[r * c % q] for r in range(q)).ljust(256, b"\0")
+    table = (squares * c)[::c] if c else squares[:1] * q
+    return table.ljust(256, b"\0")
 
 
 # Maps each byte of `_square_residues` to a character: 1 (square) stays 1

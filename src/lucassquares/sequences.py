@@ -24,7 +24,11 @@ same recurrence on integers below a fixed modulus, which `seq --mod`
 prints.  `residue_stream` gives the residues of U or of V modulo a small
 modulus as bytes, one per index, for the search's sieve: each stream is
 periodic, and one period per (modulus, P mod modulus, Q, sequence) is
-computed once, by that sequence's own recurrence, and cached.
+computed once, by that sequence's own recurrence, and cached.  With Q = +-1
+the period is 1, 2 or 4 times the rank of apparition (Wall, "Fibonacci
+series modulo m", Amer. Math. Monthly 67, 1960), so it is often 2h with
+X_{n+h} = -X_n: the recurrence stops at that anti-period h and the second
+half is the first half negated, byte by byte.
 Everything is arbitrary precision and pure.
 """
 
@@ -267,6 +271,10 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
             a, b, c = b, c, (P * c - b) % modulus
 
 
+# 255, 254, ..., 0 twice: `_residue_period` slices its negation tables from it.
+_COUNTDOWN = bytes(range(255, -1, -1)) * 2
+
+
 @cache
 def _residue_period(modulus: int, P: int, Q: int, sequence: str) -> bytes:
     """One period of U_n or V_n mod the modulus from n = 0, for P < modulus.
@@ -275,13 +283,25 @@ def _residue_period(modulus: int, P: int, Q: int, sequence: str) -> bytes:
     its own start, (0, 1) for U and (2, P) for V.  Q = +-1 is a unit, so
     the step is invertible mod the modulus and the pair returns to its
     start: the stream is purely periodic.
+
+    The loop also stops at the first h where the pair (X_h, X_{h+1}) is
+    -(X_0, X_1) but not (X_0, X_1).  The recurrence is linear, so then
+    X_{n+h} = -X_n for every n, the pair first returns to its start at 2h,
+    and the period is the h bytes stepped so far followed by their
+    negations, which one `translate` appends: the same bytes that stepping
+    on to 2h would give.
     """
     a0, b0 = (0, 1) if sequence == "U" else (2 % modulus, P)
+    na, nb = -a0 % modulus, -b0 % modulus
     out = bytearray((a0,))
     a, b = b0, (P * b0 + Q * a0) % modulus
-    while a != a0 or b != b0:  # two int tests: twice as fast as a tuple test
+    # Four int tests: about 1.7 times as fast as two tuple tests.
+    while (a != a0 or b != b0) and (a != na or b != nb):
         out.append(a)
         a, b = b, (P * b + Q * a) % modulus
+    if a != a0 or b != b0:
+        # Entry r < modulus of the table is -r mod the modulus.
+        out += out.translate(b"\0" + _COUNTDOWN[256 - modulus:511 - modulus])
     return bytes(out)
 
 

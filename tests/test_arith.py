@@ -230,17 +230,15 @@ class TestResidueFilter:
 class TestProductFilter:
     @pytest.mark.parametrize("k", SIEVE_MODULI)
     def test_each_modulus_tests_the_product(self, k):
-        # Every pair of classes mod k, units or not: the table of c marks a
-        # exactly when a * c is a square mod k.  Through the whole sieve,
-        # with a and c lifted to 1 mod the other 22 moduli, it passes
-        # exactly those a.
+        # Every pair of classes mod k, units or not, and c = 0: the table of
+        # c is 1 at a exactly when a * c is a square mod k, and 0 from k to
+        # 255.  Through the whole sieve, with a and c lifted to 1 mod the
+        # other 22 moduli, it passes exactly those a.
         squares = naive_squares_mod(k)
         values = [lift(k, a) for a in range(k)]
         for c in range(k):
             table = arith._sieve_table(k, c)
-            assert len(table) == 256
-            assert [a for a in range(k) if table[a]] == [
-                a for a in range(k) if a * c % k in squares], (k, c)
+            assert table == bytes(a * c % k in squares for a in range(k)).ljust(256, b"\0"), (k, c)
             assert sieve(values, lift(k, c)) == [
                 a for a in range(k) if a * c % k in squares], (k, c)
 

@@ -32,6 +32,26 @@ FIB = SequenceParams(1, 1)
 P5 = SequenceParams(5, 1)
 
 
+def stepped_period(modulus: int, P: int, Q: int, sequence: str) -> bytes:
+    """One period of U_n or V_n mod the modulus, one recurrence step per term,
+    until the pair (X_n, X_{n+1}) is back at its start."""
+    a0, b0 = (0, 1) if sequence == "U" else (2 % modulus, P)
+    out = bytearray((a0,))
+    a, b = b0, (P * b0 + Q * a0) % modulus
+    while a != a0 or b != b0:
+        out.append(a)
+        a, b = b, (P * b + Q * a) % modulus
+    return bytes(out)
+
+
+def stops_at_anti_period(period: bytes, modulus: int) -> bool:
+    """True iff the pair (X_h, X_{h+1}) is -(X_0, X_1), and not (X_0, X_1),
+    at some h inside the period."""
+    pairs = [(period[n], period[(n + 1) % len(period)]) for n in range(len(period))]
+    negated = tuple(-x % modulus for x in pairs[0])
+    return negated != pairs[0] and negated in pairs
+
+
 def valid_params() -> list[SequenceParams]:
     out = []
     for p in range(1, 51):
@@ -324,6 +344,24 @@ class TestResidueRange:
             list(residue_range(FIB, 0, 3, 1))
         with pytest.raises(ValueError):
             list(residue_range(FIB, 0, INDEX_LIMIT, 7))
+
+
+class TestResiduePeriod:
+    def test_matches_one_step_per_term(self):
+        # Every class of P mod every sieve modulus and mod a few small and
+        # byte-sized moduli, Q = +-1, U and V: the period built to its
+        # anti-period and negated is the period stepped to its end.  Both
+        # exits of the loop are reached.
+        exits = {True: 0, False: 0}
+        for modulus in SIEVE_MODULI + (2, 3, 4, 8, 128, 255, 256):
+            for p in range(modulus):
+                for q in (1, -1):
+                    for sequence in "UV":
+                        want = stepped_period(modulus, p, q, sequence)
+                        got = sequences._residue_period.__wrapped__(modulus, p, q, sequence)
+                        assert got == want, (modulus, p, q, sequence)
+                        exits[stops_at_anti_period(want, modulus)] += 1
+        assert exits[True] > 1000 and exits[False] > 1000, exits
 
 
 class TestResidueStream:
