@@ -15,20 +15,22 @@ and for Q = -1 simply U_{-n} = -U_n, V_{-n} = V_n.
 `pair_at` evaluates (U_n, V_n) in O(log |n|) big-integer operations by
 doubling (U_{k-1}, U_k) with two squarings per bit; `seq_range` streams
 consecutive indices by the plain recurrence (and doubles as an independent
-cross-check of the doubling path); `u_mod` and `v_mod` double
-(U_k, U_{k+1}) without division entirely in modular arithmetic, so
-congruences at indices like 10**6 never materialize the exact values.  The
-exact and modular paths use different formulas, so comparing them compares
-independent code.  `residue_range` is the modular twin of `seq_range`: the
-same recurrence on integers below a fixed modulus, which `seq --mod`
-prints.  `residue_stream` gives the residues of U or of V modulo a small
-modulus as bytes, one per index, for the search's sieve: each stream is
-periodic, and one period per (modulus, P mod modulus, Q, sequence) is
-computed once, by that sequence's own recurrence, and cached.  With Q = +-1
-the period is 1, 2 or 4 times the rank of apparition (Wall, "Fibonacci
-series modulo m", Amer. Math. Monthly 67, 1960), so it is often 2h with
-X_{n+h} = -X_n: the recurrence stops at that anti-period h and the second
-half is the first half negated, byte by byte.
+cross-check of the doubling path); `u_mod`, `v_mod` and `pair_mod` run a
+ladder on (V_k, V_{k+1}) modulo D * modulus, D = P**2 + 4*Q, with one
+squaring and one product per bit, and read U_n and U_{n+1} off the end by
+an exact division by D, so congruences at indices like 10**18 never
+materialize the exact values.  The exact and modular paths use different
+formulas, so comparing them compares independent code.  `residue_range` is
+the modular twin of `seq_range`: the same recurrence on integers below a
+fixed modulus, which `seq --mod` prints.  `residue_stream` gives the
+residues of U or of V modulo a small modulus as bytes, one per index, for
+the search's sieve: each stream is periodic, and one period per (modulus,
+P mod modulus, Q, sequence) is computed once, by that sequence's own
+recurrence, and cached.  With Q = +-1 the period is 1, 2 or 4 times the
+rank of apparition (Wall, "Fibonacci series modulo m", Amer. Math. Monthly
+67, 1960), so it is often 2h with X_{n+h} = -X_n: the recurrence stops at
+that anti-period h and the second half is the first half negated, byte by
+byte.
 Everything is arbitrary precision and pure.
 """
 
@@ -151,18 +153,41 @@ def _uv_pair(P: int, Q: int, n: int) -> tuple[int, int]:
 
 
 def _u_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
-    """Return (U_n mod modulus, U_{n+1} mod modulus) for n >= 0."""
-    a, b = 0, 1 % modulus
-    P %= modulus
-    Q %= modulus
+    """Return (U_n mod modulus, U_{n+1} mod modulus) for n >= 0.
+
+    A ladder on V (Joye and Quisquater, "Efficient computation of full
+    Lucas sequences", Electronics Letters 32, 1996): it carries
+    (V_k, V_{k+1}) modulo M = D * modulus, D = P**2 + 4*Q, from (V_0, V_1)
+    = (2, P), bits high first.  With s = (-Q)**k each bit computes
+
+        V_{2k}   = V_k**2 - 2*s
+        V_{2k+1} = V_k*V_{k+1} - P*s
+        V_{2k+2} = V_{k+1}**2 - 2*s*(-Q)
+
+    and keeps (V_{2k}, V_{2k+1}) on a 0 bit and (V_{2k+1}, V_{2k+2}) on a
+    1 bit: one squaring and one product per bit.  The sign is -Q, not Q,
+    because the roots of x**2 = P*x + Q multiply to -Q; and as Q = +-1,
+    s is 1 after a 0 bit and -Q after a 1 bit.  At the end
+
+        D*U_n     = 2*V_{n+1} - P*V_n
+        D*U_{n+1} = P*V_{n+1} + 2*Q*V_n.
+
+    Both right-hand sides are known modulo D * modulus, where D*U is
+    congruent to D * (U mod modulus), a number in [0, M); so the reduced
+    right-hand side is that number, and dividing it by D is exact and
+    gives U mod modulus.  The exact `_uv_pair` doubles U instead, so the
+    two paths share no formula.
+    """
+    D = P * P + 4 * Q
+    M = D * modulus
+    a, b, s = 2, P, 1  # V_k, V_{k+1} mod M and (-Q)**k, at k = 0
     for bit in bin(n)[2:]:
-        c = a * (2 * b - P * a) % modulus
-        d = (b * b + Q * a * a) % modulus
+        c = (a * b - P * s) % M                     # V_{2k+1}
         if bit == "1":
-            a, b = d, (P * d + Q * c) % modulus
+            a, b, s = c, (b * b + 2 * Q * s) % M, -Q  # V_{2k+2}
         else:
-            a, b = c, d
-    return a, b
+            a, b, s = (a * a - 2 * s) % M, c, 1       # V_{2k}
+    return (2 * b - P * a) % M // D, (P * b + 2 * Q * a) % M // D
 
 
 def pair_at(params: SequenceParams, n: int) -> IndexedPair:

@@ -71,6 +71,24 @@ def mat_pow_u(P: int, Q: int, n: int) -> int:
     return result[1][0]
 
 
+def mat_pow_mod(P: int, Q: int, n: int, m: int) -> tuple[int, int]:
+    """(U_n mod m, V_n mod m) for n >= 0 from the companion matrix power mod m.
+
+    [[P, Q], [1, 0]]**n = [[U_{n+1}, Q*U_n], [U_n, Q*U_{n-1}]], so U_n is
+    its lower left entry and V_n = U_{n+1} + Q*U_{n-1} its trace.  Every
+    product is reduced mod m, by square-and-multiply on the bits of n.
+    """
+    result = ((1, 0), (0, 1))
+    base = ((P % m, Q % m), (1, 0))
+    k = n
+    while k:
+        if k & 1:
+            result = tuple(tuple(x % m for x in row) for row in mat_mul(result, base))
+        base = tuple(tuple(x % m for x in row) for row in mat_mul(base, base))
+        k >>= 1
+    return result[1][0] % m, (result[0][0] + result[1][1]) % m
+
+
 def naive_isqrt(n: int) -> int:
     """Floor square root by Newton's iteration on integers.
 

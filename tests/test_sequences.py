@@ -25,7 +25,8 @@ from lucassquares import (
 )
 from lucassquares import sequences
 
-from _oracles import SIEVE_MODULI, mat_pow_u, naive_u, naive_u_seq, naive_v, naive_v_seq
+from _oracles import (SIEVE_MODULI, mat_pow_mod, mat_pow_u, naive_u, naive_u_seq, naive_v,
+                      naive_v_seq)
 
 
 FIB = SequenceParams(1, 1)
@@ -265,6 +266,31 @@ class TestModular:
         assert u_mod(FIB, 10**6, modulus) == want_u
         assert v_mod(FIB, 10**6, modulus) == want_v
 
+    @pytest.mark.parametrize("q", (1, -1))
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 5, 12, 99, 998))
+    def test_matches_the_matrix_power_mod(self, p, q):
+        # The ladder works modulo D * m and divides by D, D = P**2 + 4*Q, so
+        # the moduli include D, D**2 and 2*D, which share every factor of D,
+        # and 5 at P = 1 and 24 at (P, Q) = (4, -1), where D is 5 and 12.
+        # Even P also takes 2, 4 and 8, and every P the prime 2**107 - 1.
+        # The indices are 0 to 64, 2**63 - 1 and 16 seeded ones below it.
+        if q == -1 and p <= 2:
+            return
+        params = SequenceParams(p, q)
+        rng = random.Random(p * q)
+        indices = [*range(65), INDEX_LIMIT - 1,
+                   *(rng.randrange(INDEX_LIMIT) for _ in range(16))]
+        d = params.discriminant
+        moduli = [d, d * d, 2 * d, 2**107 - 1]
+        moduli += [5] if p == 1 else [24] if (p, q) == (4, -1) else []
+        moduli += [2, 4, 8] if p % 2 == 0 else []
+        for modulus in moduli:
+            for n in indices:
+                want_u, want_v = mat_pow_mod(p, q, n, modulus)
+                assert u_mod(params, n, modulus) == want_u, (n, modulus)
+                assert v_mod(params, n, modulus) == want_v, (n, modulus)
+                assert pair_mod(params, n, modulus) == ModularPair(n, modulus, want_u, want_v)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             u_mod(FIB, -1, 7)
@@ -327,12 +353,17 @@ class TestResidueRange:
 
     @pytest.mark.parametrize("q", (1, -1))
     def test_matches_the_exact_walk(self, q):
-        # Independent of the modular doubling that seeds the stream.
-        modulus = self.MODULI[0]
+        # Independent of the modular ladder that seeds the stream with
+        # U_{n_lo} and U_{n_lo + 1}, its two exact divisions by D.  At the
+        # multiples of D the numbers it divides reach up to D * modulus - D.
         for p in (1, 2, 3, 5, 12) if q == 1 else (3, 5, 12):
-            useq, vseq = naive_u_seq(p, q, 301), naive_v_seq(p, q, 301)
-            got = list(residue_range(SequenceParams(p, q), 0, 300, modulus))
-            assert got == [(a % modulus, b % modulus) for a, b in zip(useq, vseq)]
+            d = SequenceParams(p, q).discriminant
+            useq, vseq = naive_u_seq(p, q, 1300), naive_v_seq(p, q, 1300)
+            for modulus in (self.MODULI[0], d, d * d, 3 * d, d * (2**61 - 1)):
+                for n_lo in (0, 1, 2, 7, 64, 999):
+                    got = list(residue_range(SequenceParams(p, q), n_lo, n_lo + 300, modulus))
+                    assert got == [(useq[n] % modulus, vseq[n] % modulus)
+                                   for n in range(n_lo, n_lo + 301)], (p, modulus, n_lo)
 
     def test_single_index_and_bad_arguments(self):
         assert list(residue_range(P5, 12, 12, 10**9)) == [(71351280, v(P5, 12) % 10**9)]
