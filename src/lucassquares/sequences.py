@@ -17,8 +17,8 @@ doubling (U_{k-1}, U_k) with two squarings per bit; `seq_range` streams
 consecutive indices by the plain recurrence (and doubles as an independent
 cross-check of the doubling path); `u_mod`, `v_mod` and `pair_mod` run a
 ladder on (V_k, V_{k+1}) modulo D * modulus, D = P**2 + 4*Q, with one
-squaring and one product per bit, and read U_n and U_{n+1} off the end by
-an exact division by D, so congruences at indices like 10**18 never
+squaring and one product per bit, which ends holding V_n and gives U_n by
+one exact division by D, so congruences at indices like 10**18 never
 materialize the exact values.  The exact and modular paths use different
 formulas, so comparing them compares independent code.  `residue_range` is
 the modular twin of `seq_range`: the same recurrence on integers below a
@@ -152,8 +152,8 @@ def _uv_pair(P: int, Q: int, n: int) -> tuple[int, int]:
     return b, P * b + 2 * Q * a
 
 
-def _u_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
-    """Return (U_n mod modulus, U_{n+1} mod modulus) for n >= 0.
+def _uv_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
+    """Return (U_n mod modulus, V_n mod modulus) for n >= 0.
 
     A ladder on V (Joye and Quisquater, "Efficient computation of full
     Lucas sequences", Electronics Letters 32, 1996): it carries
@@ -167,16 +167,14 @@ def _u_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
     and keeps (V_{2k}, V_{2k+1}) on a 0 bit and (V_{2k+1}, V_{2k+2}) on a
     1 bit: one squaring and one product per bit.  The sign is -Q, not Q,
     because the roots of x**2 = P*x + Q multiply to -Q; and as Q = +-1,
-    s is 1 after a 0 bit and -Q after a 1 bit.  At the end
+    s is 1 after a 0 bit and -Q after a 1 bit.
 
-        D*U_n     = 2*V_{n+1} - P*V_n
-        D*U_{n+1} = P*V_{n+1} + 2*Q*V_n.
-
-    Both right-hand sides are known modulo D * modulus, where D*U is
-    congruent to D * (U mod modulus), a number in [0, M); so the reduced
-    right-hand side is that number, and dividing it by D is exact and
-    gives U mod modulus.  The exact `_uv_pair` doubles U instead, so the
-    two paths share no formula.
+    At the end V_n mod modulus is the ladder's V_n reduced once more, and
+    D*U_n = 2*V_{n+1} - P*V_n.  That right-hand side is known modulo
+    D * modulus, where D*U_n is congruent to D * (U_n mod modulus), a
+    number in [0, M); so the reduced right-hand side is that number, and
+    dividing it by D is exact and gives U_n mod modulus.  The exact
+    `_uv_pair` doubles U instead, so the two paths share no formula.
     """
     D = P * P + 4 * Q
     M = D * modulus
@@ -187,7 +185,7 @@ def _u_pair_mod(P: int, Q: int, n: int, modulus: int) -> tuple[int, int]:
             a, b, s = c, (b * b + 2 * Q * s) % M, -Q  # V_{2k+2}
         else:
             a, b, s = (a * a - 2 * s) % M, c, 1       # V_{2k}
-    return (2 * b - P * a) % M // D, (P * b + 2 * Q * a) % M // D
+    return (2 * b - P * a) % M // D, a % modulus
 
 
 def pair_at(params: SequenceParams, n: int) -> IndexedPair:
@@ -222,24 +220,20 @@ def _check_modular_args(n: int, modulus: int) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus}")
 
 
+def pair_mod(params: SequenceParams, n: int, modulus: int) -> ModularPair:
+    """Both residues (U_n, V_n) mod modulus from one modular ladder, n >= 0."""
+    _check_modular_args(n, modulus)
+    return ModularPair(n, modulus, *_uv_pair_mod(params.P, params.Q, n, modulus))
+
+
 def u_mod(params: SequenceParams, n: int, modulus: int) -> int:
     """U_n mod modulus for n >= 0, computed entirely in modular arithmetic."""
-    _check_modular_args(n, modulus)
-    return _u_pair_mod(params.P, params.Q, n, modulus)[0]
+    return pair_mod(params, n, modulus).u_res
 
 
 def v_mod(params: SequenceParams, n: int, modulus: int) -> int:
     """V_n mod modulus for n >= 0, computed entirely in modular arithmetic."""
-    _check_modular_args(n, modulus)
-    a, b = _u_pair_mod(params.P, params.Q, n, modulus)
-    return (2 * b - params.P * a) % modulus
-
-
-def pair_mod(params: SequenceParams, n: int, modulus: int) -> ModularPair:
-    """Both residues (U_n, V_n) mod modulus in one doubling pass, n >= 0."""
-    _check_modular_args(n, modulus)
-    a, b = _u_pair_mod(params.P, params.Q, n, modulus)
-    return ModularPair(n, modulus, a, (2 * b - params.P * a) % modulus)
+    return pair_mod(params, n, modulus).v_res
 
 
 def seq_range(params: SequenceParams, n_lo: int, n_hi: int) -> Iterator[IndexedPair]:
@@ -274,17 +268,19 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
     """Yield (U_n mod modulus, V_n mod modulus) for n = n_lo .. n_hi, n_lo >= 0.
 
     The modular twin of `seq_range`: the same three-term recurrence on
-    integers below the modulus, seeded by one modular doubling at n_lo.  It
-    yields bare tuples, in index order, each for the cost of a few
-    operations on numbers of the modulus's size, whatever the size of the
-    exact term.  `seq --mod` prints it; the search reads `residue_stream`.
+    integers below the modulus, seeded by U at n_lo and at n_lo + 1 from
+    the modular ladder, which also takes n_lo + 1 = 2**63.  It yields bare
+    tuples, in index order, each for the cost of a few operations on
+    numbers of the modulus's size, whatever the size of the exact term.
+    `seq --mod` prints it; the search reads `residue_stream`.
     """
     _check_modular_args(n_lo, modulus)
     _check_index(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
     P, Q = params.P, params.Q
-    b, c = _u_pair_mod(P, Q, n_lo, modulus)
+    b = _uv_pair_mod(P, Q, n_lo, modulus)[0]
+    c = _uv_pair_mod(P, Q, n_lo + 1, modulus)[0]
     a = Q * (c - P * b) % modulus  # U_{n_lo - 1}, since Q is its own inverse
     if Q == 1:
         for _ in range(n_lo, n_hi + 1):

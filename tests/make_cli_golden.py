@@ -205,7 +205,7 @@ def _argparse_refuses(argv: list[str]) -> bool:
     return False
 
 
-def _digest(text: str) -> str:
+def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -222,8 +222,8 @@ def entry(argv: list[str]) -> dict:
     refused = _argparse_refuses(argv)
     if refused and (code, out, err[:7]) != (1, "", "error: "):
         raise SystemExit(f"argparse refuses {argv} but the CLI gave exit {code}")
-    return {"argv": argv, "exit": code, "stdout_sha256": _digest(out),
-            "stderr_sha256": None if refused else _digest(err)}
+    return {"argv": argv, "exit": code, "stdout_sha256": digest(out),
+            "stderr_sha256": None if refused else digest(err)}
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ from lucassquares.classifier import (
     sweep_residue_classes,
     sweep_shift_congruences,
 )
-from lucassquares.sequences import IndexedPair
+from lucassquares.sequences import IndexedPair, ModularPair
 
 
 def _finish(name: str, limit: float, start: float) -> None:
@@ -214,11 +214,12 @@ def test_c10_double_u_witness():
 def _bumped_sequences(p_star: int, n_star: int, which: str):
     """Shadow engine: one sequence value perturbed by +1, all access paths.
 
-    `sequences.u` and `sequences.v` read the module's `pair_at`, so they
-    see its shadow and are not shadowed again.
+    `sequences.u` and `sequences.v` read the module's `pair_at`, and
+    `sequences.u_mod` and `sequences.v_mod` its `pair_mod`, so they see
+    those shadows and are not shadowed again.
     """
     real = {name: getattr(seqmod, name)
-            for name in ("pair_at", "u_mod", "v_mod", "seq_range", "residue_range",
+            for name in ("pair_at", "pair_mod", "seq_range", "residue_range",
                          "residue_stream")}
 
     def hit(params, n):
@@ -231,17 +232,13 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
         return IndexedPair(n, pair.u + (1 if which == "u" else 0),
                            pair.v + (1 if which == "v" else 0))
 
-    def shadow_u_mod(params, n, modulus):
-        value = real["u_mod"](params, n, modulus)
-        if which == "u" and hit(params, n):
-            value = (value + 1) % modulus
-        return value
-
-    def shadow_v_mod(params, n, modulus):
-        value = real["v_mod"](params, n, modulus)
-        if which == "v" and hit(params, n):
-            value = (value + 1) % modulus
-        return value
+    def shadow_pair_mod(params, n, modulus):
+        pair = real["pair_mod"](params, n, modulus)
+        if not hit(params, n):
+            return pair
+        return ModularPair(n, modulus,
+                           (pair.u_res + (1 if which == "u" else 0)) % modulus,
+                           (pair.v_res + (1 if which == "v" else 0)) % modulus)
 
     def shadow_seq_range(params, n_lo, n_hi):
         # The real stream starts from the module's `pair_at`, which would
@@ -267,8 +264,7 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
         return bytes(bumped)
 
     seqmod.pair_at = shadow_pair_at
-    seqmod.u_mod = shadow_u_mod
-    seqmod.v_mod = shadow_v_mod
+    seqmod.pair_mod = shadow_pair_mod
     seqmod.seq_range = shadow_seq_range
     seqmod.residue_range = shadow_residue_range
     seqmod.residue_stream = shadow_residue_stream

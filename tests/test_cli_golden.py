@@ -4,31 +4,23 @@ The table, tests/cli_golden.json, is written by tests/make_cli_golden.py,
 which says what it covers and how to re-pin it.
 """
 
-import hashlib
 import json
-import pathlib
 
 import pytest
 
-from lucassquares.cli import main
+from make_cli_golden import TABLE, digest, run
 
-GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json")
-                    .read_text(encoding="utf-8"))
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+GOLDEN = json.loads(TABLE.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) or "(no argv)"
                                                for e in GOLDEN])
-def test_cli_output_matches_the_golden_table(capsys, entry):
-    code = main(list(entry["argv"]))
-    captured = capsys.readouterr()
+def test_cli_output_matches_the_golden_table(entry):
+    code, out, err = run(entry["argv"])
     assert code == entry["exit"]
-    assert _digest(captured.out) == entry["stdout_sha256"]
+    assert digest(out) == entry["stdout_sha256"]
     if entry["stderr_sha256"] is None:
         # argparse's own wording differs between Python versions.
-        assert captured.err.startswith("error: ")
+        assert err.startswith("error: ")
     else:
-        assert _digest(captured.err) == entry["stderr_sha256"]
+        assert digest(err) == entry["stderr_sha256"]

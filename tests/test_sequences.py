@@ -354,8 +354,9 @@ class TestResidueRange:
     @pytest.mark.parametrize("q", (1, -1))
     def test_matches_the_exact_walk(self, q):
         # Independent of the modular ladder that seeds the stream with
-        # U_{n_lo} and U_{n_lo + 1}, its two exact divisions by D.  At the
-        # multiples of D the numbers it divides reach up to D * modulus - D.
+        # U_{n_lo} and U_{n_lo + 1}, one ladder and one exact division by D
+        # each.  At the multiples of D the numbers it divides reach up to
+        # D * modulus - D.
         for p in (1, 2, 3, 5, 12) if q == 1 else (3, 5, 12):
             d = SequenceParams(p, q).discriminant
             useq, vseq = naive_u_seq(p, q, 1300), naive_v_seq(p, q, 1300)
@@ -364,6 +365,18 @@ class TestResidueRange:
                     got = list(residue_range(SequenceParams(p, q), n_lo, n_lo + 300, modulus))
                     assert got == [(useq[n] % modulus, vseq[n] % modulus)
                                    for n in range(n_lo, n_lo + 301)], (p, modulus, n_lo)
+
+    @pytest.mark.parametrize("q", (1, -1))
+    @pytest.mark.parametrize("n_lo", (INDEX_LIMIT - 3, INDEX_LIMIT - 1))
+    def test_reaches_the_largest_index(self, q, n_lo):
+        # The seed reads U at n_lo + 1, here up to 2**63: one past the
+        # largest index the public functions take.
+        for p in (1, 3, 12) if q == 1 else (3, 12):
+            d = SequenceParams(p, q).discriminant
+            for modulus in (2, d, 2**61 - 1):
+                got = list(residue_range(SequenceParams(p, q), n_lo, INDEX_LIMIT - 1, modulus))
+                assert got == [mat_pow_mod(p, q, n, modulus)
+                               for n in range(n_lo, INDEX_LIMIT)], (p, modulus)
 
     def test_single_index_and_bad_arguments(self):
         assert list(residue_range(P5, 12, 12, 10**9)) == [(71351280, v(P5, 12) % 10**9)]
