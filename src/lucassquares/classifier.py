@@ -8,10 +8,11 @@ The four equation families
 are searched exhaustively over explicit boxes (P values, n and m bounds),
 and each classification report diffs the findings against the predicted
 solution set under the hypotheses the classification actually covers.
-Queries outside those hypotheses are refused with `OutOfScopeError` rather
-than answered with a guess.  Where a classification covers a P for odd n
-only, `verify_theorem` searches every n of the box there and drops the
-findings with even n.
+`verify_theorem` is the one entry that applies those hypotheses: a query
+outside them gets a report with the out_of_predicted_scope verdict, whose
+notes name the hypothesis it leaves, rather than an answer by guess.  Where
+a classification covers a P for odd n only, `verify_theorem` searches every
+n of the box there and drops the findings with even n.
 
 Conventions, applied uniformly in search and predictions:
 
@@ -76,7 +77,6 @@ from .identities import CheckOutcome
 from .sequences import SequenceParams
 
 __all__ = [
-    "OutOfScopeError",
     "SquareClassQuery",
     "SquareClassFinding",
     "TheoremReport",
@@ -89,7 +89,6 @@ __all__ = [
     "Profile",
     "p_range",
     "search",
-    "predicted_set",
     "verify_theorem",
     "verify_report",
     "verify_all",
@@ -110,7 +109,8 @@ OUT_OF_SCOPE = "out_of_predicted_scope"
 
 
 class OutOfScopeError(Exception):
-    """A query falls outside the hypotheses a classification covers."""
+    """A query leaves the hypotheses a classification covers: raised by the
+    scope rules, caught by `verify_theorem` (as a report) and `_covers`."""
 
 
 # The largest w a query takes: its square-free check trial-divides by every
@@ -454,6 +454,12 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     return out
 
 
+def _check_jobs(jobs: int) -> None:
+    _require_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """Complete list of findings in the box, sorted by (P, n, m).
 
@@ -461,9 +467,7 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     order.  A pool gets at most one worker per P and CPU (with one, cells run
     in-process); it costs about 0.02 s to start, so pays on large boxes only.
     """
-    _require_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     p_values = query.p_values
     workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
@@ -748,15 +752,16 @@ def _classification(theorem_id: str) -> _Classification:
     return _CLASSIFICATIONS[theorem_id]
 
 
-def _scopes(theorem_id: str, entry: _Classification, query: SquareClassQuery,
-            verifying: bool) -> dict[int, str]:
+def _scopes(theorem_id: str, entry: _Classification,
+            query: SquareClassQuery) -> dict[int, str]:
     """The scope of each queried P; raises OutOfScopeError if the query is uncovered.
 
-    A predicted set must hold for every queried n, so there an ODD_N P needs
-    n_parity='odd'.  A verification refuses even n at such a P and drops the
-    findings with even n there, and a multiplexed one takes any family and w.
+    A multiplexed report searches its own (family, w) pairs, so only the
+    others check the query's family and w.  A P covered for odd n only
+    refuses n_parity='even'; with n unrestricted, `verify_theorem` drops the
+    findings with even n there.
     """
-    if not (verifying and entry.searched):
+    if not entry.searched:
         if query.family != entry.family:
             raise OutOfScopeError(f"{theorem_id} classifies the {entry.family} family; "
                                   f"query is for {query.family}")
@@ -766,14 +771,9 @@ def _scopes(theorem_id: str, entry: _Classification, query: SquareClassQuery,
     scopes = {}
     for p in query.p_values:
         scopes[p] = scope = entry.scope(theorem_id, p)
-        if scope == ODD_N and query.n_parity != "odd":
-            if not verifying:
-                raise OutOfScopeError(
-                    f"{theorem_id} covers {entry.odd_n[0]} only for odd n; "
-                    f"restrict the query with n_parity='odd' (P = {p})")
-            if query.n_parity == "even":
-                raise OutOfScopeError(
-                    f"{theorem_id} covers {entry.odd_n[0]} only for odd n (P = {p})")
+        if scope == ODD_N and query.n_parity == "even":
+            raise OutOfScopeError(
+                f"{theorem_id} covers {entry.odd_n[0]} only for odd n (P = {p})")
     return scopes
 
 
@@ -789,18 +789,6 @@ def _clip(query: SquareClassQuery, raw) -> list[SquareClassFinding]:
         out.append(SquareClassFinding(family, p, n, m, w, x))
     out.sort(key=_finding_key)
     return out
-
-
-def predicted_set(theorem_id: str, query: SquareClassQuery) -> list[SquareClassFinding]:
-    """The classification's solution set restricted to the query box.
-
-    Raises OutOfScopeError when the query leaves the hypotheses under which
-    the classification is known (wrong family or w, excluded P classes, or
-    an index parity the classification does not cover).
-    """
-    entry = _classification(theorem_id)
-    _scopes(theorem_id, entry, query, verifying=False)
-    return _clip(query, entry.predict(query.p_values, ((query.family, query.w),)))
 
 
 # --------------------------------------------------------------------------
@@ -850,12 +838,13 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
     Findings with even n at a P covered for odd n only are dropped: the
     classification says nothing there.  Out-of-scope queries yield a report
     with the out_of_predicted_scope verdict (the violated hypothesis is in
-    the notes) rather than raising, so callers always get a report.
+    the notes) rather than raising; only a bad `jobs` or id raises ValueError.
     """
+    _check_jobs(jobs)
     entry = _classification(theorem_id)
     combos = entry.searched or ((query.family, query.w),)
     try:
-        scopes = _scopes(theorem_id, entry, query, verifying=True)
+        scopes = _scopes(theorem_id, entry, query)
         predicted = _clip(query, entry.predict(query.p_values, combos))
     except OutOfScopeError as err:
         return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, str(err))

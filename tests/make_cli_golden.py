@@ -171,7 +171,9 @@ def _verify() -> list[str]:
         "verify u-5um-square --P 8 --parity odd --format csv",
         "verify u-5um-square --P 18 --format csv",
         "verify u-5um-square --P 2",
+        "verify u-5um-square --P 10",
         "verify u-5square --P 10 --format csv",
+        "verify u-5square --P 22",
         "verify v-5square --P 10",
         "verify v-square --P 2 --format csv",
         "verify v-2square --P-max 6",

@@ -12,13 +12,11 @@ from lucassquares import (
     REPORT_SUMMARIES,
     SQUAREFREE_COEFFS,
     SWEEP_IDS,
-    OutOfScopeError,
     Profile,
     SquareClassFinding,
     SquareClassQuery,
     default_query,
     p_range,
-    predicted_set,
     search,
     verify_all,
     verify_report,
@@ -760,71 +758,94 @@ class TestSearch:
             p_range(2.5)
 
 
+def predicted(theorem_id, query):
+    """The predicted set of an in-scope box, as `verify_theorem` reports it."""
+    report = verify_theorem(theorem_id, query)
+    assert report.verdict == "consistent", report.notes
+    return list(report.predicted)
+
+
+def refusal(theorem_id, query):
+    """The notes of an out-of-scope box, whose report holds no findings."""
+    report = verify_theorem(theorem_id, query)
+    assert report.verdict == "out_of_predicted_scope"
+    assert report.predicted == () and report.found == ()
+    return report.notes
+
+
 class TestPredictedSets:
     def test_v_5square_sharpened(self):
-        got = predicted_set("v-5square", q(family="V", w=5, p_values=(45,),
-                                           n_max=300))
+        got = predicted("v-5square", q(family="V", w=5, p_values=(45,), n_max=300))
         assert got == [SquareClassFinding("V", 45, 1, None, 5, 3)]
-        got = predicted_set("v-5square", q(family="V", w=5, p_values=(15, 35),
-                                           n_max=300))
+        got = predicted("v-5square", q(family="V", w=5, p_values=(15, 35), n_max=300))
         assert got == []
 
     def test_v_square_square_p(self):
-        got = predicted_set("v-square", q(family="V", w=1, p_values=(1, 3, 9, 25),
-                                          n_max=100))
+        got = predicted("v-square", q(family="V", w=1, p_values=(1, 3, 9, 25),
+                                      n_max=100))
         assert [(f.P, f.n, f.x) for f in got] == [
             (1, 1, 1), (1, 3, 2), (3, 3, 6), (9, 1, 3), (25, 1, 5)]
 
     def test_u_wsquare_includes_pell_family(self):
-        got = predicted_set("u-wsquare", q(family="U", w=2, p_values=(7, 41),
-                                           n_max=10))
-        assert [(f.P, f.n, f.x) for f in got] == [(7, 3, 5), (41, 3, 29)]
+        # u-wsquare predicts w = 1, 2, 3 and 6 whatever the query's w.
+        got = predicted("u-wsquare", q(family="U", w=2, p_values=(7, 41), n_max=10))
+        assert [(f.P, f.n, f.x) for f in got if f.w == 2] == [(7, 3, 5), (41, 3, 29)]
 
     def test_empty_families(self):
-        assert predicted_set("v-vm-square",
-                             q(family="VV", w=1, p_values=(1, 3), n_max=40,
-                               m_max=20)) == []
-        assert predicted_set("v-5vm-square",
-                             q(family="VV", w=5, p_values=(2, 3, 4), n_max=40,
-                               m_max=20)) == []
+        assert predicted("v-vm-square",
+                         q(family="VV", w=1, p_values=(1, 3), n_max=40, m_max=20)) == []
+        assert predicted("v-5vm-square",
+                         q(family="VV", w=5, p_values=(2, 3, 4), n_max=40,
+                           m_max=20)) == []
 
     def test_wrong_family_or_w_is_out_of_scope(self):
-        with pytest.raises(OutOfScopeError):
-            predicted_set("v-square", q(family="U", w=1, p_values=(1,), n_max=10))
-        with pytest.raises(OutOfScopeError):
-            predicted_set("v-square", q(family="V", w=3, p_values=(1,), n_max=10))
+        assert refusal("v-square", q(family="U", w=1, p_values=(1,), n_max=10)) == (
+            "v-square classifies the V family; query is for U")
+        assert refusal("v-square", q(family="V", w=3, p_values=(1,), n_max=10)) == (
+            "v-square covers w in {1}; query has w = 3")
 
     def test_even_p_gates(self):
-        with pytest.raises(OutOfScopeError):
-            predicted_set("v-square", q(family="V", w=1, p_values=(2,), n_max=10))
-        with pytest.raises(OutOfScopeError):
-            predicted_set("u-5square", q(family="U", w=5, p_values=(10,), n_max=10))
-        with pytest.raises(OutOfScopeError):
-            predicted_set("u-5square", q(family="U", w=5, p_values=(22,), n_max=10))
+        assert refusal("v-square", q(family="V", w=1, p_values=(2,), n_max=10)) == (
+            "v-square is stated for odd P; query includes P = 2")
+        assert refusal("u-5square", q(family="U", w=5, p_values=(10,), n_max=10)) == (
+            "u-5square does not cover even P divisible by 5 (query includes P = 10)")
+        assert refusal("u-5square", q(family="U", w=5, p_values=(22,), n_max=10)) == (
+            "u-5square does not cover even P with P**2 = -1 (mod 5): "
+            "solutions exist there (e.g. P = 2); query includes P = 22")
         # Even P with P**2 = 1 (mod 5) stays in scope.
-        assert predicted_set("u-5square",
-                             q(family="U", w=5, p_values=(4,), n_max=10)) == []
+        assert predicted("u-5square", q(family="U", w=5, p_values=(4,), n_max=10)) == []
 
-    def test_u_5um_gates(self):
+    def test_u_5um_gates(self, monkeypatch):
         box = dict(family="UU", w=5, n_max=40, m_max=20)
-        with pytest.raises(OutOfScopeError):
-            predicted_set("u-5um-square", q(p_values=(2,), **box))
-        with pytest.raises(OutOfScopeError):
-            predicted_set("u-5um-square", q(p_values=(18,), **box))
-        with pytest.raises(OutOfScopeError):
-            predicted_set("u-5um-square", q(p_values=(8,), **box))
-        assert predicted_set("u-5um-square",
-                             q(p_values=(8,), n_parity="odd", **box)) == []
-        assert predicted_set("u-5um-square", q(p_values=(3, 4, 5), **box)) == []
+        assert refusal("u-5um-square", q(p_values=(2,), **box)) == (
+            "u-5um-square does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = 2)")
+        assert refusal("u-5um-square", q(p_values=(18,), **box)) == (
+            "u-5um-square does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = 18)")
+        assert refusal("u-5um-square", q(p_values=(8,), n_parity="even", **box)) == (
+            "u-5um-square covers P = 0 (mod 4) with P**2 = -1 (mod 5) only for odd n "
+            "(P = 8)")
+        assert predicted("u-5um-square", q(p_values=(8,), n_parity="odd", **box)) == []
+        assert predicted("u-5um-square", q(p_values=(3, 4, 5), **box)) == []
+        # With n unrestricted, P = 8 is covered for odd n only: the report
+        # says so, and an even-n finding there is dropped, not counted.
+        assert predicted("u-5um-square", q(p_values=(8,), **box)) == []
+        even = SquareClassFinding("UU", 8, 10, 2, 5, 1)
+        monkeypatch.setattr(classifier, "search", lambda query, jobs=1: [even])
+        report = verify_theorem("u-5um-square", q(p_values=(8,), **box))
+        assert (report.verdict, report.predicted, report.found) == ("consistent", (), ())
+        assert report.notes == (
+            "UU family, w = 5, 1 P values in [8, 8], n <= 40, 1 <= m <= 20; "
+            "found 0, predicted 0; P values [8] (P = 0 mod 4, P**2 = -1 mod 5) "
+            "searched for odd n only; even n is uncovered there")
 
     def test_fib_lucas_requires_p1(self):
-        with pytest.raises(OutOfScopeError):
-            predicted_set("fib-lucas-squares",
-                          q(family="U", w=1, p_values=(1, 2), n_max=100))
+        assert refusal("fib-lucas-squares",
+                       q(family="U", w=1, p_values=(1, 2), n_max=100)) == (
+            "fib-lucas-squares is about Fibonacci and Lucas numbers; P must be exactly (1,)")
 
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            predicted_set("u-cubes", q())
+        with pytest.raises(ValueError, match="^unknown classification id 'u-cubes'"):
+            verify_theorem("u-cubes", q())
 
 
 class TestVerifyTheorem:
@@ -833,6 +854,14 @@ class TestVerifyTheorem:
         assert report.verdict == "consistent"
         assert [(f.P, f.n, f.x) for f in report.predicted] == [(1, 6, 3), (5, 6, 99)]
         assert report.found == report.predicted
+
+    def test_jobs_is_checked_before_the_scope(self):
+        # P = 2 is out of v-square's scope, so no search would check jobs.
+        box = q(family="V", w=1, p_values=(2,), n_max=10)
+        with pytest.raises(ValueError, match="^jobs must be >= 1, got 0$"):
+            verify_theorem("v-square", box, jobs=0)
+        with pytest.raises(ValueError, match="^jobs must be an integer"):
+            verify_theorem("v-square", box, jobs=1.5)
 
     def test_out_of_scope_report(self):
         report = verify_theorem("u-5square",
