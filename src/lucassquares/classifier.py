@@ -29,11 +29,11 @@ Each search cell walks one P.  A solution X_n = c * x**2 makes X_n * c =
 (c * x)**2, with c = w for the one-term families and c = w * X_m for the
 two-term ones, so the search rejects n when that product is a non-square
 mod one of the 23 moduli of `arith._SIEVE_MODULI` (64, 63, 65, 11 and the
-primes 17 to 97).  It sieves in bulk: per modulus,
-`sequences.residue_stream` gives X_n mod q as one byte per n.  A one-term
-cell maps all those bytes by one `bytes.translate` table of w,
-`arith._sieve_table(q, w mod q)`, to 1 (may be a square) or 0, and ANDs
-them, read as one int, into a survivor mask.  A two-term cell sieves its
+primes 17 to 97).  It sieves in bulk: per modulus, `sequences.residue_period`
+gives one period of X_n mod q, a byte per n.  A one-term cell maps it by one
+`bytes.translate` table of w, `arith._sieve_table(q, w mod q)`, to 1 (may be
+a square) or 0, tiles those marks over its candidates, and ANDs them, read
+as one int, into a survivor mask.  A two-term cell sieves its
 pairs (m, n) in runs: one per m <= s = max(3, isqrt(n_max)), against all
 its n, and one per multiplier k = n / m past s, about 2 * sqrt(n_max) runs
 in all (Dirichlet's hyperbola method, Tenenbaum 1995, §I.3.2).  The
@@ -252,22 +252,23 @@ def _marked(mask: int, shift: int) -> Iterator[int]:
         mask ^= low
 
 
-def _survivors(streams: Iterable[bytes], candidates: range,
+def _survivors(periods: Iterable[bytes], candidates: range,
                tables: Iterable[bytes]) -> list[int]:
     """The n in `candidates` with X_n * c a residue mod every sieve modulus.
 
-    The i-th stream holds X_k mod q = `arith._SIEVE_MODULI[i]` at byte k,
-    and the i-th table is `arith._sieve_table(q, c mod q)`; both are taken
-    only when the sieve reaches q.  Per modulus, one `translate` marks each
-    candidate's byte 1 or 0; read as a little-endian int, that marks
-    candidate j at bit 8j, and the marks are ANDed into one mask, which
-    stops the sieve when it is 0.
+    The i-th period holds X_k mod q = `arith._SIEVE_MODULI[i]` at byte
+    k % len(period), and the i-th table is `arith._sieve_table(q, c mod q)`;
+    both are taken only when the sieve reaches q.  Per modulus, one
+    `translate` marks the period's bytes 1 or 0, tiled past the candidates'
+    stop and cut to them; read as a little-endian int, that marks candidate
+    j at bit 8j, and the marks are ANDed into one mask, which stops at 0.
     """
-    cut = slice(candidates.start, candidates.stop, candidates.step)
+    start, stop, step = candidates.start, candidates.stop, candidates.step
     from_bytes = int.from_bytes
     mask = -1
-    for table, stream in zip(tables, streams):
-        mask &= from_bytes(stream[cut].translate(table), "little")
+    for table, period in zip(tables, periods):
+        marks = period.translate(table) * (stop // len(period) + 1)
+        mask &= from_bytes(marks[start:stop:step], "little")
         if not mask:
             return []
     return [candidates[j] for j in _marked(mask, 3)]
@@ -287,26 +288,26 @@ class _Lanes(NamedTuple):
     fields: int       # the low bit of every field, in each of `_PART` lanes
 
 
-def _character_lanes(primes: list[tuple[int, bytes]], w: int) -> _Lanes:
+def _character_lanes(primes: list[tuple[int, bytes]], w: int, count: int) -> _Lanes:
     """The quadratic characters of X_n and of w * X_n mod the primes, one 64-bit lane per n.
 
-    `primes` holds, per prime sieve modulus q, the stream of X_n mod q.  In
-    the order given, each q prime to w owns the next 2-bit field of every
-    lane (any other q passes every pair and owns none), which holds
-    `arith._character_table(q)[X_n mod q]`: 0, 1 or 2 for zero, a nonzero
-    square or a non-square.  The 20 primes 11 to 97 fill at most bits 0 to
-    39.  The lanes of w * X_n are not packed again: they are those of X_n
-    with 1 and 2 swapped in the fields where w is a non-square, by a few
-    whole-array int operations.
+    `primes` holds, per prime sieve modulus q, one period of X_n mod q (X_n
+    at byte n % its length), for n = 0 .. count - 1.  In the order given,
+    each q prime to w owns the next 2-bit field of every lane (any other q
+    passes every pair and owns none): `arith._character_table(q)[X_n mod q]`,
+    0, 1 or 2 for zero, a nonzero square or a non-square, from the period
+    translated once and tiled.  The 20 primes 11 to 97 fill at most bits 0
+    to 39.  The lanes of w * X_n are those of X_n with 1 and 2 swapped in the
+    fields where w is a non-square, by a few whole-array int operations.
     """
     from_bytes = int.from_bytes
-    count = len(primes[0][1])
-    owners = [(q, stream) for q, stream in primes if w % q]
+    owners = [(q, period) for q, period in primes if w % q]
     packed = bytearray(8 * count)
     for at in range(0, len(owners), 4):  # four fields to a byte
         byte = 0
-        for i, (q, stream) in enumerate(owners[at:at + 4]):
-            byte |= from_bytes(stream.translate(arith._character_table(q)), "little") << 2 * i
+        for i, (q, period) in enumerate(owners[at:at + 4]):
+            marks = period.translate(arith._character_table(q)) * (count // len(period) + 1)
+            byte |= from_bytes(marks[:count], "little") << 2 * i
         packed[at // 4::8] = byte.to_bytes(count, "little")
     swapped = sum(1 << 2 * i for i, (q, _) in enumerate(owners)
                   if not arith._square_residues(q)[w % q])
@@ -343,17 +344,17 @@ def _prime_passes(lanes: _Lanes, ms: range, ns: range) -> int:
     return (top - bad) & top
 
 
-def _pair_survivors(lanes: _Lanes, streams: list[bytes],
+def _pair_survivors(lanes: _Lanes, periods: list[bytes],
                     ms: range, ns: range, w: int) -> list[tuple[int, int]]:
     """The pairs (m, n) of a run with w * X_m * X_n a residue mod every sieve modulus.
 
     The prime moduli test the run by `_prime_passes` on the cell's
     `_character_lanes`, a longer run in parts of `_PART` pairs; the pairs
-    left are tested mod 64, 63 and 65 on `streams`.
+    left are tested mod 64, 63 and 65 on `periods`, X_k at byte k % length.
     """
     if len(ns) > _PART:  # then a one-m run has len(ms) == 1 < len(ns)
         return [pair for at in range(0, len(ns), _PART)
-                for pair in _pair_survivors(lanes, streams, ms if len(ms) == 1
+                for pair in _pair_survivors(lanes, periods, ms if len(ms) == 1
                                             else ms[at:at + _PART], ns[at:at + _PART], w)]
     passes = _prime_passes(lanes, ms, ns)
     if not passes:  # as for nearly every run
@@ -361,28 +362,28 @@ def _pair_survivors(lanes: _Lanes, streams: list[bytes],
     repeats = len(ns) // len(ms)  # one m against every n, else 1
     pairs = [(ms[j // repeats], ns[j]) for j in _marked(passes, 6)]
     return [(m, n) for m, n in pairs
-            if all(arith._square_residues(q)[w * stream[m] * stream[n] % q]
-                   for q, stream in zip(arith._SIEVE_MODULI[:3], streams))]
+            if all(arith._square_residues(q)[w * r[m % len(r)] * r[n % len(r)] % q]
+                   for q, r in zip(arith._SIEVE_MODULI[:3], periods))]
 
 
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m).
 
     Every candidate is sieved on its residues first, from one
-    `sequences.residue_stream` per sieve modulus: by `_survivors` for all n
-    of a one-term cell, and by `_pair_survivors` for the pairs (m, n) of a
-    two-term cell, one run per m <= s = max(3, isqrt(n_max)) and one per
-    multiplier k = n / m past s, on the cell's `_character_lanes`: 16 bytes
-    per n for the characters of X_n and w * X_n mod every prime modulus.
-    A cell with no survivor reads no exact term.  A two-term cell gets
-    X_m and X_n from `sequences.pair_at`, by doubling, at the survivors'
-    indices only, with a per-cell dict so that a repeated m or n is
-    evaluated once: it holds no prefix of the sequence.  A one-term cell
-    skips along one `seq_range` stream to each survivor in turn, so it
-    reads only as far as the largest and keeps only the term under test.
-    The benchmark's classify-1term self-check pins that stream (one
-    `seq_range` call per cell); once it counts work done rather than calls,
-    the same `pair_at` reader can replace it.
+    `sequences.residue_period` per sieve modulus, translated and tiled: by
+    `_survivors` for all n of a one-term cell, and by `_pair_survivors` for
+    the pairs (m, n) of a two-term cell, one run per m <= s = max(3,
+    isqrt(n_max)) and one per multiplier k = n / m past s, on the cell's
+    `_character_lanes`: 16 bytes per n for the characters of X_n and
+    w * X_n mod every prime modulus.  A cell with no survivor reads no
+    exact term.  A two-term cell gets X_m and X_n from `sequences.pair_at`,
+    by doubling, at the survivors' indices only, with a per-cell dict so
+    that a repeated m or n is evaluated once: it holds no prefix of the
+    sequence.  A one-term cell skips along one `seq_range` stream to each
+    survivor in turn, so it reads only as far as the largest and keeps only
+    the term under test.  The benchmark's classify-1term self-check pins
+    that stream (one `seq_range` call per cell); once it counts work done
+    rather than calls, the same `pair_at` reader can replace it.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
@@ -391,14 +392,14 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     moduli = arith._SIEVE_MODULI
     # Fetched as the sieve reaches each modulus, and so are a one-term cell's
     # tables: a sieve whose mask empties early asks for no more of either.
-    streams = (sequences.residue_stream(params, n_max, q, sequence) for q in moduli)
+    periods = (sequences.residue_period(params, q, sequence) for q in moduli)
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
         pairs = sequences.seq_range(params, 1, n_max)
         read = 0  # the last index taken from the stream
         step = 1 if n_parity is None else 2
         tables = (arith._sieve_table(q, w % q) for q in moduli)
-        for n in _survivors(streams, range(2 if n_parity == "even" else 1, n_max + 1, step),
+        for n in _survivors(periods, range(2 if n_parity == "even" else 1, n_max + 1, step),
                             tables):
             pair = next(islice(pairs, n - 1 - read, None))  # skips the terms in between
             read = n
@@ -407,8 +408,8 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
                 out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
-    streams = list(streams)  # every run reads each stream
-    lanes = _character_lanes(list(zip(moduli[3:], streams[3:])), w)
+    periods = list(periods)  # every run reads each period
+    lanes = _character_lanes(list(zip(moduli[3:], periods[3:])), w, n_max + 1)
     split = max(3, arith.isqrt(n_max))
     runs = []  # (ms, ns): one m each up to the split, one multiplier each past it
     # By the closed forms U_1 = 1 and U_2 = V_1 = P, and U_m >= F_m, V_m >= L_m
@@ -441,7 +442,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         return values[k]
 
     for ms, ns in runs:
-        for m, n in _pair_survivors(lanes, streams, ms, ns, w):
+        for m, n in _pair_survivors(lanes, periods, ms, ns, w):
             if not _parity_ok(n, n_parity):
                 continue
             quotient, rem = divmod(value(n), value(m))

@@ -22,15 +22,16 @@ one exact division by D, so congruences at indices like 10**18 never
 materialize the exact values.  The exact and modular paths use different
 formulas, so comparing them compares independent code.  `residue_range` is
 the modular twin of `seq_range`: the same recurrence on integers below a
-fixed modulus, which `seq --mod` prints.  `residue_stream` gives the
-residues of U or of V modulo a small modulus as bytes, one per index, for
-the search's sieve: each stream is periodic, and one period per (modulus,
-P mod modulus, Q, sequence) is computed once, by that sequence's own
-recurrence, and cached.  With Q = +-1 the period is 1, 2 or 4 times the
-rank of apparition (Wall, "Fibonacci series modulo m", Amer. Math. Monthly
-67, 1960), so it is often 2h with X_{n+h} = -X_n: the recurrence stops at
-that anti-period h and the second half is the first half negated, byte by
-byte.
+fixed modulus, which `seq --mod` prints.  `residue_period` gives one
+period of U or of V modulo a small modulus as bytes, one per index from
+n = 0, for the search's sieve, which translates it and tiles the result
+over its candidates: each residue stream is periodic, and one period per
+(modulus, P mod modulus, Q, sequence) is computed once, by that
+sequence's own recurrence, and cached.  With Q = +-1 the period is 1, 2
+or 4 times the rank of apparition (Wall, "Fibonacci series modulo m",
+Amer. Math. Monthly 67, 1960), so it is often 2h with X_{n+h} = -X_n: the
+recurrence stops at that anti-period h and the second half is the first
+half negated, byte by byte.
 Everything is arbitrary precision and pure.
 """
 
@@ -53,7 +54,7 @@ __all__ = [
     "pair_mod",
     "seq_range",
     "residue_range",
-    "residue_stream",
+    "residue_period",
 ]
 
 # Indices must fit in a signed machine word; beyond that even the modular
@@ -272,7 +273,7 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
     the modular ladder, which also takes n_lo + 1 = 2**63.  It yields bare
     tuples, in index order, each for the cost of a few operations on
     numbers of the modulus's size, whatever the size of the exact term.
-    `seq --mod` prints it; the search reads `residue_stream`.
+    `seq --mod` prints it; the search reads `residue_period`.
     """
     _check_modular_args(n_lo, modulus)
     _check_index(n_hi)
@@ -326,19 +327,17 @@ def _residue_period(modulus: int, P: int, Q: int, sequence: str) -> bytes:
     return bytes(out)
 
 
-def residue_stream(params: SequenceParams, n_hi: int, modulus: int, sequence: str) -> bytes:
-    """X_n mod modulus for n = 0 .. n_hi, one byte per index, X = U or V.
+def residue_period(params: SequenceParams, modulus: int, sequence: str) -> bytes:
+    """One period of X_n mod modulus from n = 0, one byte per index, X = U or V.
 
     `sequence` is "U" or "V" and the modulus is at most 256, so every
-    residue fits a byte.  The stream is one cached period of that sequence
-    alone, per (modulus, P mod modulus, Q, sequence), repeated and cut to
-    n_hi + 1 bytes, so a search cell gets its residues without a step per
-    index.
+    residue fits a byte.  X_n mod modulus is byte n % len(period): the
+    period is computed once per (modulus, P mod modulus, Q, sequence) by
+    that sequence's own recurrence and cached, so a search cell gets its
+    residues without a step per index.
     """
-    _check_modular_args(n_hi, modulus)
-    if modulus > 256:
-        raise ValueError(f"residue_stream takes a modulus <= 256, got {modulus}")
+    if not isinstance(modulus, int) or not 2 <= modulus <= 256:
+        raise ValueError(f"residue_period takes an integer modulus from 2 to 256, got {modulus}")
     if sequence not in ("U", "V"):
         raise ValueError(f"sequence must be 'U' or 'V', got {sequence!r}")
-    period = _residue_period(modulus, params.P % modulus, params.Q, sequence)
-    return (period * (n_hi // len(period) + 1))[:n_hi + 1]
+    return _residue_period(modulus, params.P % modulus, params.Q, sequence)

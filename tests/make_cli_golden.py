@@ -178,6 +178,17 @@ def _verify() -> list[str]:
         "verify v-square --P 2 --format csv",
         "verify v-2square --P-max 6",
         "verify fib-lucas-squares --P 2 --format csv",
+        # Each scope rule's JSON: odd-n-only P, out-of-scope P and boxes
+        # that mix covered and uncovered classes.
+        *(f"verify {box} --format json" for box in (
+            "u-5um-square --P 8", "u-5um-square --P 8 --parity even",
+            "u-5um-square --P 8 --parity odd", "u-5um-square --P 18",
+            "u-5um-square --P 10", "u-5um-square --P 2",
+            "u-5um-square --P 4 --P 8 --P 9", "u-5square --P 10", "u-5square --P 22",
+            "u-5square --P 4", "v-5square --P 10", "v-5square --P-max 30",
+            "v-square --P 2", "v-2square --P-max 6", "v-vm-square --P 4",
+            "v-2vm-square --P 4", "u-2um-square --P 6", "v-5vm-square --P-max 8",
+            "fib-lucas-squares --P 2", "u-wsquare --P 3 --parity odd")),
         # Refused requests.
         "verify all --jobs 2",
         "verify all --P 3",

@@ -216,11 +216,13 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
 
     `sequences.u` and `sequences.v` read the module's `pair_at`, and
     `sequences.u_mod` and `sequences.v_mod` its `pair_mod`, so they see
-    those shadows and are not shadowed again.
+    those shadows and are not shadowed again.  The residue period that the
+    search's sieve reads has one byte for every index congruent to n_star
+    modulo its length, so its shadow bumps all of those at once.
     """
     real = {name: getattr(seqmod, name)
             for name in ("pair_at", "pair_mod", "seq_range", "residue_range",
-                         "residue_stream")}
+                         "residue_period")}
 
     def hit(params, n):
         return params.P == p_star and n == n_star
@@ -255,19 +257,20 @@ def _bumped_sequences(p_star: int, n_star: int, which: str):
                 v_res = (v_res + (1 if which == "v" else 0)) % modulus
             yield u_res, v_res
 
-    def shadow_residue_stream(params, n_hi, modulus, sequence):
-        stream = real["residue_stream"](params, n_hi, modulus, sequence)
-        if params.P != p_star or n_star > n_hi or sequence != which.upper():
-            return stream
-        bumped = bytearray(stream)
-        bumped[n_star] = (bumped[n_star] + 1) % modulus
+    def shadow_residue_period(params, modulus, sequence):
+        period = real["residue_period"](params, modulus, sequence)
+        if params.P != p_star or sequence != which.upper():
+            return period
+        bumped = bytearray(period)
+        at = n_star % len(period)
+        bumped[at] = (bumped[at] + 1) % modulus
         return bytes(bumped)
 
     seqmod.pair_at = shadow_pair_at
     seqmod.pair_mod = shadow_pair_mod
     seqmod.seq_range = shadow_seq_range
     seqmod.residue_range = shadow_residue_range
-    seqmod.residue_stream = shadow_residue_stream
+    seqmod.residue_period = shadow_residue_period
     try:
         yield
     finally:

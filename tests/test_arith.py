@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from lucassquares import (
     SQUAREFREE_COEFFS,
+    SequenceParams,
     arith,
     classifier,
     SquareClass,
     is_square,
     isqrt,
     jacobi,
+    residue_period,
     square_class,
     square_witness,
 )
@@ -166,13 +168,14 @@ def lift(k: int, a: int) -> int:
 def sieve(values: list[int], c: int) -> list[int]:
     """The positions j at which the search's sieve passes values[j] * c.
 
-    One-byte-per-value streams of the values' residues, as the search reads
-    them, go through `classifier._survivors` with every position a candidate
-    and the tables of c, as a one-term cell resolves them.
+    The values' residues, one byte per value, go through
+    `classifier._survivors` as periods as long as the list, with every
+    position a candidate and the tables of c, as a one-term cell resolves
+    them.
     """
-    streams = [bytes(value % q for value in values) for q in SIEVE_MODULI]
+    periods = [bytes(value % q for value in values) for q in SIEVE_MODULI]
     tables = [arith._sieve_table(q, c % q) for q in SIEVE_MODULI]
-    return classifier._survivors(streams, range(len(values)), tables)
+    return classifier._survivors(periods, range(len(values)), tables)
 
 
 class TestResidueFilter:
@@ -270,7 +273,7 @@ class TestProductFilter:
                 m = square + a * k + b
                 stream[m], stream[2 * m] = a, b
         for w in range(k):
-            lanes = classifier._character_lanes([(k, bytes(stream))], w)
+            lanes = classifier._character_lanes([(k, bytes(stream))], w, len(stream))
             for a in range(k):
                 lo = square + a * k
                 table = arith._sieve_table(k, w * a % k)
@@ -287,12 +290,15 @@ class TestProductFilter:
         # field of every lane, in order, and holds the character of X_n mod
         # k there: 0, 1 or 2 for zero, a nonzero square or a non-square.
         # The w * X_n lanes hold the same fields with 1 and 2 swapped where
-        # w is a non-square mod k.  No other bit of a lane is set.
+        # w is a non-square mod k.  No other bit of a lane is set.  Each
+        # prime's period, from 2 to 200 bytes long, is tiled over the 200
+        # lanes: lane n reads byte n % its length.
         primes = SIEVE_MODULI[3:]
         rng = random.Random(w)
-        streams = [bytes([0, 1] + [rng.randrange(k) for _ in range(198)]) for k in primes]
-        lanes = classifier._character_lanes(list(zip(primes, streams)), w)
-        owners = [(k, stream) for k, stream in zip(primes, streams) if w % k]
+        periods = [bytes([0, 1] + [rng.randrange(k) for _ in range(rng.randrange(199))])
+                   for k in primes]
+        lanes = classifier._character_lanes(list(zip(primes, periods)), w, 200)
+        owners = [(k, period) for k, period in zip(primes, periods) if w % k]
         for k, _ in owners:
             squares = naive_squares_mod(k)
             assert arith._character_table(k) == bytes(
@@ -306,8 +312,8 @@ class TestProductFilter:
             of_x = int.from_bytes(lanes.of_x[n:n + 1], "little")
             of_wx = int.from_bytes(lanes.of_wx[8 * n:8 * n + 8], "little")
             assert of_x >> width == of_wx >> width == 0, (w, n)
-            for i, (k, stream) in enumerate(owners):
-                character = arith._character_table(k)[stream[n]]
+            for i, (k, period) in enumerate(owners):
+                character = arith._character_table(k)[period[n % len(period)]]
                 flipped = w % k not in naive_squares_mod(k)
                 assert of_x >> 2 * i & 3 == character, (w, n, k)
                 assert of_wx >> 2 * i & 3 == ((3 - character) % 3 if flipped else character), (
@@ -333,7 +339,7 @@ class TestProductFilter:
         # X_m at 1..11; X_n at n = 12 + 2j is order[j].
         values = [x_m] * 12 + [shapes[shape] for shape in order for _ in "ab"]
         streams = [bytes(value[k] for value in values) for k in primes]
-        lanes = classifier._character_lanes(list(zip(primes, streams)), 1)
+        lanes = classifier._character_lanes(list(zip(primes, streams)), 1, len(values))
         good = [j for j, shape in enumerate(order) if shape.startswith("good")]
         want = sum(1 << 64 * j + 63 for j in good)
         ns = range(12, 34, 2)
@@ -359,7 +365,7 @@ class TestProductFilter:
         streams = {q: bytes(rng.randrange(q) if rng.random() < 0.05
                             else c * rng.randrange(q) ** 2 % q for c in classes)
                    for q in SIEVE_MODULI}
-        lanes = classifier._character_lanes([(q, streams[q]) for q in SIEVE_MODULI[3:]], w)
+        lanes = classifier._character_lanes([(q, streams[q]) for q in SIEVE_MODULI[3:]], w, size)
 
         def passes(m, n):
             return all(w * stream[m] * stream[n] % q in naive_squares_mod(q)
@@ -380,23 +386,26 @@ class TestProductFilter:
         # After the prime moduli, each pair (X_m, X_n) left is tested mod
         # 64, 63 and 65: given no prime modulus, the two-term sieve's run
         # passes exactly the pairs whose product with w is a square mod all
-        # three, in a run of the multiples k*m and in a run of one m.
+        # three, in a run of the multiples k*m and in a run of one m.  It
+        # reads X_k at byte k % len(period) of the U_k(7, 1) periods, each
+        # shorter than the 301 indices.
         xs = naive_u_seq(7, 1, 301)
-        streams = [bytes(x % q for x in xs) for q in SIEVE_MODULI[:3]]
+        periods = [residue_period(SequenceParams(7, 1), q, "U") for q in SIEVE_MODULI[:3]]
+        assert max(map(len, periods)) < 150
         # X_n = 0 mod 11 for every n: every pair passes the one prime.
-        lanes = classifier._character_lanes([(11, bytes(301))], w)
+        lanes = classifier._character_lanes([(11, b"\0")], w, 301)
 
         def passes(m, n):
             return all(w * xs[m] * xs[n] % q in naive_squares_mod(q) for q in (64, 63, 65))
 
         for k in (2, 3, 5):
             ms, ns = range(10, 300 // k + 1), range(10 * k, 300 // k * k + 1, k)
-            passed = classifier._pair_survivors(lanes, streams, ms, ns, w)
+            passed = classifier._pair_survivors(lanes, periods, ms, ns, w)
             want = [(m, k * m) for m in ms if passes(m, k * m)]
             assert passed == want and 0 < len(want) < len(ms), (w, k)
         for m in (10, 17):
             ns = range(m + 1, 301)
-            passed = classifier._pair_survivors(lanes, streams, range(m, m + 1), ns, w)
+            passed = classifier._pair_survivors(lanes, periods, range(m, m + 1), ns, w)
             want = [(m, n) for n in ns if passes(m, n)]
             assert passed == want and 0 < len(want) < len(ns), (w, m)
 

@@ -22,8 +22,8 @@ from lucassquares import (
     verify_report,
     verify_theorem,
 )
-from lucassquares import classifier, identities
-from lucassquares.sequences import IndexedPair
+from lucassquares import classifier, identities, sequences
+from lucassquares.sequences import IndexedPair, SequenceParams
 
 from _oracles import (
     SIEVE_MODULI,
@@ -325,8 +325,9 @@ class TestSearch:
     def test_a_large_two_term_cell_holds_no_prefix_of_the_sequence(self):
         # Pairs pass the sieve up to n near 20,000 here, while the one
         # finding is at n = 12.  The cell evaluates X_m and X_n at those
-        # pairs alone, so its peak is the residue streams and lanes, about
-        # 1.4 MiB, not every exact term up to its last survivor (42 MiB).
+        # pairs alone, so its peak is the lanes, tiled from the residue
+        # periods, about 1.0 MiB, not every exact term up to its last
+        # survivor (42 MiB).
         # The warm-up fills the cached residue periods and character tables.
         import tracemalloc
         search(q(family="UU", w=2, p_values=(5,), n_max=60, m_max=30))
@@ -379,19 +380,21 @@ class TestSearch:
         (q(family="U", w=1, p_values=(1,), n_max=20), (1, 12, None)),
         (q(family="UU", w=2, p_values=(5,), n_max=20, m_max=10, m_min=2), (5, 12, 6))])
     def test_search_sieves_by_the_residue_stream(self, monkeypatch, query, lost):
-        # The sieve reads sequences.residue_stream through the module, so
-        # streams that are wrong at U_12 alone hide that solution.
+        # The sieve reads sequences.residue_period through the module, so
+        # periods that are wrong at U_12 (and so at every n = 12 mod their
+        # length) hide that solution.
         import lucassquares.sequences as seqmod
-        real = seqmod.residue_stream
+        real = seqmod.residue_period
 
-        def bumped(params, n_hi, modulus, sequence):
-            stream = bytearray(real(params, n_hi, modulus, sequence))
+        def bumped(params, modulus, sequence):
+            period = bytearray(real(params, modulus, sequence))
             if sequence == "U":
-                stream[12] = (stream[12] + 1) % modulus
-            return bytes(stream)
+                at = 12 % len(period)
+                period[at] = (period[at] + 1) % modulus
+            return bytes(period)
 
         assert lost in [row[:3] for row in found_rows(query)]
-        monkeypatch.setattr(seqmod, "residue_stream", bumped)
+        monkeypatch.setattr(seqmod, "residue_period", bumped)
         assert lost not in [row[:3] for row in found_rows(query)]
 
     @pytest.mark.parametrize("query, lost", [
@@ -525,6 +528,53 @@ class TestSearch:
             # the exact division although n / m = 2 is even.
             assert (2, 1, 2) in reached
 
+    @pytest.mark.parametrize("sequence", "UV")
+    def test_tiled_periods_reach_the_last_index(self, sequence):
+        # Both sieves tile a translated period past n_max and cut it.  For
+        # the shortest and the longest period of X_n(P, 1) mod the sieve
+        # moduli, over every class of P, and n_max + 1 = k*L - 1, k*L and
+        # k*L + 1 (L the period's length): `_survivors` passes, for every
+        # class c, the candidates n <= n_max at which X_n * c is a square,
+        # and `_character_lanes` holds count = n_max + 1 lanes with the
+        # characters of X_n and of w * X_n, all by `%` on the exact values
+        # index by index.  Each sequence has a case whose last index passes
+        # and one whose last lane is nonzero, so a tiling one period short
+        # fails.
+        make = sequences.residue_period
+        naive = naive_u_seq if sequence == "U" else naive_v_seq
+        lengths = {(k, p): len(make(SequenceParams(p, 1), k, sequence))
+                   for k in SIEVE_MODULI for p in range(1, k + 1)}
+        ends = [min(lengths, key=lengths.get), max(lengths, key=lengths.get)]
+        primes = {key: n for key, n in lengths.items() if key[0] in SIEVE_MODULI[3:]}
+        ends += [min(primes, key=primes.get), max(primes, key=primes.get)]
+        assert sorted({lengths[key] for key in ends}) == [2, 388 if sequence == "U" else 196]
+        last_passes = last_lane_set = False
+        for k, p in dict.fromkeys(ends):
+            period = make(SequenceParams(p, 1), k, sequence)
+            size = len(period)
+            reps = max(2, 40 // size)
+            xs = naive(p, 1, reps * size + 1)
+            squares = {x * x % k for x in range(k)}
+            for count in (reps * size - 1, reps * size, reps * size + 1):
+                for candidates in (range(1, count), range(1, count, 2), range(2, count, 2)):
+                    for c in range(k):
+                        got = classifier._survivors(
+                            [period], candidates, [classifier.arith._sieve_table(k, c)])
+                        want = [n for n in candidates if xs[n] * c % k in squares]
+                        assert got == want, (k, p, count, candidates, c)
+                        last_passes |= count - 1 in want
+                if k not in SIEVE_MODULI[3:]:
+                    continue
+                for w in (1, min(set(range(1, k)) - squares)):
+                    lanes = classifier._character_lanes([(k, period)], w, count)
+                    assert len(lanes.of_x) == count and len(lanes.of_wx) == 8 * count
+                    for n in range(count):
+                        character = [0 if x % k == 0 else 1 if x % k in squares else 2
+                                     for x in (xs[n], w * xs[n])]
+                        assert [lanes.of_x[n], lanes.of_wx[8 * n]] == character, (k, p, w, n)
+                    last_lane_set |= lanes.of_x[count - 1] != 0
+        assert last_passes and last_lane_set
+
     @settings(max_examples=100, deadline=None)
     @given(two_term_boxes())
     @example(q(family="UU", w=1, p_values=(1, 2), n_max=90, m_max=60, m_min=9))
@@ -550,22 +600,28 @@ class TestSearch:
         # 16 is a non-square there loses both solutions, both where the
         # search sieves m = 3 and m = 6 alone (n_max = 60, split 7) and where
         # it sieves m = 6 in the run of multiplier 2 (n_max = 20, split 4).
+        # U_n(1, 1) mod each modulus has a period of 10 or more, so the
+        # period entry at 12 mod its length is read for neither m = 3 nor 6.
         import lucassquares.sequences as seqmod
-        real = seqmod.residue_stream
+        real = seqmod.residue_period
         squares = {x * x % modulus for x in range(modulus)}
         xs = naive_u_seq(1, 1, 13)
         assert (2 * xs[3], 2 * xs[6]) == (4, 16) and xs[12] == 4 * 6**2 == 16 * 3**2
         moved = next(r for r in range(modulus)
                      if 4 * r % modulus not in squares and 16 * r % modulus not in squares)
 
-        def bumped(params, n_hi, k, sequence):
-            stream = real(params, n_hi, k, sequence)
-            return stream[:12] + bytes((moved,)) + stream[13:] if k == modulus else stream
+        def bumped(params, k, sequence):
+            period = real(params, k, sequence)
+            if k != modulus:
+                return period
+            at = 12 % len(period)
+            assert at not in (3 % len(period), 6 % len(period))
+            return period[:at] + bytes((moved,)) + period[at + 1:]
 
         query = q(family="UU", w=2, p_values=(1,), n_max=n_max, m_max=10, m_min=2)
         lost = [(1, 12, 3), (1, 12, 6)]
         assert all(pair in [row[:3] for row in found_rows(query)] for pair in lost)
-        monkeypatch.setattr(seqmod, "residue_stream", bumped)
+        monkeypatch.setattr(seqmod, "residue_period", bumped)
         assert not any(pair in [row[:3] for row in found_rows(query)] for pair in lost)
 
     def test_findings_do_not_depend_on_the_caches(self):

@@ -37,52 +37,6 @@ QUICK_JSON_SHA256 = "ee5641dd5769eb6d887397cdda08f527641610aca4b1bb337bf35cbb032
 QUICK_JSON_BYTES = 30415
 
 
-# One `verify <id> ... --format json` per scope rule: covered, odd-n only,
-# recorded-but-uncounted and each out-of-scope message.  (argv, exit code,
-# SHA-256 of stdout.)
-SCOPE_GOLDENS = [
-    (("u-5um-square", "--P", "8"), 0,
-     "15ba81be6fc13ba2b54f47fdf68034f9f6e498d3cad6cf75585d9aa51c350237"),
-    (("u-5um-square", "--P", "8", "--parity", "even"), 3,
-     "92fec389361a849e3337922c294768f5e5258a1f00705a37aa46396d0f343b27"),
-    (("u-5um-square", "--P", "8", "--parity", "odd"), 0,
-     "10e1c25ecda5cf63f8467f6e79b9f8cb73caac3826dd43a6256b0bdcd13613a1"),
-    (("u-5um-square", "--P", "18"), 3,
-     "f519076b5ea1e90c6b3cfada06e6f8d444469f7d11f68b4c7f637055c72ebd81"),
-    (("u-5um-square", "--P", "10"), 3,
-     "7eaaed8bdc8f7b927d0f774e0e384bcfbc0a42dc244f6b6ac7326e8fb7cc1a41"),
-    (("u-5um-square", "--P", "2"), 3,
-     "3e22ca8f9462251b5d462678872a5b814126326b1677768493d630da81d45b4e"),
-    (("u-5um-square", "--P", "4", "--P", "8", "--P", "9"), 0,
-     "3ec4419ec3774c75512ecae5085e4a42d641ec3be075d0aba18547191117dbde"),
-    (("u-5square", "--P", "10"), 3,
-     "9faebf83c1970d7e310d4fa700ae91763187a53b60cc40563f935c5b9ffaa266"),
-    (("u-5square", "--P", "22"), 3,
-     "fe43ef5a3a309933753d2522843a797ba39a76a3a53fefcfdafff065051277de"),
-    (("u-5square", "--P", "4"), 0,
-     "24a8a1b65cd00639b697cbf806b07159a8bc7ebcf9d54fb0edc9a909aaccf35d"),
-    (("v-5square", "--P", "10"), 3,
-     "7bb3c3f4a1796f2dd033c111bf3bac30b6fa2072773776b9b874248cb5ba4902"),
-    (("v-5square", "--P-max", "30"), 3,
-     "b871b6df039767b4736e26009d7131befc8bc2d158722397d296a388cee1f836"),
-    (("v-square", "--P", "2"), 3,
-     "42e5e90a56dc7d3524dd5abaef3612854b89cc4762d765b838b1791a1ea57057"),
-    (("v-2square", "--P-max", "6"), 3,
-     "cfe7e6f3353d57e2a6651ebc047cae348c5ecb51fa87dfca6d1dff160f673207"),
-    (("v-vm-square", "--P", "4"), 3,
-     "473c985ec0b5a77d13a7578f04e66a2d9905ca59c7ef0f9743ba850ec2ed8ede"),
-    (("v-2vm-square", "--P", "4"), 3,
-     "b3cf876674c968c2fd3f2a2ed58dfda54c8124f5bbb3d85d5b1a3315ef7938f8"),
-    (("u-2um-square", "--P", "6"), 3,
-     "a67b8b62c6720ea7084e04405879f363da0baa99363941c1137e200c8d1798f6"),
-    (("v-5vm-square", "--P-max", "8"), 0,
-     "4f0e6ea4f16e70ee31b51d98ed92801c90d16223fa949eda3d966852af1c4651"),
-    (("fib-lucas-squares", "--P", "2"), 3,
-     "7c40383eec3f8b6e139b9ce78ea72d560caf4f3a0c559496e83bc34cf3aa64e5"),
-    (("u-wsquare", "--P", "3", "--parity", "odd"), 0,
-     "79e198b1842c0443f36e09c616038b740f278c634b0f40eb99b17ff6a6070754"),
-]
-
 # `solve` argv with an option of another equation, and the option the error
 # line names: the first such option in the order the handler checks them.
 FOREIGN_SOLVE_OPTIONS = [
@@ -507,13 +461,6 @@ class TestVerify:
         assert code == 0
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             QUICK_JSON_SHA256, QUICK_JSON_BYTES)
-
-    @pytest.mark.parametrize("argv, exit_code, sha256", SCOPE_GOLDENS,
-                             ids=[" ".join(argv) for argv, _, _ in SCOPE_GOLDENS])
-    def test_scope_rule_golden(self, capsys, argv, exit_code, sha256):
-        code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
-        assert (code, err) == (exit_code, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "v-2square", "--format", "csv")

@@ -29,7 +29,7 @@ EXPORTED = {
                  "check_shift_u_mod_u", "check_shift_u_mod_v", "check_shift_v_mod_u",
                  "check_shift_v_mod_v", "check_v5n_factor", "check_v_mod8_class"),
     sequences: ("INDEX_LIMIT", "IndexedPair", "ModularPair", "SequenceParams", "pair_at",
-                "pair_mod", "residue_range", "residue_stream", "seq_range", "u", "u_mod",
+                "pair_mod", "residue_period", "residue_range", "seq_range", "u", "u_mod",
                 "v", "v_mod"),
 }
 

@@ -15,8 +15,8 @@ from lucassquares import (
     SequenceParams,
     pair_at,
     pair_mod,
+    residue_period,
     residue_range,
-    residue_stream,
     seq_range,
     u,
     u_mod,
@@ -409,21 +409,23 @@ class TestResiduePeriod:
 
 
 class TestResidueStream:
+    """The residue stream as the search reads it: `residue_period` tiled."""
+
     @pytest.mark.parametrize("q", (1, -1))
     def test_matches_residue_range_over_three_periods(self, q):
         # Every sieve modulus and every class of P mod it, U and V apart:
-        # each stream, repeated from one cached period of its own
-        # recurrence, is the recurrence's stream of that sequence for three
+        # each period, one cached period of its own recurrence from n = 0,
+        # repeated, is the recurrence's stream of that sequence for three
         # of its own periods.
         for side, sequence in enumerate("UV"):
             for modulus in SIEVE_MODULI:
                 for p in range(modulus, 2 * modulus):
                     params = SequenceParams(p, q)
-                    period = len(sequences._residue_period(modulus, p % modulus, q, sequence))
-                    assert period <= 388
-                    n_hi = 3 * period + 2
-                    got = residue_stream(params, n_hi, modulus, sequence)
-                    assert len(got) == n_hi + 1
+                    period = residue_period(params, modulus, sequence)
+                    assert period == sequences._residue_period(modulus, p % modulus, q, sequence)
+                    assert len(period) <= 388
+                    n_hi = 3 * len(period) + 2
+                    got = (period * (n_hi // len(period) + 1))[:n_hi + 1]
                     want = [pair[side] for pair in residue_range(params, 0, n_hi, modulus)]
                     assert list(got) == want, (sequence, modulus, p)
 
@@ -433,27 +435,29 @@ class TestResidueStream:
         for modulus in SIEVE_MODULI + (2, 256):
             for p in (3, 4, 50, 99, 2 * modulus + 1):
                 params = SequenceParams(p, q)
-                us = residue_stream(params, 1000, modulus, "U")
-                vs = residue_stream(params, 1000, modulus, "V")
+                us = residue_period(params, modulus, "U")
+                vs = residue_period(params, modulus, "V")
                 for n in rng.sample(range(1001), 25) + [0, 1, 1000]:
                     res = pair_mod(params, n, modulus)
-                    assert (us[n], vs[n]) == (res.u_res, res.v_res), (modulus, p, n)
-                # n_hi = 1 is shorter than one period unless P = 0 mod the
-                # modulus and Q = 1, where U repeats 0, 1 with period 2.
-                short = (residue_stream(params, 1, modulus, "U"),
-                         residue_stream(params, 1, modulus, "V"))
-                assert short == (us[:2], vs[:2]) == (bytes([0, 1 % modulus]),
-                                                     bytes([2 % modulus, p % modulus]))
+                    assert (us[n % len(us)], vs[n % len(vs)]) == (res.u_res, res.v_res), (
+                        modulus, p, n)
+                # Each period starts at n = 0: tiled, its first two bytes
+                # are X_0 and X_1 (a V period can be one byte, as at P = 2
+                # mod the modulus with Q = -1).
+                assert ((us * 2)[:2], (vs * 2)[:2]) == (bytes([0, 1 % modulus]),
+                                                        bytes([2 % modulus, p % modulus]))
 
     def test_bad_arguments(self):
-        assert residue_stream(P5, 0, 7, "U") == b"\x00"
-        assert residue_stream(P5, 0, 7, "V") == b"\x02"
-        for n_hi, modulus in ((-1, 7), (5, 1), (5, 257), (INDEX_LIMIT, 7)):
-            with pytest.raises(ValueError):
-                residue_stream(P5, n_hi, modulus, "U")
+        # U_n(5, 1) and V_n(5, 1) mod 7 repeat with period 6.
+        assert residue_period(P5, 7, "U") == bytes(u_mod(P5, n, 7) for n in range(6))
+        assert residue_period(P5, 7, "V") == bytes(v_mod(P5, n, 7) for n in range(6))
+        assert [(u_mod(P5, n, 7), v_mod(P5, n, 7)) for n in (6, 7)] == [(0, 2), (1, 5)]
+        for modulus in (1, 0, -7, 257, 7.0, "7", None, True):
+            with pytest.raises(ValueError, match="modulus"):
+                residue_period(P5, modulus, "U")
         for sequence in ("W", "u", "UV", None):
             with pytest.raises(ValueError, match="sequence must be 'U' or 'V'"):
-                residue_stream(P5, 5, 7, sequence)
+                residue_period(P5, 7, sequence)
 
 
 class TestImmutability:
