@@ -30,11 +30,42 @@ from lucassquares import (
     v,
 )
 from lucassquares.cli import main, report_to_dict
+from make_cli_golden import TABLE
+
+CLI_GOLDEN = json.loads(TABLE.read_text(encoding="utf-8"))
 
 # `lucassq verify all --profile quick --format json`: any change to a
 # report's findings, notes or layout moves this digest.
 QUICK_JSON_SHA256 = "ee5641dd5769eb6d887397cdda08f527641610aca4b1bb337bf35cbb032fd8ee"
 QUICK_JSON_BYTES = 30415
+
+
+# One `verify <id> ... --format json` per scope rule: covered, odd-n only,
+# recorded-but-uncounted and each out-of-scope message.  Their exit codes
+# and stdout digests are the entries of the CLI golden table
+# (tests/cli_golden.json), re-pinned by tests/make_cli_golden.py.
+SCOPE_RULE_ARGV = [
+    ("u-5um-square", "--P", "8"),
+    ("u-5um-square", "--P", "8", "--parity", "even"),
+    ("u-5um-square", "--P", "8", "--parity", "odd"),
+    ("u-5um-square", "--P", "18"),
+    ("u-5um-square", "--P", "10"),
+    ("u-5um-square", "--P", "2"),
+    ("u-5um-square", "--P", "4", "--P", "8", "--P", "9"),
+    ("u-5square", "--P", "10"),
+    ("u-5square", "--P", "22"),
+    ("u-5square", "--P", "4"),
+    ("v-5square", "--P", "10"),
+    ("v-5square", "--P-max", "30"),
+    ("v-square", "--P", "2"),
+    ("v-2square", "--P-max", "6"),
+    ("v-vm-square", "--P", "4"),
+    ("v-2vm-square", "--P", "4"),
+    ("u-2um-square", "--P", "6"),
+    ("v-5vm-square", "--P-max", "8"),
+    ("fib-lucas-squares", "--P", "2"),
+    ("u-wsquare", "--P", "3", "--parity", "odd"),
+]
 
 
 # `solve` argv with an option of another equation, and the option the error
@@ -461,6 +492,15 @@ class TestVerify:
         assert code == 0
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             QUICK_JSON_SHA256, QUICK_JSON_BYTES)
+
+    @pytest.mark.parametrize("argv", SCOPE_RULE_ARGV,
+                             ids=[" ".join(argv) for argv in SCOPE_RULE_ARGV])
+    def test_scope_rule_golden(self, capsys, argv):
+        full = ["verify", *argv, "--format", "json"]
+        (entry,) = [e for e in CLI_GOLDEN if e["argv"] == full]
+        code, out, err = run_cli(capsys, *full)
+        assert (code, err) == (entry["exit"], "")
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "v-2square", "--format", "csv")
