@@ -57,10 +57,10 @@ backs this up in the test suite.
 and six identity sweeps, each with a consistent / counterexample verdict.
 
 Each report is one registry record: `_CLASSIFICATIONS` holds a
-classification's family, covered w, summary, per-P scope rule,
-predicted-set generator and default box, and `_SWEEPS` a sweep's summary
-and its `run(profile)`, which calls the sweep by keyword.  The functions
-below read the records and never branch on a report id.
+classification's searched (family, w) pairs, summary, scope rule of P,
+predicted set of P and default box, and `_SWEEPS` a sweep's summary and
+its `run(profile)`, which calls the sweep by keyword.  The functions below
+read the records and never branch on a report id.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ OUT_OF_SCOPE = "out_of_predicted_scope"
 
 class OutOfScopeError(Exception):
     """A query leaves the hypotheses a classification covers: raised by the
-    scope rules, caught by `verify_theorem` (as a report) and `_covers`."""
+    scope rules with the reason alone, caught by `verify_theorem` (as a
+    report whose notes put the report id before the reason) and `_covers`."""
 
 
 # The largest w a query takes: its square-free check trial-divides by every
@@ -504,60 +505,56 @@ ODD_N = "odd-n"          # covered for odd n only
 UNCOUNTED = "uncounted"  # searched; findings there are recorded, not counted
 
 
-def _all_p(theorem_id: str, p: int) -> str:
+def _all_p(p: int) -> str:
     return ANY_N
 
 
-def _odd_p(theorem_id: str, p: int) -> str:
+def _odd_p(p: int) -> str:
     if p % 2 == 0:
-        raise OutOfScopeError(f"{theorem_id} is stated for odd P; query includes P = {p}")
+        raise OutOfScopeError(f"is stated for odd P; query includes P = {p}")
     return ANY_N
 
 
-def _fib_lucas_p(theorem_id: str, p: int) -> str:
+def _fib_lucas_p(p: int) -> str:
     if p != 1:
-        raise OutOfScopeError(
-            "fib-lucas-squares is about Fibonacci and Lucas numbers; P must be exactly (1,)")
+        raise OutOfScopeError("is about Fibonacci and Lucas numbers; P must be exactly (1,)")
     return ANY_N
 
 
-def _v_5square_p(theorem_id: str, p: int) -> str:
+def _v_5square_p(p: int) -> str:
     # When 5 does not divide P, 5 never divides V_n: no solutions, any parity.
     if p % 10 == 0:
-        raise OutOfScopeError(
-            f"v-5square does not cover even P divisible by 5 (query includes P = {p})")
+        raise OutOfScopeError(f"does not cover even P divisible by 5 (query includes P = {p})")
     return ANY_N
 
 
-def _u_5square_p(theorem_id: str, p: int) -> str:
+def _u_5square_p(p: int) -> str:
     if p % 2:
         return ANY_N
     if p % 5 == 0:
-        raise OutOfScopeError(
-            f"u-5square does not cover even P divisible by 5 (query includes P = {p})")
+        raise OutOfScopeError(f"does not cover even P divisible by 5 (query includes P = {p})")
     if p * p % 5 == 4:
         raise OutOfScopeError(
-            "u-5square does not cover even P with P**2 = -1 (mod 5): "
+            "does not cover even P with P**2 = -1 (mod 5): "
             f"solutions exist there (e.g. P = 2); query includes P = {p}")
     return UNCOUNTED
 
 
-def _u_5um_square_p(theorem_id: str, p: int) -> str:
+def _u_5um_square_p(p: int) -> str:
     if p % 2 or p * p % 5 == 1:
         return ANY_N
     if p % 5 == 0:
-        raise OutOfScopeError(
-            f"u-5um-square does not cover even P divisible by 5 (P = {p})")
+        raise OutOfScopeError(f"does not cover even P divisible by 5 (P = {p})")
     if p % 4:
         raise OutOfScopeError(
-            f"u-5um-square does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = {p})")
+            f"does not cover P = 2 (mod 4) with P**2 = -1 (mod 5) (P = {p})")
     return ODD_N
 
 
-# Predicted-set generators: (P values, (family, w) pairs) -> raw
-# (family, P, n, m, w, x) tuples, clipped to the query box afterwards.
+# Predicted-set generators: P values -> raw (family, P, n, m, w, x) tuples
+# over every searched (family, w), clipped to the query box afterwards.
 
-def _no_solutions(p_values: tuple[int, ...], combos) -> list[tuple]:
+def _no_solutions(p_values: tuple[int, ...]) -> list[tuple]:
     return []
 
 
@@ -574,11 +571,10 @@ _U_WSQUARE_SPORADIC = (
 )
 
 
-def _pred_u_wsquare(p_values: tuple[int, ...], combos) -> list[tuple]:
-    ws = [w for _, w in combos]
+def _pred_u_wsquare(p_values: tuple[int, ...]) -> list[tuple]:
     raw = []
     for p in p_values:
-        for w in ws:
+        for w in (1, 2, 3, 6):
             if w == 1:
                 raw.append(("U", p, 1, None, 1, 1))
             x = arith.square_witness(p, w)
@@ -588,9 +584,7 @@ def _pred_u_wsquare(p_values: tuple[int, ...], combos) -> list[tuple]:
                 x = arith.square_witness(p * p + 1, 2)
                 if x:
                     raw.append(("U", p, 3, None, 2, x))
-    for p, n, w, x in _U_WSQUARE_SPORADIC:
-        if w in ws:
-            raw.append(("U", p, n, None, w, x))
+    raw.extend(("U", p, n, None, w, x) for p, n, w, x in _U_WSQUARE_SPORADIC)
     return raw
 
 
@@ -605,14 +599,14 @@ _FIB_LUCAS_TABLE = {
 }
 
 
-def _pred_fib_lucas(p_values: tuple[int, ...], combos) -> list[tuple]:
+def _pred_fib_lucas(p_values: tuple[int, ...]) -> list[tuple]:
     return [(family, 1, n, None, w, x)
-            for family, w in combos for n, x in _FIB_LUCAS_TABLE[(family, w)]]
+            for (family, w), solutions in _FIB_LUCAS_TABLE.items() for n, x in solutions]
 
 
 def _pred_5square(family: str, n: int, extra: tuple = ()):
     """X_n = 5*x**2 at P = 5*square, plus the `extra` raw solutions."""
-    def predict(p_values: tuple[int, ...], combos) -> list[tuple]:
+    def predict(p_values: tuple[int, ...]) -> list[tuple]:
         return [(family, p, n, None, 5, x) for p in p_values
                 if p % 5 == 0 and (x := arith.square_witness(p, 5))] + list(extra)
     return predict
@@ -622,18 +616,18 @@ def _pred_5square(family: str, n: int, extra: tuple = ()):
 class _Classification:
     """Everything one classification report states, in one place.
 
-    `scope(theorem_id, P)` returns ANY_N, ODD_N or UNCOUNTED for a covered
-    P and raises OutOfScopeError for any other.
+    `searched` lists the (family, w) pairs the report searches.  A report
+    with one pair covers only queries of that family and w; a multiplexed
+    one, with more, searches all its pairs whatever the query's own family
+    and w, and says so in `notes`.  `scope(P)` returns ANY_N, ODD_N or
+    UNCOUNTED for a covered P and raises OutOfScopeError for any other, and
+    `predict(P values)` gives the predicted solutions over every pair.
     """
 
-    family: str
-    ws: tuple[int, ...]            # the covered w
+    searched: tuple[tuple[str, int], ...]
     summary: str
-    scope: Callable[[str, int], str]
-    predict: Callable[[tuple[int, ...], tuple], list[tuple]] = _no_solutions
-    # A multiplexed report searches these (family, w) pairs whatever the
-    # query's own family and w, and says so in `notes`.
-    searched: tuple[tuple[str, int], ...] = ()
+    scope: Callable[[int], str]
+    predict: Callable[[tuple[int, ...]], list[tuple]] = _no_solutions
     notes: str = ""
     # The ODD_N class as named in out-of-scope messages and in notes.
     odd_n: tuple[str, str] = ("", "")
@@ -647,56 +641,54 @@ class _Classification:
 
 _CLASSIFICATIONS = {
     "u-wsquare": _Classification(
-        "U", (1, 2, 3, 6),
+        (("U", 1), ("U", 2), ("U", 3), ("U", 6)),
         "U_n = w*x**2 for w in {1,2,3,6}: n <= 2 boundary, the "
         "P**2+1 = 2x**2 family at n = 3, and seven sporadic solutions",
         _all_p, _pred_u_wsquare,
-        searched=(("U", 1), ("U", 2), ("U", 3), ("U", 6)),
         notes="w in {1, 2, 3, 6} searched (the query's own w is not restrictive here)"),
     "fib-lucas-squares": _Classification(
-        "U", (1, 2, 5, 10),
+        tuple(_FIB_LUCAS_TABLE),
         "Fibonacci and Lucas square classes: F_n = x**2, 2x**2, "
         "5x**2, 10x**2 and L_n = x**2, 2x**2 (positive n)",
         _fib_lucas_p, _pred_fib_lucas,
-        searched=tuple(_FIB_LUCAS_TABLE),
         notes="searched F_n = w*x**2 for w in {1, 2, 5, 10} and L_n = w*x**2 for w in {1, 2}",
         min_n_max=1000),
     "v-square": _Classification(
-        "V", (1,),
+        (("V", 1),),
         "V_n = x**2 (odd P): n = 1 iff P is a square, plus (P,n) = (1,3), (3,3)",
         _odd_p,
-        lambda p_values, _: [("V", p, 1, None, 1, arith.isqrt(p))
-                             for p in p_values if arith.is_square(p)]
+        lambda p_values: [("V", p, 1, None, 1, arith.isqrt(p))
+                          for p in p_values if arith.is_square(p)]
         + [("V", 1, 3, None, 1, 2), ("V", 3, 3, None, 1, 6)]),
     "v-2square": _Classification(
-        "V", (2,), "V_n = 2*x**2 (odd P): exactly (P,n) = (1,6) and (5,6)",
-        _odd_p, lambda p_values, _: [("V", 1, 6, None, 2, 3), ("V", 5, 6, None, 2, 99)]),
+        (("V", 2),), "V_n = 2*x**2 (odd P): exactly (P,n) = (1,6) and (5,6)",
+        _odd_p, lambda p_values: [("V", 1, 6, None, 2, 3), ("V", 5, 6, None, 2, 99)]),
     "v-vm-square": _Classification(
-        "VV", (1,), "V_n = V_m*x**2 (odd P): no solutions with n != m", _odd_p),
+        (("VV", 1),), "V_n = V_m*x**2 (odd P): no solutions with n != m", _odd_p),
     "v-2vm-square": _Classification(
-        "VV", (2,), "V_n = 2*V_m*x**2 (odd P): no solutions", _odd_p),
+        (("VV", 2),), "V_n = 2*V_m*x**2 (odd P): no solutions", _odd_p),
     "u-2um-square": _Classification(
-        "UU", (2,),
+        (("UU", 2),),
         "U_n = 2*U_m*x**2 (odd P, m >= 2): only (P,n,m) = (5,12,6) "
         "plus the P = 1 pair (1,12,3) and (1,12,6)",
         _odd_p,
-        lambda p_values, _: [("UU", 1, 12, 3, 2, 6), ("UU", 1, 12, 6, 2, 3),
-                             ("UU", 5, 12, 6, 2, 99)],
+        lambda p_values: [("UU", 1, 12, 3, 2, 6), ("UU", 1, 12, 6, 2, 3),
+                          ("UU", 5, 12, 6, 2, 99)],
         m_min=2),
     # The scope also covers even P prime to 5, but the default box stays odd.
     "v-5square": _Classification(
-        "V", (5,), "V_n = 5*x**2: n = 1 iff P = 5*square (odd P; impossible unless 5 | P)",
+        (("V", 5),), "V_n = 5*x**2: n = 1 iff P = 5*square (odd P; impossible unless 5 | P)",
         _v_5square_p, _pred_5square("V", 1), default_parity="odd"),
     "v-5vm-square": _Classification(
-        "VV", (5,), "V_n = 5*V_m*x**2: no solutions for any P", _all_p),
+        (("VV", 5),), "V_n = 5*V_m*x**2: no solutions for any P", _all_p),
     "u-5square": _Classification(
-        "U", (5,),
+        (("U", 5),),
         "U_n = 5*x**2: n = 2 iff P = 5*square (odd P, 5 | P); only "
         "(P,n) = (1,5) when P**2 = 1 (mod 5); none when P**2 = -1 (odd P)",
         _u_5square_p, _pred_5square("U", 2, extra=(("U", 1, 5, None, 5, 1),)),
         uncounted="findings at even P (case unproven there; recorded, not counted)"),
     "u-5um-square": _Classification(
-        "UU", (5,), "U_n = 5*U_m*x**2: no solutions in the covered P classes",
+        (("UU", 5),), "U_n = 5*U_m*x**2: no solutions in the covered P classes",
         _u_5um_square_p,
         odd_n=("P = 0 (mod 4) with P**2 = -1 (mod 5)", "P = 0 mod 4, P**2 = -1 mod 5"),
         m_min=2),
@@ -753,28 +745,25 @@ def _classification(theorem_id: str) -> _Classification:
     return _CLASSIFICATIONS[theorem_id]
 
 
-def _scopes(theorem_id: str, entry: _Classification,
-            query: SquareClassQuery) -> dict[int, str]:
+def _scopes(entry: _Classification, query: SquareClassQuery) -> dict[int, str]:
     """The scope of each queried P; raises OutOfScopeError if the query is uncovered.
 
-    A multiplexed report searches its own (family, w) pairs, so only the
-    others check the query's family and w.  A P covered for odd n only
-    refuses n_parity='even'; with n unrestricted, `verify_theorem` drops the
-    findings with even n there.
+    A multiplexed report searches its own (family, w) pairs, so only a
+    report with one pair checks the query's family and w against it.  A P
+    covered for odd n only refuses n_parity='even'; with n unrestricted,
+    `verify_theorem` drops the findings with even n there.
     """
-    if not entry.searched:
-        if query.family != entry.family:
-            raise OutOfScopeError(f"{theorem_id} classifies the {entry.family} family; "
-                                  f"query is for {query.family}")
-        if query.w not in entry.ws:
-            raise OutOfScopeError(
-                f"{theorem_id} covers w in {set(entry.ws)}; query has w = {query.w}")
+    if len(entry.searched) == 1:
+        ((family, w),) = entry.searched
+        if query.family != family:
+            raise OutOfScopeError(f"classifies the {family} family; query is for {query.family}")
+        if query.w != w:
+            raise OutOfScopeError(f"covers w in {{{w}}}; query has w = {query.w}")
     scopes = {}
     for p in query.p_values:
-        scopes[p] = scope = entry.scope(theorem_id, p)
+        scopes[p] = scope = entry.scope(p)
         if scope == ODD_N and query.n_parity == "even":
-            raise OutOfScopeError(
-                f"{theorem_id} covers {entry.odd_n[0]} only for odd n (P = {p})")
+            raise OutOfScopeError(f"covers {entry.odd_n[0]} only for odd n (P = {p})")
     return scopes
 
 
@@ -806,31 +795,6 @@ def _box_text(query: SquareClassQuery) -> str:
     return text
 
 
-def _diff_report(theorem_id: str, query: SquareClassQuery,
-                 predicted: list[SquareClassFinding],
-                 found: list[SquareClassFinding],
-                 extra_notes: str, uncounted: set[int], uncounted_label: str,
-                 ) -> TheoremReport:
-    pset, fset = set(predicted), set(found)
-    missing = sorted(pset - fset, key=_finding_key)
-    unexpected = sorted(fset - pset, key=_finding_key)
-    flagged = [f for f in unexpected if f.P in uncounted]
-    unexpected = [f for f in unexpected if f.P not in uncounted]
-    parts = [_box_text(query),
-             f"found {len(found)}, predicted {len(predicted)}"]
-    if extra_notes:
-        parts.append(extra_notes)
-    if missing:
-        parts.append("missing predicted: " + ", ".join(map(_render_finding, missing)))
-    if unexpected:
-        parts.append("unexpected findings: " + ", ".join(map(_render_finding, unexpected)))
-    if flagged:
-        parts.append(f"{uncounted_label}: " + ", ".join(map(_render_finding, flagged)))
-    verdict = CONSISTENT if not missing and not unexpected else COUNTEREXAMPLE
-    return TheoremReport(theorem_id, query, tuple(predicted), tuple(found),
-                         verdict, "; ".join(parts))
-
-
 def verify_theorem(theorem_id: str, query: SquareClassQuery,
                    jobs: int = 1) -> TheoremReport:
     """Search the box once per searched (family, w), compute the predicted
@@ -843,24 +807,36 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
     """
     _check_jobs(jobs)
     entry = _classification(theorem_id)
-    combos = entry.searched or ((query.family, query.w),)
     try:
-        scopes = _scopes(theorem_id, entry, query)
-        predicted = _clip(query, entry.predict(query.p_values, combos))
+        scopes = _scopes(entry, query)
+        predicted = _clip(query, entry.predict(query.p_values))
     except OutOfScopeError as err:
-        return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, str(err))
-    notes = entry.notes
-    odd_only = [p for p in query.p_values if scopes[p] == ODD_N]
-    if odd_only and query.n_parity is None:
-        notes = (f"P values {odd_only} ({entry.odd_n[1]}) searched for odd n only; "
-                 "even n is uncovered there")
-    found = [finding for family, w in combos
+        return TheoremReport(theorem_id, query, (), (), OUT_OF_SCOPE, f"{theorem_id} {err}")
+    found = [finding for family, w in entry.searched
              for finding in search(replace(query, family=family, w=w), jobs=jobs)
              if finding.n % 2 or scopes[finding.P] != ODD_N]
     found.sort(key=_finding_key)
-    uncounted = {p for p, scope in scopes.items() if scope == UNCOUNTED}
-    return _diff_report(theorem_id, query, predicted, found, notes,
-                        uncounted, entry.uncounted)
+    parts = [_box_text(query), f"found {len(found)}, predicted {len(predicted)}"]
+    odd_only = [p for p in query.p_values if scopes[p] == ODD_N]
+    if odd_only and query.n_parity is None:
+        parts.append(f"P values {odd_only} ({entry.odd_n[1]}) searched for odd n only; "
+                     "even n is uncovered there")
+    elif entry.notes:
+        parts.append(entry.notes)
+    pset, fset = set(predicted), set(found)
+    missing = sorted(pset - fset, key=_finding_key)
+    unexpected = sorted(fset - pset, key=_finding_key)
+    flagged = [f for f in unexpected if scopes[f.P] == UNCOUNTED]
+    unexpected = [f for f in unexpected if scopes[f.P] != UNCOUNTED]
+    if missing:
+        parts.append("missing predicted: " + ", ".join(map(_render_finding, missing)))
+    if unexpected:
+        parts.append("unexpected findings: " + ", ".join(map(_render_finding, unexpected)))
+    if flagged:
+        parts.append(f"{entry.uncounted}: " + ", ".join(map(_render_finding, flagged)))
+    verdict = CONSISTENT if not missing and not unexpected else COUNTEREXAMPLE
+    return TheoremReport(theorem_id, query, tuple(predicted), tuple(found),
+                         verdict, "; ".join(parts))
 
 
 # --------------------------------------------------------------------------
@@ -901,8 +877,8 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
     index 2mn + r the grid reads.  The table grows as idx_max**4 * log P
     digits: about 230 KiB at P = 25, idx_max = 12 (the full profile), and
     14 MiB at P = 25, idx_max = 40.  The spot checks pass no values and run
-    on modular doubling, which keeps the recurrence and doubling paths
-    cross-checked against each other.
+    on the modular V ladder (`sequences.u_mod`/`v_mod`), which keeps the
+    recurrence and the ladder cross-checked against each other.
     """
     signed = [i for i in range(-idx_max, idx_max + 1) if i != 0]
     rs = range(-idx_max, idx_max + 1)
@@ -1083,9 +1059,9 @@ def _profile(profile: str | Profile) -> Profile:
         raise ValueError(f"unknown profile {profile!r}; valid: quick, full") from None
 
 
-def _covers(entry: _Classification, theorem_id: str, p: int) -> bool:
+def _covers(entry: _Classification, p: int) -> bool:
     try:
-        entry.scope(theorem_id, p)
+        entry.scope(p)
     except OutOfScopeError:
         return False
     return True
@@ -1097,9 +1073,10 @@ def default_query(theorem_id: str, profile: str | Profile = "quick",
     prof = _profile(profile)
     entry = _classification(theorem_id)
     p_values = tuple(p for p in p_range(prof.p_max, parity=entry.default_parity)
-                     if _covers(entry, theorem_id, p))
-    m_max = prof.n_max // 2 if entry.family in ("UU", "VV") else None
-    return SquareClassQuery(entry.family, entry.ws[0], p_values,
+                     if _covers(entry, p))
+    family, w = entry.searched[0]
+    m_max = prof.n_max // 2 if family in ("UU", "VV") else None
+    return SquareClassQuery(family, w, p_values,
                             max(prof.n_max, entry.min_n_max),
                             m_max=m_max, m_min=entry.m_min)
 

@@ -467,8 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        # A search cell holds residue bytes for every index up to --nmax, and
-        # `seq` every row of its span, so it is the box that did not fit.
+        # A one-term search cell tiles about --nmax bytes of marks per modulus,
+        # a two-term cell holds 16 bytes of character lanes per index, and
+        # `seq` every row of its span: it is the box that did not fit.
         print("error: out of memory: the box is too large to hold; ask for a smaller "
               "--nmax, fewer P values or a shorter span", file=sys.stderr)
         return EXIT_USAGE

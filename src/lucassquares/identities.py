@@ -8,9 +8,9 @@ complete, witnessed record.  Congruences are compared after reduction into
 The checks cover four groups:
 
 - shift congruences: U and V at index 2*m*n + r reduced mod U_m or V_m,
-  with the parity-derived sign, from doubling or from exact values the
-  caller supplies (`values=`).  The four public checks are built by one
-  factory, so each runs as a single function;
+  with the parity-derived sign, from the modular V ladder (`u_mod`,
+  `v_mod`) or from exact values the caller supplies (`values=`).  The four
+  public checks are built by one factory, so each runs as a single function;
 - product identities: the doubling, tripling, and quintupling formulas and
   the discriminant identity V_n**2 - (P**2+4)*U_n**2 = 4*(-1)**n (Q = 1),
   plus the Q = -1 tripling companion and the factor law for V_{5n} when
@@ -115,8 +115,9 @@ def _shift_check(name: str, check_id: str, mod_from_v: bool, value_is_v: bool,
     for a U-modulus and (-1)**((m+1)*n) for a V-modulus.
 
     Without `values`, Y_m and X_r are evaluated exactly and X_{2mn+r} by
-    modular doubling at k = |2mn+r|.  A negative index then takes the Q = 1
-    law U_{-k} = (-1)**(k+1) * U_k, V_{-k} = (-1)**k * V_k as one negation.
+    the modular V ladder (`sequences.u_mod`/`v_mod`) at k = |2mn+r|.  A
+    negative index then takes the Q = 1 law U_{-k} = (-1)**(k+1) * U_k,
+    V_{-k} = (-1)**k * V_k as one negation.
     With `values` (index -> IndexedPair, covering m, r and 2mn+r), the three
     exact values are read from it and reduced.
     """
@@ -397,7 +398,7 @@ def check_divisibility_by_5_and_3(params: SequenceParams, n: int) -> CheckOutcom
 
 
 def check_lucas_pow2_mod4(k: int) -> CheckOutcome:
-    """L_{2**k} = 3 (mod 4) for k >= 1, via modular doubling only."""
+    """L_{2**k} = 3 (mod 4) for k >= 1, via the modular V ladder (`sequences.v_mod`) only."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= 63:

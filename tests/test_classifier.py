@@ -854,11 +854,25 @@ class TestPredictedSets:
                          q(family="VV", w=5, p_values=(2, 3, 4), n_max=40,
                            m_max=20)) == []
 
-    def test_wrong_family_or_w_is_out_of_scope(self):
-        assert refusal("v-square", q(family="U", w=1, p_values=(1,), n_max=10)) == (
-            "v-square classifies the V family; query is for U")
-        assert refusal("v-square", q(family="V", w=3, p_values=(1,), n_max=10)) == (
-            "v-square covers w in {1}; query has w = 3")
+    @pytest.mark.parametrize("theorem_id, family, w", [
+        ("v-square", "V", 1), ("v-2square", "V", 2), ("v-vm-square", "VV", 1),
+        ("v-2vm-square", "VV", 2), ("u-2um-square", "UU", 2), ("v-5square", "V", 5),
+        ("v-5vm-square", "VV", 5), ("u-5square", "U", 5), ("u-5um-square", "UU", 5),
+    ])
+    def test_wrong_family_or_w_is_out_of_scope(self, theorem_id, family, w):
+        # A report with one (family, w) pair refuses every other family and
+        # every other w, whatever the box; P = 1 is in every such scope.
+        def box(family, w):
+            return q(family=family, w=w, p_values=(1,), n_max=10,
+                     m_max=5 if family in ("UU", "VV") else None)
+
+        assert verify_theorem(theorem_id, box(family, w)).verdict == "consistent"
+        for other in [f for f in ("U", "V", "UU", "VV") if f != family]:
+            assert refusal(theorem_id, box(other, w)) == (
+                f"{theorem_id} classifies the {family} family; query is for {other}")
+        for other in [v for v in (1, 2, 3, 5, 6, 10) if v != w]:
+            assert refusal(theorem_id, box(family, other)) == (
+                f"{theorem_id} covers w in {{{w}}}; query has w = {other}")
 
     def test_even_p_gates(self):
         assert refusal("v-square", q(family="V", w=1, p_values=(2,), n_max=10)) == (
@@ -972,6 +986,20 @@ class TestVerifyTheorem:
         assert ("V", 3, 1, 2) in found
         assert ("V", 6, 2, 3) in found
         assert len(report.found) == 9
+
+    @pytest.mark.parametrize("theorem_id, p_values", [
+        ("u-wsquare", (2, 7, 24)), ("fib-lucas-squares", (1,)),
+    ])
+    def test_multiplexed_report_ignores_the_query_family_and_w(self, theorem_id, p_values):
+        # A multiplexed report searches and predicts its own (family, w)
+        # pairs, so a query in a family and w it does not list changes
+        # nothing but the box text of the notes.
+        own, other = (verify_theorem(theorem_id, q(family=family, w=w, p_values=p_values,
+                                                   n_max=50))
+                      for family, w in (("U", 1), ("V", 5)))
+        assert own.verdict == "consistent" and own.found
+        assert (other.predicted, other.found, other.verdict) == (
+            own.predicted, own.found, own.verdict)
 
     def test_even_p_findings_flagged_not_counted(self, monkeypatch):
         phantom = SquareClassFinding("U", 4, 7, None, 5, 3)
