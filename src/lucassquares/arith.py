@@ -19,10 +19,10 @@ each modulus q and class c = w mod q, `_sieve_table` is a 256-byte
 square mod q and to 0 when it cannot, so one `translate` call marks a
 whole one-term stream of residue bytes.  For a prime q, `_character_table`
 maps X_n mod q to its quadratic character as one byte; a two-term search
-packs those of every prime into one 64-bit lane per n and so tests a whole
-run of pairs (X_m, X_n) at once, and it tests the few pairs left mod 64,
-63 and 65 by `_square_residues`.  The tables are built on first use and
-cached.
+packs those of up to 15 primes into one 4-byte lane per n and so tests a
+whole run of pairs (X_m, X_n) at once, and it tests the few pairs left
+mod 64, 63, 65 and the other primes by `_square_residues`.  The tables
+are built on first use and cached.
 """
 
 from __future__ import annotations

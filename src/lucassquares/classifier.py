@@ -37,21 +37,23 @@ as one int, into a survivor mask.  A two-term cell sieves its
 pairs (m, n) in runs: one per m <= s = max(3, isqrt(n_max)), against all
 its n, and one per multiplier k = n / m past s, about 2 * sqrt(n_max) runs
 in all (Dirichlet's hyperbola method, Tenenbaum 1995, §I.3.2).  The
-quadratic characters of X_n mod the primes 11 to 97 share one 64-bit lane
-per n, 2 bits a prime (`arith._character_table`), and those of w * X_n are
-derived from them, so a run tests all its pairs mod all those primes in
-one bulk step on Python ints, SIMD within a register (Fisher and Dietz,
-LCPC 1998); 64, 63 and 65 test the pairs left.  Only the survivors pay
-for `square_witness` or the exact division, which still decide every
-finding.  A one-term cell skips along one `seq_range` stream (the
-benchmark's classify-1term self-check pins one per cell) to each survivor,
-keeping only the term under test; a two-term cell evaluates X_m and X_n by
-doubling, `sequences.pair_at`, at its survivors' indices alone, each index
-once.  Two-term candidates are the divisibility laws'
+quadratic characters of X_n mod the first 15 of the primes 11 to 97 that
+w is prime to share one 4-byte lane per n, 2 bits a prime below the guard
+bit 31 (`arith._character_table`), and those of w * X_n are derived from
+them, so a run tests all its pairs mod those primes in one bulk step on
+Python ints, SIMD within a register (Fisher and Dietz, LCPC 1998); 64, 63,
+65 and the primes past the 15th test the few pairs left, one by one.  A
+prime that divides w passes every pair and is not tested.  Only the
+survivors pay for `square_witness` or the exact division, which still
+decide every finding.  A one-term cell skips along one `seq_range` stream
+(the benchmark's classify-1term self-check pins one per cell) to each
+survivor, keeping only the term under test; a two-term cell evaluates X_m
+and X_n by doubling, `sequences.pair_at`, at its survivors' indices alone,
+each index once.  Two-term candidates are the divisibility laws'
 `identities.divisor_indices` (only V_1 = 2 at P = 2 takes every n), which
 the divisibility sweep checks, and the closed forms U_1 = 1 and
-U_2 = V_1 = P place the unit and that 2; an independent no-pruning search
-backs this up in the test suite.
+U_2 = V_1 = P place the unit and that 2; independent no-pruning searches
+back this up in the test suite and, on larger boxes, in CI.
 
 `verify_all` produces seventeen reports: eleven solution classifications
 and six identity sweeps, each with a consistent / counterexample verdict.
@@ -68,6 +70,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -245,7 +248,7 @@ def _parity_ok(n: int, parity: str | None) -> bool:
 def _marked(mask: int, shift: int) -> Iterator[int]:
     """The j with a bit of `mask` set in [j << shift, (j + 1) << shift), in increasing order.
 
-    Shift 3 reads byte marks (bit 8j), shift 6 lane marks (bit 64j + 63).
+    Shift 3 reads byte marks (bit 8j), shift 5 lane marks (bit 32j + 31).
     """
     while mask:
         low = mask & -mask
@@ -278,93 +281,110 @@ def _survivors(periods: Iterable[bytes], candidates: range,
 # A run is tested in parts of at most this many lanes, so that its int
 # temporaries stay small however long the run is.
 _PART = 1024
-_TOPS = int.from_bytes((2**63).to_bytes(8, "little") * _PART, "little")  # bit 63 of each lane
+# A lane is one 4-byte word: bit 31 guards it, and the 2-bit fields of as
+# many prime owners as fit below the guard, (32 - 1) // 2 = 15, fill bits 0
+# to 29.
+_LANE_BYTES = 4
+_LANE_BITS = 8 * _LANE_BYTES
+_FIELDS = (_LANE_BITS - 1) // 2
+_TOPS = int.from_bytes((1 << _LANE_BITS - 1).to_bytes(_LANE_BYTES, "little") * _PART,
+                       "little")  # bit 31 of each lane
 
 
 class _Lanes(NamedTuple):
-    """A two-term cell's characters mod the prime sieve moduli, one 8-byte lane per n."""
+    """A two-term cell's characters mod its first `_FIELDS` prime owners, one 4-byte lane per n."""
 
-    of_x: memoryview  # X_n's, format "Q", little-endian
-    of_wx: bytes      # w * X_n's, read only in contiguous runs of lanes
-    fields: int       # the low bit of every field, in each of `_PART` lanes
+    of_x: memoryview       # X_n's, format "I", little-endian
+    of_wx: bytes           # w * X_n's, read only in contiguous runs of lanes
+    fields: int            # the low bit of every field, in each of `_PART` lanes
+    tail: tuple[int, ...]  # the owners past the fields, tested pair by pair
 
 
-def _character_lanes(primes: list[tuple[int, bytes]], w: int, count: int) -> _Lanes:
-    """The quadratic characters of X_n and of w * X_n mod the primes, one 64-bit lane per n.
+def _character_lanes(primes: Iterable[int], period: Callable[[int], bytes],
+                     w: int, count: int) -> _Lanes:
+    """The quadratic characters of X_n and of w * X_n mod the primes, one 32-bit lane per n.
 
-    `primes` holds, per prime sieve modulus q, one period of X_n mod q (X_n
-    at byte n % its length), for n = 0 .. count - 1.  In the order given,
-    each q prime to w owns the next 2-bit field of every lane (any other q
-    passes every pair and owns none): `arith._character_table(q)[X_n mod q]`,
-    0, 1 or 2 for zero, a nonzero square or a non-square, from the period
-    translated once and tiled.  The 20 primes 11 to 97 fill at most bits 0
-    to 39.  The lanes of w * X_n are those of X_n with 1 and 2 swapped in the
-    fields where w is a non-square, by a few whole-array int operations.
+    `period(q)` is one period of X_n mod the prime q (X_n at byte n % its
+    length), for n = 0 .. count - 1.  Any q that divides w passes every
+    pair and owns nothing; in the order given, each of the first `_FIELDS`
+    other q owns the next 2-bit field of every lane:
+    `arith._character_table(q)[X_n mod q]`, 0, 1 or 2 for zero, a nonzero
+    square or a non-square, from the period translated once and tiled.  The
+    fields fill at most bits 0 to 29, so each n costs 8 bytes over both lane
+    arrays; the owners past them go to `tail`, and their periods are not
+    read here.  The lanes of w * X_n are those of X_n with 1 and 2 swapped
+    in the fields where w is a non-square, by a few whole-array int
+    operations.
     """
     from_bytes = int.from_bytes
-    owners = [(q, period) for q, period in primes if w % q]
-    packed = bytearray(8 * count)
+    owners = [q for q in primes if w % q]
+    owners, tail = owners[:_FIELDS], tuple(owners[_FIELDS:])
+    packed = bytearray(_LANE_BYTES * count)
     for at in range(0, len(owners), 4):  # four fields to a byte
         byte = 0
-        for i, (q, period) in enumerate(owners[at:at + 4]):
-            marks = period.translate(arith._character_table(q)) * (count // len(period) + 1)
-            byte |= from_bytes(marks[:count], "little") << 2 * i
-        packed[at // 4::8] = byte.to_bytes(count, "little")
-    swapped = sum(1 << 2 * i for i, (q, _) in enumerate(owners)
+        for i, q in enumerate(owners[at:at + 4]):
+            marks = period(q).translate(arith._character_table(q))
+            byte |= from_bytes((marks * (count // len(marks) + 1))[:count], "little") << 2 * i
+        packed[at // 4::_LANE_BYTES] = byte.to_bytes(count, "little")
+    swapped = sum(1 << 2 * i for i, q in enumerate(owners)
                   if not arith._square_residues(q)[w % q])
     if swapped:
         lanes = from_bytes(packed, "little")
         # The low bit of each field to swap: one where w is a non-square, X_n not 0.
-        nonzero = (lanes | lanes >> 1) & from_bytes(swapped.to_bytes(8, "little") * count, "little")
-        of_wx = (lanes ^ nonzero ^ nonzero << 1).to_bytes(8 * count, "little")
+        nonzero = (lanes | lanes >> 1) & from_bytes(
+            swapped.to_bytes(_LANE_BYTES, "little") * count, "little")
+        of_wx = (lanes ^ nonzero ^ nonzero << 1).to_bytes(_LANE_BYTES * count, "little")
     else:
         of_wx = bytes(packed)
-    return _Lanes(memoryview(packed).cast("Q"), of_wx,
-                  sum(1 << 2 * i for i in range(len(owners))) * (_TOPS >> 63))
+    return _Lanes(memoryview(packed).cast("I"), of_wx,
+                  sum(1 << 2 * i for i in range(len(owners))) * (_TOPS >> _LANE_BITS - 1), tail)
 
 
 def _prime_passes(lanes: _Lanes, ms: range, ns: range) -> int:
-    """The pairs of a run whose w * X_m * X_n is a residue mod every prime of `lanes`.
+    """The pairs of a run whose w * X_m * X_n is a residue mod every field of `lanes`.
 
     A run pairs ms[j] with ns[j], or its one m with every n of `ns`, for at
     most `_PART` pairs; `ms` is contiguous.  The w * X_m lanes (one
     repeated, or a slice) XOR the X_n lanes (a strided slice) to 3 in a
     field iff the pair fails mod that prime; `bad` keeps the low bit of each
-    such field.  A lane's `bad` is below 2**63, so 2**63 - bad, which is
-    ~(bad + 2**63 - 1) in the lane, has bit 63 set iff no field is bad, and
-    no borrow crosses lanes.  Pair j passes iff bit 64j + 63 of the result
+    such field.  A lane's `bad` is below 2**30, so 2**31 - bad, which is
+    ~(bad + 2**31 - 1) in the lane, has bit 31 set iff no field is bad, and
+    no borrow crosses lanes.  Pair j passes iff bit 32j + 31 of the result
     is set.
     """
-    of_x, of_wx, fields = lanes
+    of_x, of_wx, fields, _ = lanes
     from_bytes = int.from_bytes
     count = len(ns)
-    x = (from_bytes(of_wx[8 * ms.start:8 * ms.stop] * (count // len(ms)), "little")
-         ^ from_bytes(of_x[ns.start:ns.stop:ns.step], "little"))
+    top = _TOPS >> _LANE_BITS * (_PART - count)  # bit 31 of `count` lanes
+    x = from_bytes(of_wx[_LANE_BYTES * ms.start:_LANE_BYTES * ms.stop], "little")
+    if len(ms) < count:  # one m: its lane times 1 in each of `count` lanes
+        x *= top >> _LANE_BITS - 1
+    x ^= from_bytes(of_x[ns.start:ns.stop:ns.step], "little")
     bad = x & (x >> 1) & fields
-    top = _TOPS >> 64 * (_PART - count)  # bit 63 of `count` lanes
     return (top - bad) & top
 
 
-def _pair_survivors(lanes: _Lanes, periods: list[bytes],
+def _pair_survivors(lanes: _Lanes, period: Callable[[int], bytes],
                     ms: range, ns: range, w: int) -> list[tuple[int, int]]:
     """The pairs (m, n) of a run with w * X_m * X_n a residue mod every sieve modulus.
 
-    The prime moduli test the run by `_prime_passes` on the cell's
-    `_character_lanes`, a longer run in parts of `_PART` pairs; the pairs
-    left are tested mod 64, 63 and 65 on `periods`, X_k at byte k % length.
+    The lanes' fields test the run by `_prime_passes`, a longer run in parts
+    of `_PART` pairs; the pairs left are tested mod 64, 63, 65 and the
+    lanes' `tail` primes in turn, each on `period(q)`, X_k at byte
+    k % length, which is read only once a pair reaches q.
     """
     if len(ns) > _PART:  # then a one-m run has len(ms) == 1 < len(ns)
         return [pair for at in range(0, len(ns), _PART)
-                for pair in _pair_survivors(lanes, periods, ms if len(ms) == 1
+                for pair in _pair_survivors(lanes, period, ms if len(ms) == 1
                                             else ms[at:at + _PART], ns[at:at + _PART], w)]
     passes = _prime_passes(lanes, ms, ns)
     if not passes:  # as for nearly every run
         return []
     repeats = len(ns) // len(ms)  # one m against every n, else 1
-    pairs = [(ms[j // repeats], ns[j]) for j in _marked(passes, 6)]
+    pairs = [(ms[j // repeats], ns[j]) for j in _marked(passes, 5)]
     return [(m, n) for m, n in pairs
             if all(arith._square_residues(q)[w * r[m % len(r)] * r[n % len(r)] % q]
-                   for q, r in zip(arith._SIEVE_MODULI[:3], periods))]
+                   for q in chain(arith._SIEVE_MODULI[:3], lanes.tail) for r in (period(q),))]
 
 
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
@@ -375,27 +395,28 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     `_survivors` for all n of a one-term cell, and by `_pair_survivors` for
     the pairs (m, n) of a two-term cell, one run per m <= s = max(3,
     isqrt(n_max)) and one per multiplier k = n / m past s, on the cell's
-    `_character_lanes`: 16 bytes per n for the characters of X_n and
-    w * X_n mod every prime modulus.  A cell with no survivor reads no
-    exact term.  A two-term cell gets X_m and X_n from `sequences.pair_at`,
-    by doubling, at the survivors' indices only, with a per-cell dict so
-    that a repeated m or n is evaluated once: it holds no prefix of the
-    sequence.  A one-term cell skips along one `seq_range` stream to each
-    survivor in turn, so it reads only as far as the largest and keeps only
-    the term under test.  The benchmark's classify-1term self-check pins
-    that stream (one `seq_range` call per cell); once it counts work done
-    rather than calls, the same `pair_at` reader can replace it.
+    `_character_lanes`: 8 bytes per n for the characters of X_n and
+    w * X_n mod up to 15 prime moduli, the other primes tested pair by
+    pair.  A cell with no survivor reads no exact term.  A two-term cell
+    gets X_m and X_n from `sequences.pair_at`, by doubling, at the
+    survivors' indices only, with a per-cell dict so that a repeated m or n
+    is evaluated once: it holds no prefix of the sequence.  A one-term cell
+    skips along one `seq_range` stream to each survivor in turn, so it reads
+    only as far as the largest and keeps only the term under test.  The
+    benchmark's classify-1term self-check pins that stream (one `seq_range`
+    call per cell); once it counts work done rather than calls, the same
+    `pair_at` reader can replace it.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
     sequence = family[0]  # "U" for U and UU, "V" for V and VV
     take_u = sequence == "U"
     moduli = arith._SIEVE_MODULI
-    # Fetched as the sieve reaches each modulus, and so are a one-term cell's
-    # tables: a sieve whose mask empties early asks for no more of either.
-    periods = (sequences.residue_period(params, q, sequence) for q in moduli)
     out: list[SquareClassFinding] = []
     if family in ("U", "V"):
+        # Fetched as the sieve reaches each modulus, and so are the tables:
+        # a sieve whose mask empties early asks for no more of either.
+        periods = (sequences.residue_period(params, q, sequence) for q in moduli)
         pairs = sequences.seq_range(params, 1, n_max)
         read = 0  # the last index taken from the stream
         step = 1 if n_parity is None else 2
@@ -409,8 +430,10 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
                 out.append(SquareClassFinding(family, P, n, None, w, x))
         return out
 
-    periods = list(periods)  # every run reads each period
-    lanes = _character_lanes(list(zip(moduli[3:], periods[3:])), w, n_max + 1)
+    # X_k mod q at byte k % length, fetched per q: a pointwise modulus's
+    # period is read only once a pair reaches it.
+    period = partial(sequences.residue_period, params, sequence=sequence)
+    lanes = _character_lanes(moduli[3:], period, w, n_max + 1)
     split = max(3, arith.isqrt(n_max))
     runs = []  # (ms, ns): one m each up to the split, one multiplier each past it
     # By the closed forms U_1 = 1 and U_2 = V_1 = P, and U_m >= F_m, V_m >= L_m
@@ -443,7 +466,7 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
         return values[k]
 
     for ms, ns in runs:
-        for m, n in _pair_survivors(lanes, periods, ms, ns, w):
+        for m, n in _pair_survivors(lanes, period, ms, ns, w):
             if not _parity_ok(n, n_parity):
                 continue
             quotient, rem = divmod(value(n), value(m))
@@ -571,10 +594,19 @@ _U_WSQUARE_SPORADIC = (
 )
 
 
+# The (family, w) pairs u-wsquare searches, which its predictions and notes read.
+_U_WSQUARE_SEARCHED = (("U", 1), ("U", 2), ("U", 3), ("U", 6))
+
+
+def _w_set(pairs: Iterable[tuple[str, int]]) -> str:
+    """The w of (family, w) pairs as notes spell them: "{1, 2, 3, 6}"."""
+    return "{" + ", ".join(str(w) for _, w in pairs) + "}"
+
+
 def _pred_u_wsquare(p_values: tuple[int, ...]) -> list[tuple]:
     raw = []
     for p in p_values:
-        for w in (1, 2, 3, 6):
+        for _, w in _U_WSQUARE_SEARCHED:
             if w == 1:
                 raw.append(("U", p, 1, None, 1, 1))
             x = arith.square_witness(p, w)
@@ -618,10 +650,11 @@ class _Classification:
 
     `searched` lists the (family, w) pairs the report searches.  A report
     with one pair covers only queries of that family and w; a multiplexed
-    one, with more, searches all its pairs whatever the query's own family
-    and w, and says so in `notes`.  `scope(P)` returns ANY_N, ODD_N or
-    UNCOUNTED for a covered P and raises OutOfScopeError for any other, and
-    `predict(P values)` gives the predicted solutions over every pair.
+    one, with more, all of them one-term, searches all its pairs whatever
+    the query's own one-term family and w, and says so in `notes`.
+    `scope(P)` returns ANY_N, ODD_N or UNCOUNTED for a covered P and raises
+    OutOfScopeError for any other, and `predict(P values)` gives the
+    predicted solutions over every pair.
     """
 
     searched: tuple[tuple[str, int], ...]
@@ -641,17 +674,20 @@ class _Classification:
 
 _CLASSIFICATIONS = {
     "u-wsquare": _Classification(
-        (("U", 1), ("U", 2), ("U", 3), ("U", 6)),
+        _U_WSQUARE_SEARCHED,
         "U_n = w*x**2 for w in {1,2,3,6}: n <= 2 boundary, the "
         "P**2+1 = 2x**2 family at n = 3, and seven sporadic solutions",
         _all_p, _pred_u_wsquare,
-        notes="w in {1, 2, 3, 6} searched (the query's own w is not restrictive here)"),
+        notes=f"w in {_w_set(_U_WSQUARE_SEARCHED)} searched "
+              "(the query's own w is not restrictive here)"),
     "fib-lucas-squares": _Classification(
         tuple(_FIB_LUCAS_TABLE),
         "Fibonacci and Lucas square classes: F_n = x**2, 2x**2, "
         "5x**2, 10x**2 and L_n = x**2, 2x**2 (positive n)",
         _fib_lucas_p, _pred_fib_lucas,
-        notes="searched F_n = w*x**2 for w in {1, 2, 5, 10} and L_n = w*x**2 for w in {1, 2}",
+        notes="searched " + " and ".join(
+            f"{name}_n = w*x**2 for w in {_w_set(p for p in _FIB_LUCAS_TABLE if p[0] == family)}"
+            for family, name in (("U", "F"), ("V", "L"))),
         min_n_max=1000),
     "v-square": _Classification(
         (("V", 1),),
@@ -749,9 +785,11 @@ def _scopes(entry: _Classification, query: SquareClassQuery) -> dict[int, str]:
     """The scope of each queried P; raises OutOfScopeError if the query is uncovered.
 
     A multiplexed report searches its own (family, w) pairs, so only a
-    report with one pair checks the query's family and w against it.  A P
-    covered for odd n only refuses n_parity='even'; with n unrestricted,
-    `verify_theorem` drops the findings with even n there.
+    report with one pair checks the query's family and w against it; as
+    every multiplexed report's pairs are one-term, one refuses a two-term
+    query, whose m bounds its boxes cannot take.  A P covered for odd n
+    only refuses n_parity='even'; with n unrestricted, `verify_theorem`
+    drops the findings with even n there.
     """
     if len(entry.searched) == 1:
         ((family, w),) = entry.searched
@@ -759,6 +797,9 @@ def _scopes(entry: _Classification, query: SquareClassQuery) -> dict[int, str]:
             raise OutOfScopeError(f"classifies the {family} family; query is for {query.family}")
         if query.w != w:
             raise OutOfScopeError(f"covers w in {{{w}}}; query has w = {query.w}")
+    elif query.m_max is not None:
+        raise OutOfScopeError(f"searches one-term families; query is for the two-term "
+                              f"family {query.family}")
     scopes = {}
     for p in query.p_values:
         scopes[p] = scope = entry.scope(p)

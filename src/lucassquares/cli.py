@@ -398,6 +398,9 @@ def _report_table_rows(report: TheoremReport) -> list[list[str]]:
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     if args.target in CLASSIFICATION_IDS:
         query = classifier.default_query(args.target, args.profile)
+        if query.m_max is None and (args.mmax is not None or args.mmin is not None):
+            raise CliError(f"--mmax and --mmin apply to two-term reports; {args.target} "
+                           "searches one-term families")
         given = {"p_values": _resolve_p_values(args, required=False),
                  "n_max": args.nmax, "m_max": args.mmax, "m_min": args.mmin,
                  "n_parity": args.parity}
@@ -468,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         # A one-term search cell tiles about --nmax bytes of marks per modulus,
-        # a two-term cell holds 16 bytes of character lanes per index, and
+        # a two-term cell holds 8 bytes of character lanes per index, and
         # `seq` every row of its span: it is the box that did not fit.
         print("error: out of memory: the box is too large to hold; ask for a smaller "
               "--nmax, fewer P values or a shorter span", file=sys.stderr)

@@ -213,3 +213,64 @@ def naive_sieve_passes(value: int, c: int) -> bool:
     """True iff value * c is a square mod every sieve modulus, with `%` on
     the exact numbers and each modulus's squares listed as x*x % q."""
     return all(value * c % q in _squares_mod(q) for q in SIEVE_MODULI)
+
+
+# The primes above 400 up to 491, none a factor of a sieve modulus: the
+# CI-scale two-term oracle rejects by Euler's criterion at these.
+EULER_PRIMES = (401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491)
+
+
+def _euler_character(r: int, p: int) -> int:
+    """0, 1 or -1 as r is 0, a nonzero square or a non-square mod the odd prime p."""
+    r %= p
+    return 0 if r == 0 else 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def euler_two_term(family: str, p_values, ws, n_max: int, m_max: int, m_min: int = 1):
+    """{w: sorted (P, n, m, x) with X_n = w * X_m * x**2, n != m, X_m != 1} for each w in ws.
+
+    Every pair (m, n) of the box is considered, with no divisibility law
+    and no period: one exact stream per P serves every w and every m.  A
+    solution makes w * X_m * X_n = (w * X_m * x)**2 a square, so a pair is
+    first rejected where that product is a non-square mod one of
+    EULER_PRIMES, its character taken by Euler's criterion; per prime, two
+    bitmasks over n hold the n whose X_n is a nonzero square and a
+    non-square.  Each pair left pays the exact `%`, the division and
+    `naive_isqrt`.
+    """
+    out = {w: [] for w in ws}
+    for P in p_values:
+        seq = (naive_u_seq if family == "UU" else naive_v_seq)(P, 1, n_max + 1)
+        masks = []  # (p, squares, non_squares), bit n for X_n
+        for p in EULER_PRIMES:
+            squares = non_squares = 0
+            for n in range(1, n_max + 1):
+                character = _euler_character(seq[n], p)
+                if character == 1:
+                    squares |= 1 << n
+                elif character == -1:
+                    non_squares |= 1 << n
+            masks.append((p, squares, non_squares))
+        every = (1 << n_max + 1) - 2  # bits 1 to n_max
+        for m in range(m_min, min(m_max, n_max) + 1):
+            if seq[m] == 1:
+                continue
+            for w in ws:
+                left = every & ~(1 << m)
+                for p, squares, non_squares in masks:
+                    # w * X_m * X_n is a non-square iff X_n is nonzero with
+                    # the character opposite to that of w * X_m.
+                    character = _euler_character(w * seq[m], p)
+                    if character:
+                        left &= ~(non_squares if character == 1 else squares)
+                while left:
+                    low = left & -left
+                    left ^= low
+                    n = low.bit_length() - 1
+                    if seq[n] % seq[m] == 0:
+                        x = naive_square_witness(seq[n] // seq[m], w)
+                        if x is not None and x >= 1:
+                            out[w].append((P, n, m, x))
+    for found in out.values():
+        found.sort()
+    return out

@@ -197,6 +197,8 @@ def _verify() -> list[str]:
         "verify nosuch",
         "verify u-wsquare --multiple-of 3",
         "verify u-wsquare --P 1 --P-max 5",
+        "verify u-wsquare --mmax 5 --P 3 --nmax 20",
+        "verify u-5square --mmin 2 --P 5 --nmax 20",
         # argparse
         "verify all --profile medium",
         "verify",

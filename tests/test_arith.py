@@ -265,7 +265,7 @@ class TestProductFilter:
         # of w * a and of b passes the pair exactly when the table of w * a
         # passes b, in a run of many m and in a run of one m.  Pair (a, b)
         # sits at m = k*k + a*k + b, its X_n at n = 2m.  Each run's pass
-        # mask is compared whole: pair j passes iff bit 64j + 63 is set.
+        # mask is compared whole: pair j passes iff bit 32j + 31 is set.
         square = k * k
         stream = bytearray(4 * square)
         for a in range(k):
@@ -273,11 +273,11 @@ class TestProductFilter:
                 m = square + a * k + b
                 stream[m], stream[2 * m] = a, b
         for w in range(k):
-            lanes = classifier._character_lanes([(k, bytes(stream))], w, len(stream))
+            lanes = classifier._character_lanes([k], {k: bytes(stream)}.get, w, len(stream))
             for a in range(k):
                 lo = square + a * k
                 table = arith._sieve_table(k, w * a % k)
-                want = sum(1 << 64 * b + 63 for b in range(k) if table[b])
+                want = sum(1 << 32 * b + 31 for b in range(k) if table[b])
                 ns = range(2 * lo, 2 * lo + 2 * k, 2)
                 assert classifier._prime_passes(lanes, range(lo, lo + k), ns) == want, (k, w, a)
                 # X_lo = a, and X_n = b at the n of the run above.
@@ -286,33 +286,42 @@ class TestProductFilter:
     @pytest.mark.parametrize("w", (1, 2, 5, 3 * 11 * 97, 10**12 - 2,
                                    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31))
     def test_character_lanes_decode_field_by_field(self, w):
-        # Each prime k from 11 to 97 that w is prime to owns the next 2-bit
-        # field of every lane, in order, and holds the character of X_n mod
-        # k there: 0, 1 or 2 for zero, a nonzero square or a non-square.
-        # The w * X_n lanes hold the same fields with 1 and 2 swapped where
-        # w is a non-square mod k.  No other bit of a lane is set.  Each
-        # prime's period, from 2 to 200 bytes long, is tiled over the 200
-        # lanes: lane n reads byte n % its length.
+        # Each of the first 15 primes from 11 to 97 that w is prime to owns
+        # the next 2-bit field of every 4-byte lane, in order, and holds the
+        # character of X_n mod it there: 0, 1 or 2 for zero, a nonzero
+        # square or a non-square.  The w * X_n lanes hold the same fields
+        # with 1 and 2 swapped where w is a non-square mod it.  No other bit
+        # of a lane is set: bits 30 and 31 never are.  The primes w is prime
+        # to past the 15th go to the tail, in order, and only the periods of
+        # the 15 are read.  Each prime's period, from 2 to 200 bytes long, is
+        # tiled over the 200 lanes: lane n reads byte n % its length.
         primes = SIEVE_MODULI[3:]
         rng = random.Random(w)
         periods = [bytes([0, 1] + [rng.randrange(k) for _ in range(rng.randrange(199))])
                    for k in primes]
-        lanes = classifier._character_lanes(list(zip(primes, periods)), w, 200)
+        by_prime, read = dict(zip(primes, periods)), []
+        lanes = classifier._character_lanes(
+            primes, lambda k: read.append(k) or by_prime[k], w, 200)
         owners = [(k, period) for k, period in zip(primes, periods) if w % k]
         for k, _ in owners:
             squares = naive_squares_mod(k)
             assert arith._character_table(k) == bytes(
                 0 if r == 0 else 1 if r in squares else 2 for r in range(k)).ljust(256, b"\0")
-        width = 2 * len(owners)
-        assert (lanes.of_x.format, len(lanes.of_x), len(lanes.of_wx)) == ("Q", 200, 8 * 200)
-        assert lanes.fields == sum(1 << 64 * n + 2 * i for n in range(classifier._PART)
-                                   for i in range(len(owners)))
-        assert classifier._TOPS == sum(1 << 64 * n + 63 for n in range(classifier._PART))
+        fielded = owners[:15]
+        assert read == [k for k, _ in fielded]
+        assert lanes.tail == tuple(k for k, _ in owners[15:])
+        # 20 owners but for 3 * 11 * 97 (18) and the product of the primes to 31 (14).
+        assert len(lanes.tail) == {3 * 11 * 97: 3, 200560490130: 0}.get(w, 5)
+        width = 2 * len(fielded)
+        assert (lanes.of_x.format, len(lanes.of_x), len(lanes.of_wx)) == ("I", 200, 4 * 200)
+        assert lanes.fields == sum(1 << 32 * n + 2 * i for n in range(classifier._PART)
+                                   for i in range(len(fielded)))
+        assert classifier._TOPS == sum(1 << 32 * n + 31 for n in range(classifier._PART))
         for n in range(200):
             of_x = int.from_bytes(lanes.of_x[n:n + 1], "little")
-            of_wx = int.from_bytes(lanes.of_wx[8 * n:8 * n + 8], "little")
+            of_wx = int.from_bytes(lanes.of_wx[4 * n:4 * n + 4], "little")
             assert of_x >> width == of_wx >> width == 0, (w, n)
-            for i, (k, period) in enumerate(owners):
+            for i, (k, period) in enumerate(fielded):
                 character = arith._character_table(k)[period[n % len(period)]]
                 flipped = w % k not in naive_squares_mod(k)
                 assert of_x >> 2 * i & 3 == character, (w, n, k)
@@ -320,35 +329,49 @@ class TestProductFilter:
                     w, n, k)
 
     def test_the_lane_test_keeps_each_lane_to_itself(self):
-        # With w = 1, X_m 0 mod the primes at even places of 11..97 (11, 19,
-        # 29, ...) and a non-square mod the others, pair j fails iff X_n is
-        # a nonzero square mod one of the others.  A lane with only the top
-        # field (97) bad, only the lowest one that can be (17) or every
-        # field bad fails, and the good lanes between them pass: X_n = X_m,
-        # whose fields XOR to 0, and X_n a nonzero square at even places
-        # and 0 at odd ones, whose fields XOR to 1 and 2 by turns.
+        # With w = 1, X_m a non-square mod the primes at even places of
+        # 11..97 (11, 19, 29, ...) and 0 mod the others, pair j fails iff X_n
+        # is a nonzero square mod one of the primes at even places.  The
+        # lane holds the first 15 primes, 11 to 71, and 73 to 97 are tested
+        # pointwise.  A lane with only the top field (71, bits 28 and 29)
+        # bad, only the lowest one (11, bits 0 and 1) or every field bad
+        # fails the bulk step, and the good lanes between them pass: X_n =
+        # X_m, whose fields XOR to 0, and X_n 0 at even places and a nonzero
+        # square at odd ones, whose fields XOR to 2 and 1 by turns.  A lane
+        # bad only at 89, a prime past the fields, passes the bulk step and
+        # fails the pair's pointwise test; a run of bad lanes alone reads no
+        # pointwise period.  A borrow that crossed into the next 4-byte lane
+        # would clear that lane's bit 31: each good or tail lane follows a
+        # bad one somewhere in the run.
         primes = SIEVE_MODULI[3:]
+        assert primes[14] == 71 and primes[18] == 89
         non_square = {k: min(r for r in range(1, k) if r not in naive_squares_mod(k))
                       for k in primes}
-        x_m = {k: non_square[k] if i % 2 else 0 for i, k in enumerate(primes)}
-        shapes = {"good 0": x_m, "good 1, 2": {k: 0 if i % 2 else 1 for i, k in enumerate(primes)},
-                  "top": {**x_m, 97: 1}, "low": {**x_m, 17: 1},
+        x_m = {k: 0 if i % 2 else non_square[k] for i, k in enumerate(primes)}
+        shapes = {"good 0": x_m, "good 1, 2": {k: 1 if i % 2 else 0 for i, k in enumerate(primes)},
+                  "top": {**x_m, 71: 1}, "low": {**x_m, 11: 1}, "tail": {**x_m, 89: 1},
                   "all": dict.fromkeys(primes, 1)}
-        order = ["all", "good 0", "top", "good 1, 2", "good 1, 2", "low", "good 0", "all",
-                 "top", "all", "good 1, 2"]
-        # X_m at 1..11; X_n at n = 12 + 2j is order[j].
-        values = [x_m] * 12 + [shapes[shape] for shape in order for _ in "ab"]
-        streams = [bytes(value[k] for value in values) for k in primes]
-        lanes = classifier._character_lanes(list(zip(primes, streams)), 1, len(values))
+        order = ["all", "good 0", "top", "good 1, 2", "good 1, 2", "low", "tail", "good 0",
+                 "all", "top", "tail", "all", "good 1, 2"]
+        size = len(order)
+        # X_m at 1..size; X_n at n = size + 1 + 2j is order[j].
+        values = [x_m] * (size + 1) + [shapes[shape] for shape in order for _ in "ab"]
+        # X_k = 0 mod 64, 63 and 65, so that every pair passes those.
+        streams = {**dict.fromkeys((64, 63, 65), b"\0"),
+                   **{k: bytes(value[k] for value in values) for k in primes}}
+        lanes = classifier._character_lanes(primes, streams.get, 1, len(values))
         good = [j for j, shape in enumerate(order) if shape.startswith("good")]
-        want = sum(1 << 64 * j + 63 for j in good)
-        ns = range(12, 34, 2)
-        assert classifier._prime_passes(lanes, range(1, 12), ns) == want
+        bulk = [j for j, shape in enumerate(order) if shape.startswith(("good", "tail"))]
+        want = sum(1 << 32 * j + 31 for j in bulk)
+        ns = range(size + 1, 3 * size + 1, 2)
+        assert classifier._prime_passes(lanes, range(1, size + 1), ns) == want
         assert classifier._prime_passes(lanes, range(5, 6), ns) == want
-        assert classifier._pair_survivors(lanes, [], range(1, 12), ns, 1) == [
+        assert classifier._pair_survivors(lanes, streams.get, range(1, size + 1), ns, 1) == [
             (j + 1, ns[j]) for j in good]
-        assert classifier._pair_survivors(lanes, [], range(5, 6), ns, 1) == [
+        assert classifier._pair_survivors(lanes, streams.get, range(5, 6), ns, 1) == [
             (5, ns[j]) for j in good]
+        assert order[8] == "all"
+        assert classifier._pair_survivors(lanes, None, range(9, 10), ns[8:9], 1) == []
 
     @pytest.mark.parametrize("w", (1, 2, 10**12 - 2))
     def test_long_runs_are_sieved_in_parts(self, w):
@@ -365,7 +388,7 @@ class TestProductFilter:
         streams = {q: bytes(rng.randrange(q) if rng.random() < 0.05
                             else c * rng.randrange(q) ** 2 % q for c in classes)
                    for q in SIEVE_MODULI}
-        lanes = classifier._character_lanes([(q, streams[q]) for q in SIEVE_MODULI[3:]], w, size)
+        lanes = classifier._character_lanes(SIEVE_MODULI[3:], streams.get, w, size)
 
         def passes(m, n):
             return all(w * stream[m] * stream[n] % q in naive_squares_mod(q)
@@ -374,12 +397,53 @@ class TestProductFilter:
         for ms, ns in ((range(1, 2), range(2, size)),
                        (range(5, size // 2), range(10, size // 2 * 2, 2))):
             assert len(ns) > 2 * classifier._PART
-            passed = classifier._pair_survivors(lanes, list(streams.values())[:3], ms, ns, w)
+            passed = classifier._pair_survivors(lanes, streams.get, ms, ns, w)
             want = [(m, n) for m, n in zip(ms if len(ms) > 1 else [ms[0]] * len(ns), ns)
                     if passes(m, n)]
             assert passed == want, (w, ms)
             parts = {(n - ns[0]) // ns.step // classifier._PART for _, n in want}
             assert parts == set(range(-(-len(ns) // classifier._PART))) and len(want) < len(ns)
+
+    @pytest.mark.parametrize("w, tail", [
+        (1, (73, 79, 83, 89, 97)), (2 * 5 * 101, (73, 79, 83, 89, 97)),
+        (11 * 17, (83, 89, 97)), (2 * 11 * 17 * 89, (83, 97))])
+    def test_the_pointwise_tail_passes_what_the_naive_sieve_passes(self, w, tail):
+        # The primes w is prime to past the lane's 15 fields are tested pair
+        # by pair: 73 to 97 for a w prime to every sieve prime, and 83 to
+        # 97 once 11 * 17 | w moves 73 and 79 into the lane.  X_k is built
+        # by CRT: mod each of the 23 moduli it is w**b_k times a random
+        # square, b_k in {0, 1} drawn once per k, and one time in 20 a
+        # random residue instead, so that a pair passes a modulus mostly by
+        # its classes and one random residue at a tail prime rejects pairs
+        # the lanes pass.  On one-m runs past two parts and multiplier runs
+        # of one and two parts, `_pair_survivors` passes exactly the pairs
+        # whose w * X_m * X_n the naive sieve passes, by `%` on the values.
+        rng = random.Random(w)
+        size = 2 * classifier._PART + 300
+        total = math.prod(SIEVE_MODULI)
+        units = [total // q * pow(total // q, -1, q) for q in SIEVE_MODULI]
+        xs = []
+        for _ in range(size):
+            c = w ** rng.randrange(2)
+            xs.append(sum(unit * (rng.randrange(q) if rng.random() < 0.05
+                                  else c * rng.randrange(q) ** 2)
+                          for q, unit in zip(SIEVE_MODULI, units)) % total)
+        periods = {q: bytes(x % q for x in xs) for q in SIEVE_MODULI}
+        lanes = classifier._character_lanes(SIEVE_MODULI[3:], periods.get, w, size)
+        assert lanes.tail == tail
+        runs = [(range(m, m + 1), range(m + 1, size)) for m in rng.sample(range(1, 200), 3)]
+        runs += [(range(lo, size // k), range(k * lo, size // k * k, k))
+                 for k, lo in ((2, rng.randrange(1, 40)), (3, rng.randrange(1, 40)))]
+        assert min(len(ns) for ns in (runs[0][1], runs[3][1])) > classifier._PART
+        tail_only = 0  # pairs that pass the lanes and the composites, not the tail
+        for ms, ns in runs:
+            pairs = zip(ms if len(ms) > 1 else [ms[0]] * len(ns), ns)
+            want = [(m, n) for m, n in pairs if _oracles.naive_sieve_passes(xs[n], w * xs[m])]
+            assert classifier._pair_survivors(lanes, periods.get, ms, ns, w) == want, (w, ms)
+            untailed = classifier._pair_survivors(lanes._replace(tail=()), periods.get, ms, ns, w)
+            tail_only += len(untailed) - len(want)
+            assert set(want) <= set(untailed) and want, (w, ms)
+        assert tail_only > 0, w
 
     @pytest.mark.parametrize("w", (1, 2, 5, 10**12 - 2))
     def test_pairs_left_pass_what_the_composite_tables_pass(self, w):
@@ -390,22 +454,22 @@ class TestProductFilter:
         # reads X_k at byte k % len(period) of the U_k(7, 1) periods, each
         # shorter than the 301 indices.
         xs = naive_u_seq(7, 1, 301)
-        periods = [residue_period(SequenceParams(7, 1), q, "U") for q in SIEVE_MODULI[:3]]
-        assert max(map(len, periods)) < 150
+        periods = {q: residue_period(SequenceParams(7, 1), q, "U") for q in SIEVE_MODULI[:3]}
+        assert max(map(len, periods.values())) < 150
         # X_n = 0 mod 11 for every n: every pair passes the one prime.
-        lanes = classifier._character_lanes([(11, b"\0")], w, 301)
+        lanes = classifier._character_lanes([11], {11: b"\0"}.get, w, 301)
 
         def passes(m, n):
             return all(w * xs[m] * xs[n] % q in naive_squares_mod(q) for q in (64, 63, 65))
 
         for k in (2, 3, 5):
             ms, ns = range(10, 300 // k + 1), range(10 * k, 300 // k * k + 1, k)
-            passed = classifier._pair_survivors(lanes, periods, ms, ns, w)
+            passed = classifier._pair_survivors(lanes, periods.get, ms, ns, w)
             want = [(m, k * m) for m in ms if passes(m, k * m)]
             assert passed == want and 0 < len(want) < len(ms), (w, k)
         for m in (10, 17):
             ns = range(m + 1, 301)
-            passed = classifier._pair_survivors(lanes, periods, range(m, m + 1), ns, w)
+            passed = classifier._pair_survivors(lanes, periods.get, range(m, m + 1), ns, w)
             want = [(m, n) for n in ns if passes(m, n)]
             assert passed == want and 0 < len(want) < len(ns), (w, m)
 

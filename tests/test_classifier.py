@@ -15,6 +15,7 @@ from lucassquares import (
     Profile,
     SquareClassFinding,
     SquareClassQuery,
+    TheoremReport,
     default_query,
     p_range,
     search,
@@ -566,12 +567,12 @@ class TestSearch:
                 if k not in SIEVE_MODULI[3:]:
                     continue
                 for w in (1, min(set(range(1, k)) - squares)):
-                    lanes = classifier._character_lanes([(k, period)], w, count)
-                    assert len(lanes.of_x) == count and len(lanes.of_wx) == 8 * count
+                    lanes = classifier._character_lanes([k], {k: period}.get, w, count)
+                    assert len(lanes.of_x) == count and len(lanes.of_wx) == 4 * count
                     for n in range(count):
                         character = [0 if x % k == 0 else 1 if x % k in squares else 2
                                      for x in (xs[n], w * xs[n])]
-                        assert [lanes.of_x[n], lanes.of_wx[8 * n]] == character, (k, p, w, n)
+                        assert [lanes.of_x[n], lanes.of_wx[4 * n]] == character, (k, p, w, n)
                     last_lane_set |= lanes.of_x[count - 1] != 0
         assert last_passes and last_lane_set
 
@@ -1000,6 +1001,19 @@ class TestVerifyTheorem:
         assert own.verdict == "consistent" and own.found
         assert (other.predicted, other.found, other.verdict) == (
             own.predicted, own.found, own.verdict)
+
+    @pytest.mark.parametrize("theorem_id", ["u-wsquare", "fib-lucas-squares"])
+    @pytest.mark.parametrize("family", ["UU", "VV"])
+    def test_multiplexed_report_refuses_a_two_term_query(self, theorem_id, family):
+        # A multiplexed report's pairs are one-term, so a two-term query's
+        # m bounds fit none of its boxes: the report is out of scope, names
+        # itself and searches nothing, rather than raising.
+        query = q(family=family, w=2, p_values=(1, 3), n_max=20, m_max=5, m_min=2)
+        report = verify_theorem(theorem_id, query)
+        assert report == TheoremReport(
+            theorem_id, query, (), (), "out_of_predicted_scope",
+            f"{theorem_id} searches one-term families; query is for the two-term "
+            f"family {family}")
 
     def test_even_p_findings_flagged_not_counted(self, monkeypatch):
         phantom = SquareClassFinding("U", 4, 7, None, 5, 3)

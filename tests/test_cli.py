@@ -414,6 +414,17 @@ class TestVerify:
         assert err == ("error: need 1 <= m_min <= m_max <= n_max, "
                        "got m_min=1, m_max=20, n_max=10\n")
 
+    @pytest.mark.parametrize("report, bound", [("u-wsquare", "--mmax"), ("u-5square", "--mmin"),
+                                               ("fib-lucas-squares", "--mmax")])
+    def test_a_one_term_report_refuses_m_bounds(self, capsys, report, bound):
+        # --mmax and --mmin bound the divisor index of a two-term report; a
+        # one-term report, multiplexed or not, is refused by name.
+        code, out, err = run_cli(capsys, "verify", report, bound, "2", "--P", "5",
+                                 "--nmax", "20")
+        assert (code, out) == (1, "")
+        assert err == (f"error: --mmax and --mmin apply to two-term reports; {report} "
+                       "searches one-term families\n")
+
     def test_sweep_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "quartic-equations")
         assert code == 0
