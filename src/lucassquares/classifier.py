@@ -675,8 +675,9 @@ class _Classification:
 _CLASSIFICATIONS = {
     "u-wsquare": _Classification(
         _U_WSQUARE_SEARCHED,
-        "U_n = w*x**2 for w in {1,2,3,6}: n <= 2 boundary, the "
-        "P**2+1 = 2x**2 family at n = 3, and seven sporadic solutions",
+        "U_n = w*x**2 for w in {" + ",".join(str(w) for _, w in _U_WSQUARE_SEARCHED)
+        + "}: n <= 2 boundary, the P**2+1 = 2x**2 family at n = 3, and seven "
+        "sporadic solutions",
         _all_p, _pred_u_wsquare,
         notes=f"w in {_w_set(_U_WSQUARE_SEARCHED)} searched "
               "(the query's own w is not restrictive here)"),
@@ -906,12 +907,17 @@ def _sweep_report(theorem_id: str, outcomes: Iterable[CheckOutcome],
     return TheoremReport(theorem_id, None, (), tuple(failures), verdict, notes)
 
 
-def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
-                            large_n: int | None = 10**6) -> TheoremReport:
+# Fixed under every profile, and stated in the notes: the sweeps' P bound
+# and the shift sweep's spot index.
+_SWEEP_P_MAX = 25
+_SPOT_N = 10**6
+
+
+def sweep_shift_congruences(*, idx_max: int) -> TheoremReport:
     """All four shift congruences over a signed (m, n, r) grid.
 
-    Covers P <= p_max, 0 < |m|, |n| <= idx_max, |r| <= idx_max, plus spot
-    checks at |n| = large_n.
+    Covers P <= 25, 0 < |m|, |n| <= idx_max, |r| <= idx_max, plus spot
+    checks at P in {1, 2, 5, 25} and |n| = 10**6.
 
     The grid checks read exact values from one table per P, streamed by
     `sequences.seq_range` over |k| <= 2*idx_max**2 + idx_max: the last
@@ -928,54 +934,51 @@ def sweep_shift_congruences(p_max: int = 25, idx_max: int = 6,
               identities.check_shift_u_mod_v, identities.check_shift_v_mod_v)
 
     def batches():  # one list of outcomes per (P, m, n) cell or (P, m) spot
-        for p in range(1, p_max + 1):
+        for p in range(1, _SWEEP_P_MAX + 1):
             params = SequenceParams(p, 1)
             values = {pair.n: pair for pair in sequences.seq_range(params, -span, span)}
             for m in signed:
                 for n in signed:
                     yield [fn(params, m, n, r, values=values)
                            for r in rs for fn in checks]
-        if large_n:
-            for p in (1, 2, 5, 25):
-                if p > p_max:
-                    continue
-                params = SequenceParams(p, 1)
-                for m in (1, -2, 5, 12):
-                    yield [fn(params, m, n, r) for n in (large_n, -large_n)
-                           for r in (-3, 0, 7) for fn in checks]
+        for p in (1, 2, 5, 25):
+            params = SequenceParams(p, 1)
+            for m in (1, -2, 5, 12):
+                yield [fn(params, m, n, r) for n in (_SPOT_N, -_SPOT_N)
+                       for r in (-3, 0, 7) for fn in checks]
 
-    grid = (f"P <= {p_max}, 0 < |m|,|n| <= {idx_max}, |r| <= {idx_max}"
-            + (f", spot checks at |n| = {large_n}" if large_n else ""))
+    grid = (f"P <= {_SWEEP_P_MAX}, 0 < |m|,|n| <= {idx_max}, |r| <= {idx_max}, "
+            f"spot checks at |n| = {_SPOT_N}")
     return _sweep_report("shift-congruences", chain.from_iterable(batches()), grid)
 
 
-def sweep_product_identities(p_max: int = 25, idx_max: int = 6) -> TheoremReport:
+def sweep_product_identities(*, idx_max: int) -> TheoremReport:
     """Product identities for Q = 1, the Q = -1 tripling companion, and the
-    V_{5n} factor law, over signed index grids."""
+    V_{5n} factor law, at P <= 25 and |n| <= idx_max."""
     span = range(-idx_max, idx_max + 1)
 
     def outcomes():
-        for p in range(1, p_max + 1):
+        for p in range(1, _SWEEP_P_MAX + 1):
             params = SequenceParams(p, 1)
             for n in span:
                 yield from identities.check_product_identities(params, n)
-        for p in range(3, p_max + 1):
+        for p in range(3, _SWEEP_P_MAX + 1):
             for n in span:
                 yield identities.check_q_minus_one_triple(p, n)
-        for p in range(5, p_max + 1, 5):
+        for p in range(5, _SWEEP_P_MAX + 1, 5):
             params = SequenceParams(p, 1)
             for n in span:
                 if n % 2:
                     yield identities.check_v5n_factor(params, n)
 
-    grid = f"P <= {p_max}, |n| <= {idx_max}"
+    grid = f"P <= {_SWEEP_P_MAX}, |n| <= {idx_max}"
     return _sweep_report("product-identities", outcomes(), grid)
 
 
-def sweep_divisibility_laws(p_max: int = 25, idx_max: int = 6) -> TheoremReport:
-    """Divisibility biconditionals and the gcd law over positive index grids."""
+def sweep_divisibility_laws(*, idx_max: int) -> TheoremReport:
+    """Divisibility biconditionals and the gcd law at P <= 25, 1 <= m, n <= idx_max."""
     def outcomes():
-        for p in range(1, p_max + 1):
+        for p in range(1, _SWEEP_P_MAX + 1):
             params = SequenceParams(p, 1)
             for m in range(1, idx_max + 1):
                 for n in range(1, idx_max + 1):
@@ -984,17 +987,17 @@ def sweep_divisibility_laws(p_max: int = 25, idx_max: int = 6) -> TheoremReport:
                 for n in range(1, idx_max + 1):
                     yield identities.check_gcd_u_v(params, n)
 
-    grid = f"P <= {p_max}, m, n <= {idx_max}"
+    grid = f"P <= {_SWEEP_P_MAX}, m, n <= {idx_max}"
     return _sweep_report("divisibility-laws", outcomes(), grid)
 
 
-def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
-                          obstruction_max: int = 501,
-                          pow2_max: int = 12) -> TheoremReport:
-    """Residue-class lemmas: V mod 8, mod P**2, 5/3 divisibility, Lucas
-    powers of two mod 4, the -square obstruction, and Jacobi symbols."""
+def sweep_residue_classes(*, idx_max: int, obstruction_max: int,
+                          pow2_max: int) -> TheoremReport:
+    """Residue-class lemmas at P <= 25 and indices <= idx_max: V mod 8, mod
+    P**2, 5/3 divisibility and Jacobi symbols; L_{2**k} mod 4 for k <= pow2_max,
+    and the -square obstruction for odd moduli <= obstruction_max."""
     def outcomes():
-        for p in range(1, p_max + 1):
+        for p in range(1, _SWEEP_P_MAX + 1):
             params = SequenceParams(p, 1)
             for n in range(1, idx_max + 1):
                 yield from identities.check_mod_p2_laws(params, n)
@@ -1009,13 +1012,13 @@ def sweep_residue_classes(p_max: int = 25, idx_max: int = 6,
         for m in range(3, obstruction_max + 1, 2):
             yield identities.check_residue_minus_square_obstruction(m)
 
-    grid = (f"P <= {p_max}, indices <= {idx_max}, k <= {pow2_max}, "
+    grid = (f"P <= {_SWEEP_P_MAX}, indices <= {idx_max}, k <= {pow2_max}, "
             f"obstruction moduli <= {obstruction_max}")
     return _sweep_report("residue-classes", outcomes(), grid)
 
 
-def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
-                             form_bound: int = 10**4) -> TheoremReport:
+def sweep_pell_form_families(*, z_max: int, v_bound: int,
+                             form_bound: int) -> TheoremReport:
     """Parametric families against direct enumeration for all three equations.
 
     `v_bound` bounds the Pell v, and `form_bound` both the form's y and the
@@ -1044,8 +1047,8 @@ def sweep_pell_form_families(z_max: int = 20, v_bound: int = 10**4,
     return _sweep_report("pell-form-families", outcomes, grid)
 
 
-def sweep_quartic_equations(x_bound: int = 2000) -> TheoremReport:
-    """The three quartic scans against their classified solution sets."""
+def sweep_quartic_equations(*, x_bound: int) -> TheoremReport:
+    """The three quartic scans to x <= x_bound against their classified solution sets."""
     expected = {
         "plus3": {(1, 1)},
         "minus3": {(2, 1)},
@@ -1066,9 +1069,9 @@ def sweep_quartic_equations(x_bound: int = 2000) -> TheoremReport:
 
 @dataclass(frozen=True)
 class Profile:
-    """Box sizes for one verify_all run: two-term boxes take m <= n_max // 2
-    (no larger m divides another n <= n_max), and the sweeps keep their
-    default P and large-n bounds."""
+    """Box sizes for one verify_all run, the one place they are written:
+    two-term boxes take m <= n_max // 2 (`_m_bound`), and the sweeps over P
+    run at P <= 25 under every profile."""
 
     p_max: int
     n_max: int
@@ -1091,9 +1094,12 @@ PROFILES = {
 }
 
 
-def _profile(profile: str | Profile) -> Profile:
-    if isinstance(profile, Profile):
-        return profile
+def _m_bound(n_max: int) -> int:
+    """A two-term box's default m bound: no larger m divides another n <= n_max."""
+    return n_max // 2
+
+
+def _profile(profile: str) -> Profile:
     try:
         return PROFILES[profile]
     except KeyError:
@@ -1108,33 +1114,30 @@ def _covers(entry: _Classification, p: int) -> bool:
     return True
 
 
-def default_query(theorem_id: str, profile: str | Profile = "quick",
-                  ) -> SquareClassQuery:
-    """The canonical in-scope box for one classification id and profile."""
+def default_query(theorem_id: str, profile: str = "quick") -> SquareClassQuery:
+    """The canonical in-scope box for one classification id and profile name."""
     prof = _profile(profile)
     entry = _classification(theorem_id)
     p_values = tuple(p for p in p_range(prof.p_max, parity=entry.default_parity)
                      if _covers(entry, p))
     family, w = entry.searched[0]
-    m_max = prof.n_max // 2 if family in ("UU", "VV") else None
+    m_max = _m_bound(prof.n_max) if family in ("UU", "VV") else None
     return SquareClassQuery(family, w, p_values,
                             max(prof.n_max, entry.min_n_max),
                             m_max=m_max, m_min=entry.m_min)
 
 
-def verify_report(report_id: str, profile: str | Profile = "quick") -> TheoremReport:
-    """Run one report by id on the profile's default box or grid, in-process;
+def verify_report(report_id: str, profile: str = "quick") -> TheoremReport:
+    """Run one report by id on the named profile's box or grid, in-process;
     `verify_theorem` runs a classification on any other box or worker pool."""
-    prof = _profile(profile)
     if report_id in CLASSIFICATION_IDS:
-        return verify_theorem(report_id, default_query(report_id, prof))
+        return verify_theorem(report_id, default_query(report_id, profile))
     if report_id not in SWEEP_IDS:
         raise ValueError(f"unknown report id {report_id!r}; "
                          f"valid: {', '.join(REPORT_IDS)}")
-    return _SWEEPS[report_id].run(prof)
+    return _SWEEPS[report_id].run(_profile(profile))
 
 
-def verify_all(profile: str | Profile = "quick") -> list[TheoremReport]:
-    """Run every classification and every identity sweep in-process: 17 reports."""
-    prof = _profile(profile)
-    return [verify_report(report_id, prof) for report_id in REPORT_IDS]
+def verify_all(profile: str = "quick") -> list[TheoremReport]:
+    """Run all 17 reports in-process on the named profile, "quick" or "full"."""
+    return [verify_report(report_id, profile) for report_id in REPORT_IDS]

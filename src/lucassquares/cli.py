@@ -401,8 +401,11 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         if query.m_max is None and (args.mmax is not None or args.mmin is not None):
             raise CliError(f"--mmax and --mmin apply to two-term reports; {args.target} "
                            "searches one-term families")
+        m_max = args.mmax
+        if m_max is None and args.nmax is not None and query.m_max is not None:
+            m_max = classifier._m_bound(args.nmax)  # the profile's rule, at the new n bound
         given = {"p_values": _resolve_p_values(args, required=False),
-                 "n_max": args.nmax, "m_max": args.mmax, "m_min": args.mmin,
+                 "n_max": args.nmax, "m_max": m_max, "m_min": args.mmin,
                  "n_parity": args.parity}
         query = replace(query, **{field: value for field, value in given.items()
                                   if value is not None})

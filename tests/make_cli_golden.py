@@ -164,6 +164,9 @@ def _verify() -> list[str]:
         "verify u-wsquare --P 3 --parity odd --format csv",
         "verify u-2um-square --P-max 10 --nmax 100 --mmax 50 --mmin 2 --format csv",
         "verify v-vm-square --P-odd-max 15 --nmax 80 --mmax 40",
+        # Without --mmax, m <= n_max // 2 of the --nmax given.
+        "verify v-vm-square --P 3 --nmax 10",
+        "verify u-2um-square --nmax 400",
         "verify v-5square --P-max 30 --multiple-of 5",
         # Odd-n-only P, and boxes out of the predicted scope.
         "verify u-5um-square --P 8",

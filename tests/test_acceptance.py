@@ -88,10 +88,10 @@ def test_c03_form_parametrization():
 def test_c04_identity_sweeps():
     start = time.perf_counter()
     reports = [
-        sweep_shift_congruences(p_max=25, idx_max=12, large_n=10**6),
-        sweep_product_identities(p_max=25, idx_max=12),
-        sweep_divisibility_laws(p_max=25, idx_max=12),
-        sweep_residue_classes(p_max=25, idx_max=12),
+        sweep_shift_congruences(idx_max=12),
+        sweep_product_identities(idx_max=12),
+        sweep_divisibility_laws(idx_max=12),
+        sweep_residue_classes(idx_max=12, obstruction_max=501, pow2_max=12),
     ]
     for report in reports:
         assert report.verdict == "consistent", report.notes
@@ -284,8 +284,8 @@ def test_c11_fault_injection():
     for p_star, n_star, which in positions:
         with _bumped_sequences(p_star, n_star, which):
             reports = [
-                sweep_product_identities(p_max=8, idx_max=10),
-                sweep_divisibility_laws(p_max=8, idx_max=10),
+                sweep_product_identities(idx_max=10),
+                sweep_divisibility_laws(idx_max=10),
                 verify_theorem(
                     "u-2um-square",
                     SquareClassQuery("UU", 2, (1, 3, 5), 60, m_max=30, m_min=2)),
@@ -296,5 +296,5 @@ def test_c11_fault_injection():
             # U_12(5, 1) = 2 * U_6 * 99**2 is the box's own finding.
             assert "u-2um-square" in tripped
     # With the shadow engine removed everything is consistent again.
-    assert sweep_product_identities(p_max=8, idx_max=10).verdict == "consistent"
+    assert sweep_product_identities(idx_max=10).verdict == "consistent"
     _finish("11 fault injection", 10, start)

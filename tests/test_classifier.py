@@ -1,6 +1,8 @@
 """Square-class search, predicted sets, verdicts, and the report harness."""
 
+import inspect
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from lucassquares import (
     CLASSIFICATION_IDS,
+    PROFILES,
     REPORT_IDS,
     REPORT_SUMMARIES,
     SQUAREFREE_COEFFS,
@@ -774,22 +777,22 @@ class TestSearch:
 
         assert (5, 6, 2, 6, 11) in want
         assert rows() == want
-        assert classifier.sweep_divisibility_laws(p_max=5, idx_max=12).verdict == "consistent"
+        assert classifier.sweep_divisibility_laws(idx_max=12).verdict == "consistent"
         monkeypatch.setattr(identities, "divisor_indices",
                             lambda m, n_max, v_law: range(m, n_max + 1, 4 * m if v_law else m))
         assert (5, 6, 2, 6, 11) not in rows()
-        report = classifier.sweep_divisibility_laws(p_max=5, idx_max=12)
+        report = classifier.sweep_divisibility_laws(idx_max=12)
         assert report.verdict == "counterexample"
         assert {outcome.check_id for outcome in report.found} == {"v-divides-v"}
 
     @pytest.mark.parametrize("sweep, kwargs, grid", [
-        ("product_identities", {"p_max": -1}, "P <= -1, |n| <= 6"),
-        ("shift_congruences", {"p_max": 0, "idx_max": 2},
-         "P <= 0, 0 < |m|,|n| <= 2, |r| <= 2, spot checks at |n| = 1000000"),
-        ("divisibility_laws", {"p_max": 3, "idx_max": 0}, "P <= 3, m, n <= 0"),
-        ("residue_classes",
-         {"p_max": 0, "idx_max": 0, "obstruction_max": 0, "pow2_max": 0},
-         "P <= 0, indices <= 0, k <= 0, obstruction moduli <= 0"),
+        ("product_identities", {"idx_max": -1}, "P <= 25, |n| <= -1"),
+        # 2 bounds no odd obstruction modulus from 3 up.
+        ("residue_classes", {"idx_max": 0, "obstruction_max": 2, "pow2_max": 0},
+         "P <= 25, indices <= 0, k <= 0, obstruction moduli <= 2"),
+        ("divisibility_laws", {"idx_max": 0}, "P <= 25, m, n <= 0"),
+        ("residue_classes", {"idx_max": 0, "obstruction_max": 0, "pow2_max": 0},
+         "P <= 25, indices <= 0, k <= 0, obstruction moduli <= 0"),
     ])
     def test_a_sweep_over_an_empty_grid_is_refused(self, sweep, kwargs, grid):
         report_id = sweep.replace("_", "-")
@@ -1084,6 +1087,40 @@ class TestHarness:
         with pytest.raises(ValueError):
             verify_all("toothorough")
 
+    @pytest.mark.parametrize("profile", [PROFILES["quick"], "toothorough"],
+                             ids=["instance", "unknown-name"])
+    def test_runs_take_a_profile_by_name(self, profile):
+        # A Profile object is refused like an unknown name: PROFILES is the
+        # one place a run's bounds are written.
+        for run in (verify_all, partial(verify_report, "quartic-equations"),
+                    partial(verify_report, "v-square"), partial(default_query, "v-square")):
+            with pytest.raises(ValueError, match=r"^unknown profile .*; valid: quick, full$"):
+                run(profile)
+
+    @pytest.mark.parametrize("sweep, bounds", [
+        ("shift_congruences", {"idx_max": 1}),
+        ("product_identities", {"idx_max": 1}),
+        ("divisibility_laws", {"idx_max": 1}),
+        ("residue_classes", {"idx_max": 1, "obstruction_max": 3, "pow2_max": 1}),
+        ("pell_form_families", {"z_max": 2, "v_bound": 10, "form_bound": 10}),
+        ("quartic_equations", {"x_bound": 2}),
+    ])
+    def test_sweeps_take_only_the_profile_bounds_by_keyword(self, sweep, bounds):
+        # The 10 bounds a profile sets, keyword-only and with no default; the
+        # P bound and the shift sweep's spot index are fixed.
+        fn = getattr(classifier, f"sweep_{sweep}")
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params] == list(bounds)
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params)
+        assert fn(**bounds).verdict == "consistent"
+        for removed in ("p_max", "large_n"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{removed}'"):
+                fn(**bounds, **{removed: 25})
+        with pytest.raises(TypeError, match="positional argument"):
+            fn(*bounds.values())
+        with pytest.raises(TypeError, match="missing"):
+            fn()
+
     def test_battery_entries_take_no_jobs(self):
         # Only `search` and `verify_theorem` pool; the battery runs in-process.
         with pytest.raises(TypeError):
@@ -1105,7 +1142,8 @@ class TestHarness:
         tiny = Profile(p_max=3, n_max=12, sweep_idx=2, obstruction_max=9, pow2_max=3,
                        pell_z_max=2, pell_v_bound=100, form_bound=100,
                        quartic_x_bound=10)
-        reports = verify_all(tiny)
+        monkeypatch.setitem(classifier.PROFILES, "quick", tiny)
+        reports = verify_all("quick")
         assert [r.theorem_id for r in reports] == list(REPORT_IDS)
         assert calls == {"verify_theorem": 11, **dict.fromkeys(names[1:], 1)}
 
@@ -1120,7 +1158,7 @@ class TestHarness:
             return value
 
         monkeypatch.setattr(seqmod, "u", crooked_u)
-        report = classifier.sweep_product_identities(p_max=5, idx_max=10)
+        report = classifier.sweep_product_identities(idx_max=10)
         assert report.verdict == "counterexample"
         assert any(not outcome.passed for outcome in report.found)
 
@@ -1155,7 +1193,7 @@ class TestShiftSweepPaths:
                 yield pair
 
         monkeypatch.setattr(seqmod, "seq_range", bumped)
-        report = classifier.sweep_shift_congruences(p_max=3, idx_max=4, large_n=None)
+        report = classifier.sweep_shift_congruences(idx_max=4)
         assert report.verdict == "counterexample"
         assert {outcome.inputs[0] for outcome in report.found} == {3}
 
@@ -1172,7 +1210,7 @@ class TestShiftSweepPaths:
                 yield pair
 
         monkeypatch.setattr(seqmod, "seq_range", bumped)
-        report = classifier.sweep_shift_congruences(p_max=3, idx_max=4, large_n=None)
+        report = classifier.sweep_shift_congruences(idx_max=4)
         assert report.verdict == "counterexample"
         assert {outcome.inputs[0] for outcome in report.found} == {3}
 
@@ -1185,6 +1223,14 @@ class TestShiftSweepPaths:
             return (value + 1) % modulus if n >= 10**6 else value
 
         monkeypatch.setattr(seqmod, "u_mod", bumped)
-        report = classifier.sweep_shift_congruences(p_max=2, idx_max=2, large_n=10**6)
+        report = classifier.sweep_shift_congruences(idx_max=2)
         assert report.verdict == "counterexample"
         assert {abs(outcome.inputs[3]) for outcome in report.found} == {10**6}
+
+    def test_an_empty_grid_still_runs_the_spot_checks(self):
+        # The spot checks run under every bound, so at idx_max = 0 the sweep
+        # is their 4 P x 4 m x 2 n x 3 r x 4 congruences, not an empty grid.
+        report = classifier.sweep_shift_congruences(idx_max=0)
+        assert report.verdict == "consistent"
+        assert report.notes == ("P <= 25, 0 < |m|,|n| <= 0, |r| <= 0, spot checks at "
+                                "|n| = 1000000: 384 checks, 0 failed")

@@ -403,7 +403,7 @@ class TestVerify:
         assert out.splitlines()[0] == "v-5square consistent found=1 predicted=1"
 
     def test_box_overrides_are_validated_together(self, capsys):
-        # v-vm-square's default m_max exceeds n_max = 10; only the final box counts.
+        # A given --mmax is checked against the final box, n_max = 10.
         code, out, _ = run_cli(capsys, "verify", "v-vm-square", "--P", "3",
                                "--nmax", "10", "--mmax", "5")
         assert code == 0
@@ -413,6 +413,20 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == ("error: need 1 <= m_min <= m_max <= n_max, "
                        "got m_min=1, m_max=20, n_max=10\n")
+
+    @pytest.mark.parametrize("argv, m_text", [
+        (("v-vm-square", "--P", "3", "--nmax", "10"), "1 <= m <= 5"),
+        (("u-2um-square", "--nmax", "400"), "2 <= m <= 200"),
+        (("u-2um-square", "--nmax", "400", "--profile", "full"), "2 <= m <= 200"),
+        (("u-2um-square", "--nmax", "400", "--mmax", "60"), "2 <= m <= 60"),
+        (("u-2um-square",), "2 <= m <= 60"),
+    ])
+    def test_nmax_sets_the_default_m_bound(self, capsys, argv, m_text):
+        # Without --mmax a two-term box takes m <= n_max // 2 of the n bound
+        # it searches, the profile's or the one --nmax gives.
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert f", {m_text};" in out.splitlines()[1]
 
     @pytest.mark.parametrize("report, bound", [("u-wsquare", "--mmax"), ("u-5square", "--mmin"),
                                                ("fib-lucas-squares", "--mmax")])
