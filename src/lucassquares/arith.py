@@ -69,6 +69,20 @@ def _require_int(field: str, value: object) -> None:
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _require_at_least(field: str, value: object, least: int) -> None:
+    """`_require_int`, then raise ValueError naming `field` if `value` < `least`."""
+    _require_int(field, value)
+    if value < least:
+        raise ValueError(f"{field} must be >= {least}, got {value}")
+
+
+def _require_one_of(field: str, value: object, choices: tuple[int, ...], spelled: str) -> None:
+    """`_require_int`, then raise ValueError naming `field` unless `value` is in `choices`."""
+    _require_int(field, value)
+    if value not in choices:
+        raise ValueError(f"{field} must be {spelled}, got {value}")
+
+
 def isqrt(n: int) -> int:
     """Floor of the square root of a nonnegative integer.
 

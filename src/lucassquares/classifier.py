@@ -75,7 +75,7 @@ from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from . import arith, diophantine, identities, sequences
-from .arith import _require_int
+from .arith import _require_at_least, _require_int
 from .identities import CheckOutcome
 from .sequences import SequenceParams
 
@@ -390,22 +390,14 @@ def _pair_survivors(lanes: _Lanes, period: Callable[[int], bytes],
 def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     """All findings of `query` for a single P, sorted by (n, m).
 
-    Every candidate is sieved on its residues first, from one
-    `sequences.residue_period` per sieve modulus, translated and tiled: by
-    `_survivors` for all n of a one-term cell, and by `_pair_survivors` for
-    the pairs (m, n) of a two-term cell, one run per m <= s = max(3,
-    isqrt(n_max)) and one per multiplier k = n / m past s, on the cell's
-    `_character_lanes`: 8 bytes per n for the characters of X_n and
-    w * X_n mod up to 15 prime moduli, the other primes tested pair by
-    pair.  A cell with no survivor reads no exact term.  A two-term cell
-    gets X_m and X_n from `sequences.pair_at`, by doubling, at the
-    survivors' indices only, with a per-cell dict so that a repeated m or n
-    is evaluated once: it holds no prefix of the sequence.  A one-term cell
-    skips along one `seq_range` stream to each survivor in turn, so it reads
-    only as far as the largest and keeps only the term under test.  The
-    benchmark's classify-1term self-check pins that stream (one `seq_range`
-    call per cell); once it counts work done rather than calls, the same
-    `pair_at` reader can replace it.
+    The sieve of the module docstring decides which candidates reach exact
+    terms; a cell with no survivor reads none.  A two-term cell gets X_m and
+    X_n from `sequences.pair_at`, by doubling, at its survivors' indices
+    only, each once: it holds no prefix of the sequence.  A one-term cell
+    skips along one `seq_range` stream to each survivor and keeps only the
+    term under test.  The stream stays because the benchmark's
+    classify-1term self-check pins one `seq_range` call per cell; once it
+    counts work done rather than calls, the `pair_at` reader can replace it.
     """
     family, w, n_max, n_parity = query.family, query.w, query.n_max, query.n_parity
     params = SequenceParams(P, 1)
@@ -479,12 +471,6 @@ def _search_cell(query: SquareClassQuery, P: int) -> list[SquareClassFinding]:
     return out
 
 
-def _check_jobs(jobs: int) -> None:
-    _require_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     """Complete list of findings in the box, sorted by (P, n, m).
 
@@ -492,7 +478,7 @@ def search(query: SquareClassQuery, jobs: int = 1) -> list[SquareClassFinding]:
     order.  A pool gets at most one worker per P and CPU (with one, cells run
     in-process); it costs about 0.02 s to start, so pays on large boxes only.
     """
-    _check_jobs(jobs)
+    _require_at_least("jobs", jobs, 1)
     p_values = query.p_values
     workers = min(jobs, len(p_values), os.cpu_count() or 1)
     if workers > 1:
@@ -512,9 +498,7 @@ def p_range(p_max: int, parity: str | None = None, multiple_of: int | None = Non
     if parity not in (None, "odd", "even"):
         raise ValueError(f"parity must be 'odd', 'even' or None, got {parity!r}")
     if multiple_of is not None:
-        _require_int("multiple_of", multiple_of)
-        if multiple_of < 1:
-            raise ValueError(f"multiple_of must be >= 1, got {multiple_of}")
+        _require_at_least("multiple_of", multiple_of, 1)
     return tuple(p for p in range(1, p_max + 1)
                  if _parity_ok(p, parity) and (multiple_of is None or p % multiple_of == 0))
 
@@ -847,7 +831,7 @@ def verify_theorem(theorem_id: str, query: SquareClassQuery,
     with the out_of_predicted_scope verdict (the violated hypothesis is in
     the notes) rather than raising; only a bad `jobs` or id raises ValueError.
     """
-    _check_jobs(jobs)
+    _require_at_least("jobs", jobs, 1)
     entry = _classification(theorem_id)
     try:
         scopes = _scopes(entry, query)

@@ -404,6 +404,12 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         m_max = args.mmax
         if m_max is None and args.nmax is not None and query.m_max is not None:
             m_max = classifier._m_bound(args.nmax)  # the profile's rule, at the new n bound
+            if m_max < (query.m_min if args.mmin is None else args.mmin):
+                options = (f"--nmax {args.nmax} leaves no m for {args.target}, which takes "
+                           f"m >= {query.m_min}" if args.mmin is None else
+                           f"--nmax {args.nmax} and --mmin {args.mmin} leave no m for "
+                           f"{args.target}")
+                raise CliError(f"{options}: without --mmax, m <= n_max // 2 = {m_max}")
         given = {"p_values": _resolve_p_values(args, required=False),
                  "n_max": args.nmax, "m_max": m_max, "m_min": args.mmin,
                  "n_parity": args.parity}

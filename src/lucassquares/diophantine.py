@@ -34,7 +34,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import _SQUARES_63, _SQUARES_64, _require_int, square_witness
+from .arith import (_SQUARES_63, _SQUARES_64, _require_at_least, _require_int, _require_one_of,
+                    square_witness)
 from .sequences import SequenceParams, u as _seq_u, v as _seq_v
 
 __all__ = [
@@ -129,8 +130,7 @@ class FormSolution:
 
     def __post_init__(self) -> None:
         _require_ints(x=self.x, y=self.y, c=self.c, z=self.z)
-        if self.c not in (-5, -1):
-            raise ValueError(f"c must be -5 or -1, got {self.c}")
+        _require_one_of("c", self.c, (-5, -1), "-5 or -1")
         value = self.x * self.x - 4 * self.x * self.y - self.y * self.y
         if value != self.c:
             raise ValueError(
@@ -219,12 +219,8 @@ def pell5_family(sign: int, count: int) -> list[PellSolution]:
     Solutions are (L_{3z}/2, F_{3z}/2) in increasing u, with z running over
     the even integers >= 0 for sign +1 and the odd integers >= 1 for -1.
     """
-    _require_int("sign", sign)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _require_int("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _require_one_of("sign", sign, (1, -1), "+1 or -1")
+    _require_at_least("count", count, 1)
     first = 0 if sign == 1 else 1
     return [PellSolution(_halved("L", 3 * z), _halved("F", 3 * z), z)
             for z in range(first, first + 2 * count, 2)]
@@ -232,12 +228,8 @@ def pell5_family(sign: int, count: int) -> list[PellSolution]:
 
 def pell5_enumerate(sign: int, v_bound: int) -> list[PellSolution]:
     """All solutions of u**2 - 5*v**2 = sign with 0 <= v <= v_bound, by scan."""
-    _require_int("sign", sign)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _require_int("v_bound", v_bound)
-    if v_bound < 0:
-        raise ValueError(f"v_bound must be >= 0, got {v_bound}")
+    _require_one_of("sign", sign, (1, -1), "+1 or -1")
+    _require_at_least("v_bound", v_bound, 0)
     return [PellSolution(s, vv) for vv, s in _square_scan(5, sign, 0, v_bound)]
 
 
@@ -247,12 +239,8 @@ def form_family(c: int, count: int) -> list[FormSolution]:
     For c = -5 the solutions are (L_{3z+3}/2, L_{3z}/2) with z even >= 0;
     for c = -1 they are (F_{3z+3}/2, F_{3z}/2) with z odd >= 1.
     """
-    _require_int("c", c)
-    if c not in (-5, -1):
-        raise ValueError(f"c must be -5 or -1, got {c}")
-    _require_int("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _require_one_of("c", c, (-5, -1), "-5 or -1")
+    _require_at_least("count", count, 1)
     name, first = ("L", 0) if c == -5 else ("F", 1)
     return [FormSolution(_halved(name, 3 * z + 3), _halved(name, 3 * z), c, z)
             for z in range(first, first + 2 * count, 2)]
@@ -266,12 +254,8 @@ def form_enumerate(c: int, y_bound: int) -> list[FormSolution]:
     Only positive x are reported: the boundary solution (x, y) = (0, 1) of
     c = -1 is outside every parametric family and is deliberately excluded.
     """
-    _require_int("c", c)
-    if c not in (-5, -1):
-        raise ValueError(f"c must be -5 or -1, got {c}")
-    _require_int("y_bound", y_bound)
-    if y_bound < 0:
-        raise ValueError(f"y_bound must be >= 0, got {y_bound}")
+    _require_one_of("c", c, (-5, -1), "-5 or -1")
+    _require_at_least("y_bound", y_bound, 0)
     return [FormSolution(xx, yy, c) for yy, s in _square_scan(5, c, 0, y_bound)
             for xx in sorted({2 * yy + s, 2 * yy - s}) if xx >= 1]
 
@@ -282,9 +266,7 @@ def pell3_family(count: int) -> list[tuple[int, int]]:
     Generated from the Q = -1 companion pair at P = 4 as
     (b, c) = (V_m(4,-1)/2, U_m(4,-1)) for m = 1, 2, ...
     """
-    _require_int("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _require_at_least("count", count, 1)
     out = []
     for m in range(1, count + 1):
         b = _half(_seq_v(_COMPANION4, m), f"V_{m}(4,-1)")
@@ -297,9 +279,7 @@ def pell3_family(count: int) -> list[tuple[int, int]]:
 
 def pell3_enumerate(c_bound: int) -> list[tuple[int, int]]:
     """All positive solutions of b**2 - 3*c**2 = 1 with 1 <= c <= c_bound."""
-    _require_int("c_bound", c_bound)
-    if c_bound < 0:
-        raise ValueError(f"c_bound must be >= 0, got {c_bound}")
+    _require_at_least("c_bound", c_bound, 0)
     return [(s, cc) for cc, s in _square_scan(3, 1, 1, c_bound)]
 
 
@@ -332,6 +312,8 @@ def family_cover(equation: str, param: int | None, count: int,
     except (KeyError, TypeError):
         raise ValueError(f"unknown equation {equation!r}; "
                          f"valid: {', '.join(_COVERS)}") from None
+    if equation == "pell3" and param is not None:
+        raise ValueError(f"pell3 takes no param, so param must be None, got {param!r}")
     members = family_fn(param, count)
     if bound is None:
         bound = pair(members[-1])[1]
@@ -348,9 +330,7 @@ def family_cover(equation: str, param: int | None, count: int,
 def quartic_solutions(variant: str, x_bound: int) -> list[QuarticSolution]:
     """All positive solutions of the variant quartic = 5*y**2 with x <= x_bound."""
     a, b = _variant_coeffs(variant)
-    _require_int("x_bound", x_bound)
-    if x_bound < 1:
-        raise ValueError(f"x_bound must be >= 1, got {x_bound}")
+    _require_at_least("x_bound", x_bound, 1)
     out = []
     for x in range(1, x_bound + 1):
         x2 = x * x

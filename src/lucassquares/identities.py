@@ -34,6 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import arith, sequences
+from .arith import _require_at_least
 from .sequences import IndexedPair, SequenceParams
 
 __all__ = [
@@ -311,8 +312,7 @@ def check_v_mod8_class(P: int, r: int, m: int) -> CheckOutcome:
     """
     if P % 2 == 0:
         raise ValueError(f"the V mod 8 classes require odd P, got P = {P}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _require_at_least("r", r, 1)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd positive integer, got {m}")
     params = SequenceParams(P, 1)
@@ -399,8 +399,7 @@ def check_divisibility_by_5_and_3(params: SequenceParams, n: int) -> CheckOutcom
 
 def check_lucas_pow2_mod4(k: int) -> CheckOutcome:
     """L_{2**k} = 3 (mod 4) for k >= 1, via the modular V ladder (`sequences.v_mod`) only."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_at_least("k", k, 1)
     if k >= 63:
         raise ValueError(f"2**k exceeds the supported index range, got k = {k}")
     params = SequenceParams(1, 1)
@@ -444,8 +443,7 @@ def check_jacobi_p2plus3(P: int, r: int) -> CheckOutcome:
     """
     if P % 2 == 0:
         raise ValueError(f"requires odd P, got P = {P}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _require_at_least("r", r, 1)
     params = SequenceParams(P, 1)
     inputs = (P, r)
     modulus = sequences.v(params, 1 << r)

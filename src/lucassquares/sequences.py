@@ -283,14 +283,9 @@ def residue_range(params: SequenceParams, n_lo: int, n_hi: int,
     b = _uv_pair_mod(P, Q, n_lo, modulus)[0]
     c = _uv_pair_mod(P, Q, n_lo + 1, modulus)[0]
     a = Q * (c - P * b) % modulus  # U_{n_lo - 1}, since Q is its own inverse
-    if Q == 1:
-        for _ in range(n_lo, n_hi + 1):
-            yield b, (c + a) % modulus
-            a, b, c = b, c, (P * c + b) % modulus
-    else:
-        for _ in range(n_lo, n_hi + 1):
-            yield b, (c - a) % modulus
-            a, b, c = b, c, (P * c - b) % modulus
+    for _ in range(n_lo, n_hi + 1):
+        yield b, (c + Q * a) % modulus
+        a, b, c = b, c, (P * c + Q * b) % modulus
 
 
 # 255, 254, ..., 0 twice: `_residue_period` slices its negation tables from it.

@@ -202,6 +202,9 @@ def _verify() -> list[str]:
         "verify u-wsquare --P 1 --P-max 5",
         "verify u-wsquare --mmax 5 --P 3 --nmax 20",
         "verify u-5square --mmin 2 --P 5 --nmax 20",
+        # --nmax without --mmax: m <= n_max // 2 falls below the least m.
+        "verify u-2um-square --nmax 3",
+        "verify v-vm-square --P 3 --nmax 1",
         # argparse
         "verify all --profile medium",
         "verify",

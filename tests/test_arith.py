@@ -14,6 +14,8 @@ from lucassquares import (
     SequenceParams,
     arith,
     classifier,
+    diophantine,
+    identities,
     SquareClass,
     is_square,
     isqrt,
@@ -46,6 +48,46 @@ NON_INTEGER_CALLS = [
 def test_entry_points_refuse_non_integers_by_name(fn, args, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         fn(*args)
+
+
+_BOX = classifier.SquareClassQuery("U", 1, (1,), 10)
+
+# Each argument checked by `_require_at_least` or `_require_one_of`: a call
+# that takes the value, the argument's name, a value the rule refuses and the
+# rule as the message words it.
+CHECKED_ARGUMENTS = [
+    (lambda v: classifier.search(_BOX, jobs=v), "jobs", 0, ">= 1"),
+    (lambda v: classifier.verify_theorem("u-wsquare", _BOX, jobs=v), "jobs", 0, ">= 1"),
+    (lambda v: classifier.p_range(10, multiple_of=v), "multiple_of", 0, ">= 1"),
+    (lambda v: diophantine.pell5_family(v, 2), "sign", 0, "+1 or -1"),
+    (lambda v: diophantine.pell5_family(1, v), "count", 0, ">= 1"),
+    (lambda v: diophantine.pell5_enumerate(v, 10), "sign", 5, "+1 or -1"),
+    (lambda v: diophantine.pell5_enumerate(1, v), "v_bound", -1, ">= 0"),
+    (lambda v: diophantine.form_family(v, 2), "c", 1, "-5 or -1"),
+    (lambda v: diophantine.form_family(-5, v), "count", -3, ">= 1"),
+    (lambda v: diophantine.form_enumerate(v, 10), "c", -4, "-5 or -1"),
+    (lambda v: diophantine.form_enumerate(-1, v), "y_bound", -1, ">= 0"),
+    (lambda v: diophantine.FormSolution(4, 1, v), "c", -3, "-5 or -1"),
+    (lambda v: diophantine.pell3_family(v), "count", 0, ">= 1"),
+    (lambda v: diophantine.pell3_enumerate(v), "c_bound", -2, ">= 0"),
+    (lambda v: diophantine.quartic_solutions("plus3", v), "x_bound", 0, ">= 1"),
+    (lambda v: identities.check_v_mod8_class(1, v, 1), "r", 0, ">= 1"),
+    (lambda v: identities.check_jacobi_p2plus3(1, v), "r", -1, ">= 1"),
+    (lambda v: identities.check_lucas_pow2_mod4(v), "k", 0, ">= 1"),
+]
+
+
+@pytest.mark.parametrize("call, field, refused, rule", CHECKED_ARGUMENTS,
+                         ids=[f"{i}-{row[1]}" for i, row in enumerate(CHECKED_ARGUMENTS)])
+def test_checked_arguments_refuse_bools_floats_and_values_outside_the_rule(
+        call, field, refused, rule):
+    # A bool is no integer here, nor is a float, even one equal to an allowed value.
+    for value in (True, 1.0, 2.5):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            call(value)
+    with pytest.raises(ValueError) as error:
+        call(refused)
+    assert str(error.value) == f"{field} must be {rule}, got {refused}"
 
 
 class TestIsqrt:

@@ -237,6 +237,9 @@ class TestQueryValidation:
             SquareClassFinding("UU", 1, 12, None, 2, 6)  # missing m
         with pytest.raises(ValueError):
             SquareClassFinding("U", 1, 1, None, 1, 0)  # x must be >= 1
+        with pytest.raises(ValueError, match=r"^family must be one of \('U', 'V', 'UU', 'VV'\), "
+                                             r"got 'W'$"):
+            SquareClassFinding("W", 1, 1, None, 1, 1)
 
 
 class TestSearch:
@@ -928,6 +931,14 @@ class TestVerifyTheorem:
         assert report.verdict == "consistent"
         assert [(f.P, f.n, f.x) for f in report.predicted] == [(1, 6, 3), (5, 6, 99)]
         assert report.found == report.predicted
+
+    def test_the_predicted_set_is_clipped_to_the_m_bounds(self):
+        # u-2um-square predicts (P, n, m) = (1, 12, 3) and (1, 12, 6); the box's
+        # m >= 4 leaves the second, which is also the one finding.
+        report = verify_theorem("u-2um-square", q(family="UU", w=2, p_values=(1,), n_max=40,
+                                                  m_max=20, m_min=4))
+        assert report.verdict == "consistent"
+        assert report.predicted == report.found == (SquareClassFinding("UU", 1, 12, 6, 2, 3),)
 
     def test_jobs_is_checked_before_the_scope(self):
         # P = 2 is out of v-square's scope, so no search would check jobs.

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -428,6 +429,23 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert f", {m_text};" in out.splitlines()[1]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("u-2um-square", "--nmax", "3"),
+         "--nmax 3 leaves no m for u-2um-square, which takes m >= 2: "
+         "without --mmax, m <= n_max // 2 = 1"),
+        (("v-vm-square", "--P", "3", "--nmax", "1"),
+         "--nmax 1 leaves no m for v-vm-square, which takes m >= 1: "
+         "without --mmax, m <= n_max // 2 = 0"),
+        (("v-vm-square", "--P", "3", "--nmax", "10", "--mmin", "6"),
+         "--nmax 10 and --mmin 6 leave no m for v-vm-square: "
+         "without --mmax, m <= n_max // 2 = 5"),
+    ])
+    def test_an_nmax_that_leaves_no_m_is_refused_by_its_options(self, capsys, argv, message):
+        # The m bound --nmax implies falls below the least m: the error names
+        # the options given, not the box's m_min, m_max and n_max.
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("report, bound", [("u-wsquare", "--mmax"), ("u-5square", "--mmin"),
                                                ("fib-lucas-squares", "--mmax")])
     def test_a_one_term_report_refuses_m_bounds(self, capsys, report, bound):
@@ -593,6 +611,14 @@ class TestOutputPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "12 144 322\n"
+
+    def test_module_entry_point_in_process(self, capsys, monkeypatch):
+        # The module run as `python -m` runs it, but in this process, where
+        # tests/check_statement_coverage.py sees its lines.
+        monkeypatch.setattr(sys, "argv", ["lucassquares", "seq", "-P", "1", "-n", "12"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("lucassquares", run_name="__main__")
+        assert (exit_.value.code, capsys.readouterr().out) == (0, "12 144 322\n")
 
     def test_public_names(self):
         assert cli.__all__ == ["main", "report_to_dict"]

@@ -123,6 +123,21 @@ class TestPell3:
         with pytest.raises(ValueError):
             pell3_enumerate(-1)
 
+    def test_an_odd_v_is_refused_not_halved(self, monkeypatch):
+        # A shadow V_m(4, -1) one above the true, even value.
+        real = diophantine._seq_v
+        monkeypatch.setattr(diophantine, "_seq_v", lambda params, m: real(params, m) + 1)
+        with pytest.raises(ArithmeticError, match=r"^V_1\(4,-1\) = 5 is odd; expected an even"):
+            pell3_family(1)
+
+    def test_a_generated_pair_off_the_equation_is_refused(self, monkeypatch):
+        # A shadow U_m(4, -1) one above the true value: (2, 2) fails b**2 - 3c**2 = 1.
+        real = diophantine._seq_u
+        monkeypatch.setattr(diophantine, "_seq_u", lambda params, m: real(params, m) + 1)
+        with pytest.raises(ArithmeticError,
+                           match=r"^generated pair \(2, 2\) fails b\*\*2 - 3c\*\*2 = 1$"):
+            pell3_family(1)
+
 
 def _naive_roots(k, c, lo, bound):
     """(b, s) with k*b**2 + c = s**2 for lo <= b <= bound, by binary-search roots."""
@@ -245,6 +260,13 @@ class TestFamilyCover:
         with pytest.raises(ValueError, match="^unknown equation"):
             diophantine.family_cover(equation, 1, 2)
 
+    @pytest.mark.parametrize("param", [7, "x", 1, False])
+    def test_pell3_refuses_a_param(self, param):
+        # pell3's family has no sign or c; a param there once went unread.
+        with pytest.raises(ValueError, match=f"^pell3 takes no param, so param must be None, "
+                                             f"got {param!r}$"):
+            diophantine.family_cover("pell3", param, 3)
+
     def test_extends_the_family_past_an_explicit_bound(self):
         members, bound, family_pairs, oracle_pairs = diophantine.family_cover(
             "pell5", -1, 1, 1000)
@@ -296,4 +318,7 @@ class TestQuartics:
             QuarticSolution("plus3", 2, 1)
         with pytest.raises(ValueError):
             QuarticSolution("plus3", 1, 2)
+        for x, y in ((-1, 1), (1, -1)):  # solutions, but not positive ones
+            with pytest.raises(ValueError, match="^quartic solutions here are positive$"):
+                QuarticSolution("plus3", x, y)
         assert QuarticSolution("minus3", 2, 1).y == 1

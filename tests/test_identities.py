@@ -26,6 +26,7 @@ from lucassquares import (
     check_v5n_factor,
     check_v_mod8_class,
 )
+from lucassquares import sequences
 from lucassquares.sequences import IndexedPair
 
 from _oracles import naive_u, naive_v
@@ -233,6 +234,13 @@ class TestV5nFactor:
             for n in (-7, -1, 1, 3, 9, 11):
                 assert check_v5n_factor(params, n).passed
 
+    def test_a_v5n_that_5vn_does_not_divide_fails_with_its_remainder(self, monkeypatch):
+        # A shadow V with V_5 = 3776 in place of 3775 = 5 * V_1 * 151.
+        real = sequences.v
+        monkeypatch.setattr(sequences, "v", lambda params, n: real(params, n) + (n == 5))
+        assert check_v5n_factor(P5, 1) == CheckOutcome(
+            "quintuple-v-factor", (5, 1, 1), False, 1, 0, "5 * V_n does not divide V_{5n}")
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             check_v5n_factor(SequenceParams(3, 1), 1)  # 5 does not divide P
@@ -308,6 +316,10 @@ class TestDivisibilityLaws:
         with pytest.raises(ValueError):
             check_gcd_u_v(SequenceParams(2, 1), 3)
 
+    def test_gcd_law_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^the gcd law requires n >= 1, got n = 0$"):
+            check_gcd_u_v(FIB, 0)
+
 
 class TestResidueClasses:
     def test_v_mod8_representative_cases(self):
@@ -355,6 +367,10 @@ class TestResidueClasses:
         outcome = check_divisibility_by_5_and_3(FIB, 4)
         assert outcome.passed
         assert outcome.lhs == 1  # 3 | F_4 = 3 only
+
+    def test_divides_5_3_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^requires n >= 1, got n = 0$"):
+            check_divisibility_by_5_and_3(P5, 0)
 
     def test_divides_5_3_grid(self):
         for p in range(1, 26):
